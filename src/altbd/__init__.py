@@ -2,11 +2,10 @@
 birth-death chains whose jump rate alternates with the parity of the state,
 on the full integer lattice and reflected at zero."""
 
-from .specfun import ConvergenceError, DomainError, SeriesControl, bessel_i, hyp1f2, log_binomial
+from .specfun import ConvergenceError, DomainError, SeriesControl, SeriesOverflowError, bessel_i, hyp1f2
 from .bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
 from .reflecting import (
     LaplaceRoots,
-    SumDiffParams,
     laplace_roots,
     p_even,
     pi_1n,
@@ -34,9 +33,9 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "SeriesControl",
+    "SeriesOverflowError",
     "bessel_i",
     "hyp1f2",
-    "log_binomial",
     "PgfPair",
     "Rates",
     "TransitionQuery",
@@ -45,7 +44,6 @@ __all__ = [
     "transition_prob",
     "variance",
     "LaplaceRoots",
-    "SumDiffParams",
     "laplace_roots",
     "p_even",
     "pi_1n",

@@ -13,13 +13,14 @@ exponent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import ConvergenceError, DomainError, SeriesControl, DEFAULT_CONTROL
+from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, _sum_series
 
 __all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "mean", "variance"]
 
@@ -154,23 +155,15 @@ def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: fl
     rt = rate * t
     lrt = math.log(rt)
     lx = math.log(x)
-    total = 0.0
-    small = 0
-    n = d
-    while n - d < ctl.max_terms:
-        base = math.exp(2 * n * lrt - _log_fact(2 * n)[2 * n] + _inner_log(n, d, lx) - a * t)
-        term = base * (1.0 + c * rt / (2 * n + 1))
-        total += term
-        # stop only past the Poisson-weight peak at 2n ~ at, where terms
-        # decay faster than geometrically
-        if abs(term) <= ctl.rel_tol * abs(total) and n >= d + 5 and 2 * n >= a * t:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        n += 1
-    raise ConvergenceError("transition series (same parity) did not converge", total, n - d)
+
+    def terms():
+        for n in itertools.count(d):
+            base = math.exp(2 * n * lrt - _log_fact(2 * n)[2 * n] + _inner_log(n, d, lx) - a * t)
+            # settled only past the Poisson-weight peak at 2n ~ at, where
+            # terms decay faster than geometrically
+            yield base * (1.0 + c * rt / (2 * n + 1)), n >= d + 5 and 2 * n >= a * t
+
+    return _sum_series(terms(), ctl, "transition series (same parity)")
 
 
 def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl: SeriesControl) -> float:
@@ -178,34 +171,20 @@ def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl:
     rt = rate * t
     lrt = math.log(rt)
     lx = math.log(x)
-    total = 0.0
-    small = 0
-    n = d
-    while n - d < ctl.max_terms:
-        term = math.exp((2 * n + 1) * lrt - _log_fact(2 * n + 1)[2 * n + 1] + _inner_log(n, d, lx) - a * t)
-        total += term
-        if term <= ctl.rel_tol * total and n >= d + 5 and 2 * n >= a * t:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        n += 1
-    raise ConvergenceError("transition series (cross parity) did not converge", total, n - d)
+
+    def terms():
+        for n in itertools.count(d):
+            term = math.exp((2 * n + 1) * lrt - _log_fact(2 * n + 1)[2 * n + 1] + _inner_log(n, d, lx) - a * t)
+            yield term, n >= d + 5 and 2 * n >= a * t
+
+    return _sum_series(terms(), ctl, "transition series (cross parity)")
 
 
-def transition_prob(
-    q: TransitionQuery,
-    rates: Rates,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-    _offset_shift: int = 1,
-) -> float:
+def transition_prob(q: TransitionQuery, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Probability of moving from q.from_state to q.to_state in time q.t.
 
     Dispatches on the parities of the two states to the four double-series
-    closed forms.  `_offset_shift` exists only for the verification tool's
-    mutation mode: flipping it to -1 deliberately mis-indexes the second
-    even-to-odd sum, which the cross checks must detect.
+    closed forms.
     """
     if q.t == 0.0:
         return 1.0 if q.from_state == q.to_state else 0.0
@@ -220,7 +199,7 @@ def transition_prob(
         else:
             r = (n - 1) // 2
             v = _series_cross_parity(lam, mu / lam, abs(r - l), q.t, a, ctl) + _series_cross_parity(
-                lam, mu / lam, abs(r - l + _offset_shift), q.t, a, ctl
+                lam, mu / lam, abs(r - l + 1), q.t, a, ctl
             )
     else:
         l = (k - 1) // 2

@@ -258,22 +258,20 @@ def simulate(lam, mu, process, from_state, grid, paths, seed, out):
 # verify
 
 
-def _check_normalization(rates, ctl, shift, times, starts):
+def _check_normalization(rates, ctl, times, starts):
     worst = 0.0
-    big = oracle.uniformization_rate(rates)
     for k in starts:
         for t in times:
-            # window wide enough that the Poisson tail beyond it is < 1e-12
-            w = int(math.ceil(big * t + 10.0 * math.sqrt(big * t) + 20.0))
+            lo, hi = oracle.default_window("bilateral", rates, k, t)
             total = sum(
-                bilateral.transition_prob(TransitionQuery(k, n, t), rates, ctl, _offset_shift=shift)
-                for n in range(k - w, k + w + 1)
+                bilateral.transition_prob(TransitionQuery(k, n, t), rates, ctl)
+                for n in range(lo, hi + 1)
             )
             worst = max(worst, abs(total - 1.0))
     return worst
 
 
-def _check_symmetry(rates, ctl, shift, times):
+def _check_symmetry(rates, ctl, times):
     # five-clause suite: reflections and translations by even/odd amounts,
     # plus the transpose; the transpose carries a rate swap exactly when the
     # two states have opposite parity (for equal parity it is the plain
@@ -282,7 +280,7 @@ def _check_symmetry(rates, ctl, shift, times):
     worst = 0.0
 
     def p(k, n, t, rr):
-        return bilateral.transition_prob(TransitionQuery(k, n, t), rr, ctl, _offset_shift=shift)
+        return bilateral.transition_prob(TransitionQuery(k, n, t), rr, ctl)
 
     span = range(-3, 4)
     for t in times:
@@ -298,23 +296,22 @@ def _check_symmetry(rates, ctl, shift, times):
     return worst
 
 
-def _check_chapman_kolmogorov(rates, ctl, shift, pairs):
+def _check_chapman_kolmogorov(rates, ctl, pairs):
     worst = 0.0
-    big = oracle.uniformization_rate(rates)
     for (t, s) in pairs:
         for (k, n) in ((0, 0), (0, 1), (-1, 2)):
-            w = int(math.ceil(big * (t + s) + 10.0 * math.sqrt(big * (t + s)) + 20.0))
-            direct = bilateral.transition_prob(TransitionQuery(k, n, t + s), rates, ctl, _offset_shift=shift)
+            lo, hi = oracle.default_window("bilateral", rates, k, t + s)
+            direct = bilateral.transition_prob(TransitionQuery(k, n, t + s), rates, ctl)
             total = sum(
-                bilateral.transition_prob(TransitionQuery(k, m, t), rates, ctl, _offset_shift=shift)
-                * bilateral.transition_prob(TransitionQuery(m, n, s), rates, ctl, _offset_shift=shift)
-                for m in range(k - w, k + w + 1)
+                bilateral.transition_prob(TransitionQuery(k, m, t), rates, ctl)
+                * bilateral.transition_prob(TransitionQuery(m, n, s), rates, ctl)
+                for m in range(lo, hi + 1)
             )
             worst = max(worst, abs(total - direct))
     return worst
 
 
-def _check_bessel_reduction(ctl, shift):
+def _check_bessel_reduction(ctl):
     from .specfun import bessel_i
 
     worst = 0.0
@@ -322,7 +319,7 @@ def _check_bessel_reduction(ctl, shift):
     for t in (0.5, 2.0, 5.0):
         for n in range(-10, 11):
             closed = math.exp(-4.0 * t) * bessel_i(abs(n), 4.0 * t, ctl)
-            series = bilateral.transition_prob(TransitionQuery(0, n, t), rates, ctl, _offset_shift=shift)
+            series = bilateral.transition_prob(TransitionQuery(0, n, t), rates, ctl)
             worst = max(worst, abs(closed - series))
     return worst
 
@@ -393,7 +390,7 @@ def _check_laplace_roots(rates):
 DEFAULT_VERIFY_PAIRS = ((1.0, 2.0), (2.0, 2.0), (2.0, 1.0))
 
 
-def run_verification(pairs=DEFAULT_VERIFY_PAIRS, offset_shift: int = 1, ctl: SeriesControl | None = None):
+def run_verification(pairs=DEFAULT_VERIFY_PAIRS, ctl: SeriesControl | None = None):
     """Run the full cross-check battery; returns CSV-ready result rows.
 
     Each row is (check, lambda, mu, max_residual, tolerance, status).
@@ -408,10 +405,10 @@ def run_verification(pairs=DEFAULT_VERIFY_PAIRS, offset_shift: int = 1, ctl: Ser
     for (lam, mu) in pairs:
         rates = Rates(lam, mu)
         add("normalization", lam, mu,
-            _check_normalization(rates, ctl, offset_shift, times, range(-3, 4)), 1e-9)
-        add("symmetry", lam, mu, _check_symmetry(rates, ctl, offset_shift, (0.5, 2.0)), 1e-12)
+            _check_normalization(rates, ctl, times, range(-3, 4)), 1e-9)
+        add("symmetry", lam, mu, _check_symmetry(rates, ctl, (0.5, 2.0)), 1e-12)
         add("chapman_kolmogorov", lam, mu,
-            _check_chapman_kolmogorov(rates, ctl, offset_shift, ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7))), 1e-8)
+            _check_chapman_kolmogorov(rates, ctl, ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7))), 1e-8)
         add("q10_triple_agreement", lam, mu, _check_q10_triple(rates, ctl, (0.5, 1.0, 2.0)), 1e-6)
         add("origin_vs_oracle", lam, mu, _check_origin_vs_oracle(rates, ctl, (0.25, 1.0, 5.0)), 1e-7)
         wb, wr = _check_moments_vs_oracle(rates, ctl)
@@ -420,21 +417,19 @@ def run_verification(pairs=DEFAULT_VERIFY_PAIRS, offset_shift: int = 1, ctl: Ser
         wv, ws = _check_laplace_roots(rates)
         add("psi_product_vieta", lam, mu, wv, 1e-12)
         add("laplace_system_residual", lam, mu, ws, 1e-10)
-    add("bessel_reduction", 2.0, 2.0, _check_bessel_reduction(ctl, offset_shift), 1e-10)
+    add("bessel_reduction", 2.0, 2.0, _check_bessel_reduction(ctl), 1e-10)
     return rows
 
 
 @main.command()
-@click.option("--mutate-offset", is_flag=True, hidden=True,
-              help="deliberately mis-transcribe one series offset (sensitivity check)")
 @_series_options
 @_out_option
-def verify(mutate_offset, tol, max_terms, out):
+def verify(tol, max_terms, out):
     """Cross-check every closed form against the independent oracles."""
     def run():
         ctl = SeriesControl(rel_tol=tol, max_terms=max_terms)
-        shift = -1 if mutate_offset else 1
-        rows = run_verification(offset_shift=shift, ctl=ctl)
+        # read the grid at call time, so the report header and rows agree
+        rows = run_verification(DEFAULT_VERIFY_PAIRS, ctl=ctl)
         _emit(
             out,
             ["altbd verify", f"grid={' '.join(f'({l},{m})' for l, m in DEFAULT_VERIFY_PAIRS)}"],

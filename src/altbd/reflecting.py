@@ -17,6 +17,7 @@ Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +32,12 @@ from .specfun import (
     DomainError,
     SeriesControl,
     _hyp_series,
+    _sum_series,
     bessel_i,
     hyp1f2,
 )
 
 __all__ = [
-    "SumDiffParams",
     "LaplaceRoots",
     "laplace_roots",
     "pi_1n",
@@ -47,24 +48,6 @@ __all__ = [
     "r_mean",
     "r_variance",
 ]
-
-
-@dataclass(frozen=True)
-class SumDiffParams:
-    """Rate sum a = lam + mu and difference b = lam - mu."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"rate sum must be positive, got {self.a}")
-        if not abs(self.b) < self.a:
-            raise DomainError(f"|rate difference| must be below the sum, got {self.b} vs {self.a}")
-
-    @classmethod
-    def from_rates(cls, rates: Rates) -> "SumDiffParams":
-        return cls(rates.total, rates.diff)
 
 
 @dataclass(frozen=True)
@@ -83,9 +66,9 @@ class LaplaceRoots:
     psi2_sq: float
 
 
-def _roots_any(s, p: SumDiffParams):
+def _roots_any(s, rates: Rates):
     """A, B, psi2^2 for real s > 0 or complex s with positive real part."""
-    a, b = p.a, p.b
+    a, b = rates.total, rates.diff
     sqrt = np.sqrt if isinstance(s, complex) else math.sqrt
     A = sqrt((a + s) ** 2 - a * a)
     B = sqrt((a + s) ** 2 - b * b)
@@ -97,9 +80,8 @@ def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
     """Roots of the biquadratic underlying the transform-domain solution."""
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be strictly positive, got {s}")
-    p = SumDiffParams.from_rates(rates)
-    A, B, psi2 = _roots_any(s, p)
-    psi1 = (A + B) ** 2 / (p.a**2 - p.b**2)
+    A, B, psi2 = _roots_any(s, rates)
+    psi1 = (A + B) ** 2 / (rates.total**2 - rates.diff**2)
     return LaplaceRoots(s=s, a_term=A, b_term=B, psi1_sq=psi1, psi2_sq=psi2)
 
 
@@ -117,8 +99,7 @@ def pi_1n(s, n: int, rates: Rates):
     elif not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be strictly positive, got {s}")
     lam, mu = rates.lam, rates.mu
-    p = SumDiffParams.from_rates(rates)
-    A, B, psi2 = _roots_any(s, p)
+    A, B, psi2 = _roots_any(s, rates)
     if n == 0:
         return ((2.0 * lam + s) * (2.0 * mu + s) - A * B) / (lam * (s * (2.0 * mu + s) + A * B))
     den = mu * (1.0 - psi2) - s * psi2
@@ -146,24 +127,17 @@ def q00(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     la = math.log(a)
     lt2 = math.log(t / 2.0)
     r = b / a  # in (-1, 1)
-    total = 0.0
-    small = 0
-    for k in range(ctl.max_terms):
-        f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb, ctl)
-        f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb, ctl)
-        scale = math.exp(2 * k * lt2 - 2.0 * float(gammaln(k + 1.0)) + (2 * k + 1) * la - a * t)
-        c1 = 1.0 + r ** (2 * k + 1)
-        c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
-        term = scale * (c1 * f1 + c2 * f2)
-        total += term
-        if abs(term) <= ctl.rel_tol * abs(total) and 2 * k >= a * t:
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError("q00 series did not converge", total / (a + b), ctl.max_terms)
+
+    def terms():
+        for k in itertools.count():
+            f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb, ctl)
+            f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb, ctl)
+            scale = math.exp(2 * k * lt2 - 2.0 * float(gammaln(k + 1.0)) + (2 * k + 1) * la - a * t)
+            c1 = 1.0 + r ** (2 * k + 1)
+            c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
+            yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
+
+    total = _sum_series(terms(), ctl, "q00 series")
     return min(max(total / (a + b), 0.0), 1.0)
 
 
@@ -188,37 +162,31 @@ def q10_series(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> 
     la = math.log(a)
     lt = math.log(t)
     r = b / a
-    total = 0.0
-    small = 0
-    for n in range(ctl.max_terms):
-        f_mid = _hyp_series((0.5,), (n + 1.0, n + 1.5), xa, ctl, "q10 term")
-        f_low = _hyp_series((0.5,), (n + 0.5, n + 1.0), xa, ctl, "q10 term")
-        f_high = _hyp_series((0.5,), (n + 1.5, n + 2.0), xa, ctl, "q10 term")
-        f_b = _hyp_series((0.5, 1.0), (2.0, n + 1.5, n + 2.0), xb, ctl, "q10 term")
-        scale = math.exp(
-            2 * n * lt
-            + (2 * n + 2) * la
-            - (2 * n + 1) * math.log(2.0)
-            - float(gammaln(n + 1.0))
-            - float(gammaln(n + 2.0))
-            - a * t
-        ) * (1.0 - r ** (2 * n + 2))
-        tsq = t * t / ((2 * n + 1) * (2 * n + 2))
-        term = scale * (
-            (a + b) * t / (2 * n + 1) * f_mid
-            + (f_low - 1.0)
-            + a * b * tsq * f_high
-            + 0.5 * b * b * tsq * f_b
-        )
-        total += term
-        if abs(term) <= ctl.rel_tol * abs(total) and 2 * n >= a * t:
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError("q10 series did not converge", total / (2 * lam * (a + b)), ctl.max_terms)
+
+    def terms():
+        for n in itertools.count():
+            f_mid = _hyp_series((0.5,), (n + 1.0, n + 1.5), xa, ctl, "q10 term")
+            f_low = _hyp_series((0.5,), (n + 0.5, n + 1.0), xa, ctl, "q10 term")
+            f_high = _hyp_series((0.5,), (n + 1.5, n + 2.0), xa, ctl, "q10 term")
+            f_b = _hyp_series((0.5, 1.0), (2.0, n + 1.5, n + 2.0), xb, ctl, "q10 term")
+            scale = math.exp(
+                2 * n * lt
+                + (2 * n + 2) * la
+                - (2 * n + 1) * math.log(2.0)
+                - float(gammaln(n + 1.0))
+                - float(gammaln(n + 2.0))
+                - a * t
+            ) * (1.0 - r ** (2 * n + 2))
+            tsq = t * t / ((2 * n + 1) * (2 * n + 2))
+            term = scale * (
+                (a + b) * t / (2 * n + 1) * f_mid
+                + (f_low - 1.0)
+                + a * b * tsq * f_high
+                + 0.5 * b * b * tsq * f_b
+            )
+            yield term, 2 * n >= a * t
+
+    total = _sum_series(terms(), ctl, "q10 series")
     return min(max(total / (2.0 * lam * (a + b)), 0.0), 1.0)
 
 

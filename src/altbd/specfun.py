@@ -3,26 +3,26 @@
 Everything here is evaluated by direct power series with a running
 term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
-All functions are pure and reentrant.
+The outer series of the closed forms (the bilateral transition series, q00
+and q10) are summed by the shared accumulator `_sum_series`; the two kernels
+here keep inline loops because their terms cost about as much as a
+generator step.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaln
 
 __all__ = [
     "SeriesControl",
     "DomainError",
     "ConvergenceError",
+    "SeriesOverflowError",
     "bessel_i",
     "hyp1f2",
-    "log_binomial",
 ]
-
-NEG_INF = float("-inf")
 
 
 class DomainError(ValueError):
@@ -42,6 +42,15 @@ class ConvergenceError(RuntimeError):
         self.terms = terms
 
 
+class SeriesOverflowError(ConvergenceError):
+    """A series produced a non-finite partial sum (an overflowed term, or
+    inf * 0 = NaN where an overflowed factor met an underflowed scale).
+
+    Raised at the first such term rather than after the term cap, since no
+    further term can bring the sum back into range.
+    """
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy shared by every infinite-series evaluation.
@@ -50,7 +59,8 @@ class SeriesControl:
                 for two consecutive terms (single-term tests misfire where a
                 series crosses between growth and decay regimes).
     max_terms : hard cap on summed terms; exceeding it raises
-                ConvergenceError.
+                ConvergenceError (a non-finite partial sum raises
+                SeriesOverflowError at once).
     """
 
     rel_tol: float = 1e-14
@@ -64,6 +74,30 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
+
+
+def _sum_series(terms, ctl: SeriesControl, what: str) -> float:
+    """Sum an iterable of (term, settled) pairs in order.
+
+    Stops after two consecutive settled terms with |term| <= rel_tol*|total|;
+    `settled` carries each series' own guard (typically "past the peak of the
+    terms"), so a small term on the rising side cannot end the sum.  Raises
+    SeriesOverflowError at the first non-finite partial sum and
+    ConvergenceError once ctl.max_terms terms are summed without stopping.
+    """
+    total = 0.0
+    small = 0
+    for count, (term, settled) in enumerate(itertools.islice(terms, ctl.max_terms), 1):
+        total += term
+        if not math.isfinite(total):
+            raise SeriesOverflowError(f"{what} overflowed", total, count)
+        if settled and abs(term) <= ctl.rel_tol * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"{what} did not converge", total, ctl.max_terms)
 
 
 def bessel_i(order: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -145,16 +179,3 @@ def hyp1f2(a: float, b1: float, b2: float, x: float, ctl: SeriesControl = DEFAUL
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     return _hyp_series((a,), (b1, b2), x, ctl, name=f"hyp1f2({a},{b1},{b2})")
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) through log-gamma, with -inf for k outside [0, n].
-
-    The -inf sentinel (rather than an error) lets inner sums index binomials
-    right at their boundary and simply drop the vanishing terms.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return NEG_INF
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altbd import Rates, transient_distribution
+from altbd import Rates, bilateral, transient_distribution
 
 
 @pytest.fixture
@@ -34,3 +34,12 @@ def oracle_prob(kind, rates, k, n, t, eps=1e-12):
     if idx >= states.size or states[idx] != n:
         return 0.0
     return float(probs[idx])
+
+
+def mis_index_cross_parity(monkeypatch):
+    """Shift the offset d of every cross-parity series by one: a
+    transcription slip in the closed form that the cross checks must catch."""
+    series = bilateral._series_cross_parity
+    monkeypatch.setattr(
+        bilateral, "_series_cross_parity", lambda rate, x, d, t, a, ctl: series(rate, x, d + 1, t, a, ctl)
+    )

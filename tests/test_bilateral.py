@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
-from altbd.specfun import DomainError, bessel_i
+from altbd.oracle import default_window
+from altbd.specfun import ConvergenceError, DomainError, SeriesControl, SeriesOverflowError, bessel_i
 
-from conftest import oracle_moments, oracle_prob
+from conftest import mis_index_cross_parity, oracle_moments, oracle_prob
 
 
 def window_for(rates, t, extra=0):
@@ -165,13 +166,24 @@ class TestTransitionProb:
                 total = sum(p(k, m, t, rates_12) * p(m, n, s, rates_12) for m in range(k - w, k + w + 1))
                 assert total == pytest.approx(direct, abs=1e-8)
 
-    def test_mutation_mode_breaks_symmetry(self, rates_12):
-        good = p(0, 1, 0.9, rates_12)
-        bad = p(0, 1, 0.9, rates_12, _offset_shift=-1)
-        assert good == pytest.approx(bad, abs=1e-15)  # offsets coincide when r == l
-        good = p(0, 3, 0.9, rates_12)
-        bad = p(0, 3, 0.9, rates_12, _offset_shift=-1)
-        assert abs(good - bad) > 1e-4
+    def test_mutation_mode_breaks_symmetry(self, rates_12, monkeypatch):
+        # a uniform shift of d maps every symmetry clause's offsets onto
+        # themselves, so the slip shows in the values and the row sum
+        good = [p(0, n, 0.9, rates_12) for n in (1, 3)]
+        lo, hi = default_window("bilateral", rates_12, 0, 0.9)
+        mis_index_cross_parity(monkeypatch)
+        bad = [p(0, n, 0.9, rates_12) for n in (1, 3)]
+        for g, b in zip(good, bad):
+            assert abs(g - b) > 1e-3
+        row_sum = sum(p(0, n, 0.9, rates_12) for n in range(lo, hi + 1))
+        assert abs(row_sum - 1.0) > 1e-2
+
+    @pytest.mark.parametrize("k, n", [(0, 0), (0, 1)])
+    def test_term_cap_reports_terms(self, k, n, rates_12):
+        with pytest.raises(ConvergenceError) as exc:
+            p(k, n, 5.0, rates_12, ctl=SeriesControl(max_terms=3))
+        assert not isinstance(exc.value, SeriesOverflowError)
+        assert exc.value.terms == 3
 
 
 class TestMoments:

@@ -4,6 +4,8 @@ from click.testing import CliRunner
 
 from altbd import cli
 
+from conftest import mis_index_cross_parity
+
 
 @pytest.fixture
 def runner():
@@ -134,6 +136,13 @@ class TestReflect:
         _, rows = parse_csv(result.output)
         assert float(rows[0][1]) == 1.0
 
+    def test_overflow_exit_code(self, runner):
+        result = runner.invoke(
+            cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "720:720:1"]
+        )
+        assert result.exit_code == 3
+        assert "overflowed" in result.output
+
     def test_methods_agree(self, runner):
         out = {}
         for method in ("series", "integral"):
@@ -184,8 +193,9 @@ class TestVerify:
         rows = cli.run_verification(pairs=((1.0, 2.0),))
         assert all(r[-1] == "pass" for r in rows)
 
-    def test_mutated_offset_detected(self):
-        rows = cli.run_verification(pairs=((1.0, 2.0),), offset_shift=-1)
+    def test_mutated_offset_detected(self, monkeypatch):
+        mis_index_cross_parity(monkeypatch)
+        rows = cli.run_verification(pairs=((1.0, 2.0),))
         failing = {r[0] for r in rows if r[-1] == "FAIL"}
         assert failing  # the battery must notice a mis-transcribed offset
         assert "symmetry" in failing or "chapman_kolmogorov" in failing
@@ -194,7 +204,8 @@ class TestVerify:
         monkeypatch.setattr(cli, "DEFAULT_VERIFY_PAIRS", ((1.0, 2.0),))
         good = runner.invoke(cli.main, ["verify"])
         assert good.exit_code == 0
-        bad = runner.invoke(cli.main, ["verify", "--mutate-offset"])
+        mis_index_cross_parity(monkeypatch)
+        bad = runner.invoke(cli.main, ["verify"])
         assert bad.exit_code == 4
 
     def test_csv_report_shape(self, runner, monkeypatch, tmp_path):
@@ -202,12 +213,16 @@ class TestVerify:
         dest = tmp_path / "report.csv"
         result = runner.invoke(cli.main, ["verify", "--out", str(dest)])
         assert result.exit_code == 0
-        header, rows = parse_csv(dest.read_text())
+        text = dest.read_text()
+        assert "# grid=(2.0,2.0)\n" in text
+        header, rows = parse_csv(text)
         assert header == ["check", "lambda", "mu", "max_residual", "tolerance", "status"]
         assert {r[0] for r in rows} >= {
             "normalization", "symmetry", "chapman_kolmogorov", "q10_triple_agreement",
             "psi_product_vieta", "bessel_reduction",
         }
+        # the rows cover exactly the patched grid, not the grid at import time
+        assert {(float(r[1]), float(r[2])) for r in rows} == {(2.0, 2.0)}
 
 
 class TestOutputFormat:

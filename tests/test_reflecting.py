@@ -6,7 +6,6 @@ from altbd.bilateral import Rates
 from altbd.oracle import invert_laplace, transient_distribution
 from altbd.reflecting import (
     LaplaceRoots,
-    SumDiffParams,
     laplace_roots,
     p_even,
     pi_1n,
@@ -16,23 +15,11 @@ from altbd.reflecting import (
     r_mean,
     r_variance,
 )
-from altbd.specfun import DomainError, bessel_i
+from altbd.specfun import DomainError, SeriesOverflowError, bessel_i
 
 from conftest import oracle_moments, oracle_prob
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
-
-
-class TestSumDiffParams:
-    def test_from_rates(self, rates_12):
-        p = SumDiffParams.from_rates(rates_12)
-        assert p.a == 3.0 and p.b == -1.0
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            SumDiffParams(0.0, 0.0)
-        with pytest.raises(DomainError):
-            SumDiffParams(1.0, 1.0)  # |b| must stay below a
 
 
 class TestLaplaceRoots:
@@ -123,6 +110,26 @@ class TestQ00:
 
     def test_eventual_decay(self, rates_21):
         assert q00(50.0, rates_21) < q00(20.0, rates_21) < q00(5.0, rates_21)
+
+
+class TestSeriesOverflow:
+    # past (lam+mu)t or |lam-mu|t ~ 709 a 1F2 factor overflows to inf while
+    # its e^(-at) scale underflows to 0, so the very first term is NaN
+    @pytest.mark.parametrize(
+        "fn, lam, mu, t",
+        [
+            (q00, 1.0, 2.0, 720.0),
+            (q00, 1.0, 2.0, 792.0),
+            (q10_series, 1.0, 2.0, 240.0),
+            (q10_series, 1.0, 2.0, 426.0),
+            (q00, 1e-3, 1e3, 1.0),
+            (q10_series, 1e-3, 1e3, 1.0),
+        ],
+    )
+    def test_raises_promptly(self, fn, lam, mu, t):
+        with pytest.raises(SeriesOverflowError) as exc:
+            fn(t, Rates(lam, mu))
+        assert exc.value.terms < 10
 
 
 class TestQ10:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,9 +8,10 @@ from altbd.specfun import (
     ConvergenceError,
     DomainError,
     SeriesControl,
+    SeriesOverflowError,
+    _sum_series,
     bessel_i,
     hyp1f2,
-    log_binomial,
 )
 
 
@@ -125,33 +127,32 @@ class TestHyp1f2:
             hyp1f2(0.5, 1.0, 1.0, 500.0, SeriesControl(rel_tol=1e-14, max_terms=4))
 
 
-class TestLogBinomial:
-    def test_small_exact(self):
-        assert abs(log_binomial(5, 2) - math.log(10.0)) < 1e-14
+class TestSumSeries:
+    def test_stops_after_two_settled_small_terms(self):
+        # 1 + 1/2 + 1/4 + ...: stops once two terms in a row are below tol
+        terms = ((0.5**m, True) for m in itertools.count())
+        got = _sum_series(terms, SeriesControl(rel_tol=1e-3), "geometric")
+        assert got == 2.0 - 0.5**10
 
-    def test_out_of_range_sentinel(self):
-        assert log_binomial(5, 6) == float("-inf")
-        assert log_binomial(5, -1) == float("-inf")
-        assert log_binomial(0, 1) == float("-inf")
+    def test_unsettled_terms_never_stop(self):
+        terms = ((0.5**m, m >= 20) for m in itertools.count())
+        got = _sum_series(terms, SeriesControl(rel_tol=1e-3), "geometric")
+        assert got == 2.0 - 0.5**21
 
-    def test_against_exact_integer_binomial(self):
-        want = math.log(math.comb(200, 100))
-        got = log_binomial(200, 100)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    def test_cap_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError) as exc:
+            _sum_series(((1.0, True) for _ in itertools.count()), SeriesControl(max_terms=7), "ones")
+        assert not isinstance(exc.value, SeriesOverflowError)
+        assert exc.value.terms == 7
+        assert exc.value.partial == 7.0
 
-    @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(min_value=0, max_value=300), k=st.integers(min_value=-5, max_value=305))
-    def test_matches_exact_everywhere(self, n, k):
-        got = log_binomial(n, k)
-        if k < 0 or k > n:
-            assert got == float("-inf")
-        else:
-            want = math.log(math.comb(n, k))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(DomainError):
-            log_binomial(-1, 0)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_term_raises_overflow(self, bad):
+        terms = iter([(1.0, False), (bad, True), (0.0, True), (0.0, True)])
+        with pytest.raises(SeriesOverflowError) as exc:
+            _sum_series(terms, SeriesControl(), "bad")
+        assert exc.value.terms == 2
+        assert "bad overflowed" in str(exc.value)
 
 
 class TestSeriesControl:
