@@ -9,6 +9,12 @@ Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
 for large t, so each term carries the overall e^(-a t) damping inside the
 exponent.
+
+Each outer term n of the double series multiplies (r t)^(2n)/(2n)! by the
+inner binomial sum S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d).  S_n is a
+scaled Jacobi polynomial, so successive n follow a three-term recurrence
+(see `_inner_logs`), and each outer term costs O(1) float work: one
+recurrence step plus `math.lgamma` for the factorial.
 """
 
 from __future__ import annotations
@@ -16,9 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import gammaln
 
 from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, _sum_series
 
@@ -117,32 +120,43 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     return PgfPair(f=f, g=g, h=h)
 
 
-# log-factorial table, grown on demand; rebuilding is idempotent, so a race
-# between threads costs a redundant recompute at worst
-_LOG_FACT = gammaln(np.arange(1, 130.0))
+def _inner_logs(d: int, x: float):
+    """Yield log S_n(d, x) for n = d, d+1, ..., one O(1) step each.
 
+    S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d) is the inner binomial sum,
+    x^d (1-x^2)^(n-d) P_(n-d)^(d,d)((1+x^2)/(1-x^2)) with P a Jacobi
+    polynomial, so it obeys the three-term recurrence
 
-def _log_fact(n: int) -> np.ndarray:
-    global _LOG_FACT
-    if _LOG_FACT.size <= n:
-        _LOG_FACT = gammaln(np.arange(1, max(2 * _LOG_FACT.size, n + 1) + 1.0))
-    return _LOG_FACT
+        (n+1-d)(n+1+d) S_(n+1) = (n+1) [(2n+1)(1+x^2) S_n - n(1-x^2)^2 S_(n-1)]
 
+    from S_(d-1) = 0, S_d = x^d.  S_n is the dominant solution (the other is
+    smaller by ((1-x)/(1+x))^(2n)), so the forward direction is stable.
 
-def _inner_log(n: int, d: int, log_x: float) -> float:
-    """log of sum_k C(n,k) C(n,k+d) x^(2k+d), the inner binomial sum."""
-    lf = _log_fact(n)
-    ks = np.arange(n - d + 1)
-    terms = (
-        2.0 * lf[n]
-        - lf[ks]
-        - lf[d : n + 1][::-1]
-        - lf[ks + d]
-        - lf[: n - d + 1][::-1]
-        + (2 * ks + d) * log_x
-    )
-    peak = terms.max()
-    return float(peak + math.log(np.exp(terms - peak).sum()))
+    Only e_n = S_n/S_(n-1) - 1 >= 0 is carried, so nothing overflows.  In
+    terms of e and w = x^2 the recurrence has no cancelling terms:
+
+        e_(n+1) = [n e + w (4n+1 - n w + (2n+1) e) + d^2 (1+e)/(n+1)]
+                  / [(n+1-d)(n+1+d)/(n+1) (1+e)]
+
+    The plain ratio form instead subtracts two numbers near 2n whose
+    difference carries the 4x^2 that separates the two solutions; for
+    x = 1/1000 its log S_n drifts by 1e-10 at n = 6000, against 3e-12 here.
+    For x > 1 the recurrence runs on 1/x through S_n(d, x) = x^(2n) S_n(d, 1/x),
+    which keeps w <= 1 for any positive rate pair.
+    """
+    shift = 2.0 * math.log(x) if x > 1.0 else 0.0
+    y = min(x, 1.0 / x)
+    w = y * y
+    log_s = d * math.log(y)
+    yield log_s + d * shift
+    e = d + (d + 1) * w  # S_(d+1) = (d+1)(1+w) S_d
+    for n in itertools.count(d + 1):
+        log_s += math.log1p(e)
+        yield log_s + n * shift
+        m = n + 1
+        e = (n * e + w * (4 * n + 1 - n * w + (2 * n + 1) * e) + d * d * (1.0 + e) / m) / (
+            (m - d) * (m + d) / m * (1.0 + e)
+        )
 
 
 def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: float, ctl: SeriesControl) -> float:
@@ -154,11 +168,10 @@ def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: fl
     """
     rt = rate * t
     lrt = math.log(rt)
-    lx = math.log(x)
 
     def terms():
-        for n in itertools.count(d):
-            base = math.exp(2 * n * lrt - _log_fact(2 * n)[2 * n] + _inner_log(n, d, lx) - a * t)
+        for n, log_s in enumerate(_inner_logs(d, x), d):
+            base = math.exp(2 * n * lrt - math.lgamma(2 * n + 1) + log_s - a * t)
             # settled only past the Poisson-weight peak at 2n ~ at, where
             # terms decay faster than geometrically
             yield base * (1.0 + c * rt / (2 * n + 1)), n >= d + 5 and 2 * n >= a * t
@@ -170,11 +183,10 @@ def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl:
     """sum_{n>=d} (rt)^{2n+1}/(2n+1)! S_n(d, x), times e^(-at)."""
     rt = rate * t
     lrt = math.log(rt)
-    lx = math.log(x)
 
     def terms():
-        for n in itertools.count(d):
-            term = math.exp((2 * n + 1) * lrt - _log_fact(2 * n + 1)[2 * n + 1] + _inner_log(n, d, lx) - a * t)
+        for n, log_s in enumerate(_inner_logs(d, x), d):
+            term = math.exp((2 * n + 1) * lrt - math.lgamma(2 * n + 2) + log_s - a * t)
             yield term, n >= d + 5 and 2 * n >= a * t
 
     return _sum_series(terms(), ctl, "transition series (cross parity)")

@@ -344,6 +344,9 @@ def _check_origin_vs_oracle(rates, ctl, times):
 
 
 def _check_moments_vs_oracle(rates, ctl):
+    # the bilateral residual also covers transition_prob pointwise over the
+    # oracle's whole row: the moments are closed forms of their own, and a
+    # slip that keeps the symmetries leaves them untouched
     worst_b = 0.0
     for k in (0, 1):
         for t in (0.5, 2.0):
@@ -354,6 +357,10 @@ def _check_moments_vs_oracle(rates, ctl):
                 worst_b,
                 abs(bilateral.mean(k, t, rates) - m1),
                 abs(bilateral.variance(k, t, rates) - (m2 - m1 * m1)),
+                max(
+                    abs(bilateral.transition_prob(TransitionQuery(k, int(n), t), rates, ctl) - p)
+                    for n, p in zip(states, probs)
+                ),
             )
     worst_r = 0.0
     for k in (0, 1):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from altbd import Rates, bilateral, transient_distribution
+
+# one profile for every property test: examples come from a fixed seed, so
+# every run tries the same cases, and no per-example deadline applies, since
+# a series or oracle evaluation may take longer than hypothesis's default
+settings.register_profile("altbd", deadline=None, derandomize=True)
+settings.load_profile("altbd")
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altbd import bilateral
 from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
 from altbd.oracle import default_window
 from altbd.specfun import ConvergenceError, DomainError, SeriesControl, SeriesOverflowError, bessel_i
@@ -18,6 +21,51 @@ def window_for(rates, t, extra=0):
 
 def p(k, n, t, rates, **kw):
     return transition_prob(TransitionQuery(k, n, t), rates, **kw)
+
+
+def exact_log_inner(n, d, x: Fraction) -> float:
+    """log S_n(d, x), S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d), from exact arithmetic.
+
+    With x = a/b and m = n - d, S_n = (a/b)^d N / b^(2m), where
+    N = sum_k c_k a^(2k) b^(2(m-k)) and c_k = C(n,k) C(n,k+d).  The c_k are
+    symmetric (c_k = c_(m-k)), so N is symmetric in a and b, and Horner's rule
+    multiplies by the larger square while a power of the smaller one grows.
+    """
+    a, b = x.numerator, x.denominator
+    big, small = max(a, b) ** 2, min(a, b) ** 2
+    acc, power, c = 0, 1, math.comb(n, d)
+    for k in range(n - d + 1):
+        acc = acc * big + c * power
+        power *= small
+        c = c * (n - k) * (n - d - k) // ((k + 1) * (k + d + 1))  # exact: c_(k+1) is an integer
+    return math.log(acc) + d * (math.log(a) - math.log(b)) - 2 * (n - d) * math.log(b)
+
+
+class TestInnerSum:
+    def test_exact_reference_matches_binomial_sum(self):
+        for x in (Fraction(1, 2), Fraction(3)):
+            for n, d in ((0, 0), (1, 1), (5, 2), (12, 0), (9, 7)):
+                direct = sum(
+                    Fraction(math.comb(n, k) * math.comb(n, k + d)) * x ** (2 * k + d) for k in range(n - d + 1)
+                )
+                assert exact_log_inner(n, d, x) == pytest.approx(
+                    math.log(direct.numerator) - math.log(direct.denominator), abs=1e-13
+                )
+
+    @pytest.mark.parametrize("x", [Fraction(1, 1000), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(1000)])
+    @pytest.mark.parametrize("d", [0, 1, 7, 40])
+    def test_recurrence_matches_exact_sum(self, x, d):
+        offsets = (0, 1, 2, 3, 10, 100, 500, 1500)
+        logs = list(itertools.islice(bilateral._inner_logs(d, float(x)), offsets[-1] + 1))
+        for i in offsets:
+            assert abs(logs[i] - exact_log_inner(d + i, d, x)) <= 1e-10, (x, d, i)
+
+    def test_finite_for_extreme_arguments(self):
+        # x^2 over- or underflows a double; the recurrence still runs
+        for x in (1e-200, 1e200):
+            logs = list(itertools.islice(bilateral._inner_logs(2, x), 50))
+            assert all(math.isfinite(v) for v in logs)
+            assert logs[0] == pytest.approx(2 * math.log(x), rel=1e-15)
 
 
 class TestRates:
@@ -45,7 +93,7 @@ class TestPgf:
             assert pair.f == 0.0
             assert pair.g == pytest.approx(zk, rel=1e-14)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         t=st.floats(min_value=0.0, max_value=20.0),
         lam=st.floats(min_value=0.5, max_value=4.0),
@@ -119,7 +167,7 @@ class TestTransitionProb:
                     oracle_prob("bilateral", rates_12, k, n, t), abs=1e-10
                 )
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         lam=st.floats(min_value=0.5, max_value=4.0),
         mu=st.floats(min_value=0.5, max_value=4.0),
@@ -131,6 +179,22 @@ class TestTransitionProb:
         w = window_for(rates, t)
         total = sum(p(k, n, t, rates) for n in range(k - w, k + w + 1))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=40)
+    @given(
+        log_lam=st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)),
+        log_mu=st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)),
+        horizon=st.floats(min_value=1e-3, max_value=400.0),
+        k=st.integers(min_value=-3, max_value=3),
+        shift=st.integers(min_value=-6, max_value=6),
+    )
+    def test_extreme_rates_match_uniformization(self, log_lam, log_mu, horizon, k, shift):
+        # rates four decades apart at most; horizon = 2 max(lam, mu) t is the
+        # oracle's Poisson rate
+        rates = Rates(math.exp(log_lam), math.exp(log_mu))
+        t = horizon / (2.0 * max(rates.lam, rates.mu))
+        want = oracle_prob("bilateral", rates, k, k + shift, t)
+        assert abs(p(k, k + shift, t, rates) - want) <= 1e-10
 
     def test_parity_reflection_about_start(self, rates_12):
         # displacement distribution is symmetric for every start

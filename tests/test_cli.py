@@ -199,6 +199,8 @@ class TestVerify:
         failing = {r[0] for r in rows if r[-1] == "FAIL"}
         assert failing  # the battery must notice a mis-transcribed offset
         assert "symmetry" in failing or "chapman_kolmogorov" in failing
+        # the pointwise comparison with uniformization catches it too
+        assert "bilateral_moments_vs_oracle" in failing
 
     def test_cli_exit_codes(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_VERIFY_PAIRS", ((1.0, 2.0),))

@@ -63,6 +63,14 @@ class TestUniformize:
         with pytest.raises(WindowTooSmallError):
             uniformize(TruncatedChain("bilateral", -2, 2, rates_12), 0, 3.0)
 
+    def test_high_poisson_rate_keeps_mass(self, rates_12):
+        # Poisson rate 4 * 386.25 = 1545: the weights themselves must not
+        # leak mass, so the default window passes at the default eps
+        t = 386.25
+        lo, hi = default_window("bilateral", rates_12, 0, t)
+        probs = uniformize(TruncatedChain("bilateral", lo, hi, rates_12), 0, t)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
     def test_widening_convergence(self, rates_12):
         # doubling the window moves the answer by less than eps
         eps = 1e-12

@@ -58,7 +58,7 @@ class TestBesselI:
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         n=st.integers(min_value=1, max_value=20),
         x=st.floats(min_value=1e-2, max_value=50.0),
@@ -79,7 +79,7 @@ class TestBesselI:
 
 
 class TestHyp1f2:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         a=st.floats(min_value=-3.0, max_value=3.0),
         b1=st.floats(min_value=0.25, max_value=5.0),
