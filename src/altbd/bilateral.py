@@ -167,6 +167,8 @@ def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: fl
     c*rt/(2n+1).
     """
     rt = rate * t
+    if rt == 0.0:  # rate*t underflowed, so every term past the leading one is exactly 0
+        return math.exp(-a * t) if d == 0 else 0.0
     lrt = math.log(rt)
 
     def terms():
@@ -182,6 +184,8 @@ def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: fl
 def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl: SeriesControl) -> float:
     """sum_{n>=d} (rt)^{2n+1}/(2n+1)! S_n(d, x), times e^(-at)."""
     rt = rate * t
+    if rt == 0.0:  # rate*t underflowed, so every term is exactly 0
+        return 0.0
     lrt = math.log(rt)
 
     def terms():

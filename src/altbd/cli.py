@@ -1,5 +1,5 @@
 """Command-line front end: CSV tables for the closed forms, the simulator,
-and a cross-checking `verify` battery.
+and `verify`, which runs the cross-check battery of `altbd.verify`.
 
 All numeric output uses 17 significant digits with a '.' decimal separator
 (Python's formatting is locale-independent), one '#' comment block of
@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric/convergence failure,
 
 from __future__ import annotations
 
-import math
 import sys
 
 import click
@@ -21,6 +20,7 @@ from . import bilateral, oracle, reflecting
 from .bilateral import Rates, TransitionQuery
 from .oracle import SimConfig
 from .specfun import ConvergenceError, DomainError, SeriesControl
+from .verify import DEFAULT_VERIFY_PAIRS, run_verification
 
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
@@ -252,180 +252,6 @@ def simulate(lam, mu, process, from_state, grid, paths, seed, out):
             rows,
         )
     _numeric_guard(run)
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _check_normalization(rates, ctl, times, starts):
-    worst = 0.0
-    for k in starts:
-        for t in times:
-            lo, hi = oracle.default_window("bilateral", rates, k, t)
-            total = sum(
-                bilateral.transition_prob(TransitionQuery(k, n, t), rates, ctl)
-                for n in range(lo, hi + 1)
-            )
-            worst = max(worst, abs(total - 1.0))
-    return worst
-
-
-def _check_symmetry(rates, ctl, times):
-    # five-clause suite: reflections and translations by even/odd amounts,
-    # plus the transpose; the transpose carries a rate swap exactly when the
-    # two states have opposite parity (for equal parity it is the plain
-    # reversibility transpose, a consequence of the even reflection)
-    swapped = rates.swapped()
-    worst = 0.0
-
-    def p(k, n, t, rr):
-        return bilateral.transition_prob(TransitionQuery(k, n, t), rr, ctl)
-
-    span = range(-3, 4)
-    for t in times:
-        for k in span:
-            for n in span:
-                base = p(k, n, t, rates)
-                worst = max(worst, abs(p(2 - k, 2 - n, t, rates) - base))        # even reflection
-                worst = max(worst, abs(p(1 - k, 1 - n, t, swapped) - base))      # odd reflection
-                transpose_rates = swapped if (k + n) % 2 != 0 else rates
-                worst = max(worst, abs(p(n, k, t, transpose_rates) - base))      # transpose
-                worst = max(worst, abs(p(2 + k, 2 + n, t, rates) - base))        # even translation
-                worst = max(worst, abs(p(1 + k, 1 + n, t, swapped) - base))      # odd translation
-    return worst
-
-
-def _check_chapman_kolmogorov(rates, ctl, pairs):
-    worst = 0.0
-    for (t, s) in pairs:
-        for (k, n) in ((0, 0), (0, 1), (-1, 2)):
-            lo, hi = oracle.default_window("bilateral", rates, k, t + s)
-            direct = bilateral.transition_prob(TransitionQuery(k, n, t + s), rates, ctl)
-            total = sum(
-                bilateral.transition_prob(TransitionQuery(k, m, t), rates, ctl)
-                * bilateral.transition_prob(TransitionQuery(m, n, s), rates, ctl)
-                for m in range(lo, hi + 1)
-            )
-            worst = max(worst, abs(total - direct))
-    return worst
-
-
-def _check_bessel_reduction(ctl):
-    from .specfun import bessel_i
-
-    worst = 0.0
-    rates = Rates(2.0, 2.0)
-    for t in (0.5, 2.0, 5.0):
-        for n in range(-10, 11):
-            closed = math.exp(-4.0 * t) * bessel_i(abs(n), 4.0 * t, ctl)
-            series = bilateral.transition_prob(TransitionQuery(0, n, t), rates, ctl)
-            worst = max(worst, abs(closed - series))
-    return worst
-
-
-def _check_q10_triple(rates, ctl, times):
-    worst = 0.0
-    for t in times:
-        series = reflecting.q10_series(t, rates, ctl)
-        integral = reflecting.q10_integral(t, rates)
-        inverted = oracle.invert_laplace(lambda s: reflecting.pi_1n(s, 0, rates), t)
-        worst = max(worst, abs(series - integral), abs(series - inverted))
-    return worst
-
-
-def _check_origin_vs_oracle(rates, ctl, times):
-    worst = 0.0
-    for t in times:
-        for k, closed in ((0, reflecting.q00(t, rates, ctl)), (1, reflecting.q10_series(t, rates, ctl))):
-            _, probs = oracle.transient_distribution("reflected", rates, k, t)
-            worst = max(worst, abs(closed - probs[0]))
-    return worst
-
-
-def _check_moments_vs_oracle(rates, ctl):
-    # the bilateral residual also covers transition_prob pointwise over the
-    # oracle's whole row: the moments are closed forms of their own, and a
-    # slip that keeps the symmetries leaves them untouched
-    worst_b = 0.0
-    for k in (0, 1):
-        for t in (0.5, 2.0):
-            states, probs = oracle.transient_distribution("bilateral", rates, k, t)
-            m1 = float(probs @ states)
-            m2 = float(probs @ (states.astype(float) ** 2))
-            worst_b = max(
-                worst_b,
-                abs(bilateral.mean(k, t, rates) - m1),
-                abs(bilateral.variance(k, t, rates) - (m2 - m1 * m1)),
-                max(
-                    abs(bilateral.transition_prob(TransitionQuery(k, int(n), t), rates, ctl) - p)
-                    for n, p in zip(states, probs)
-                ),
-            )
-    worst_r = 0.0
-    for k in (0, 1):
-        for t in (1.0, 2.0):
-            states, probs = oracle.transient_distribution("reflected", rates, k, t)
-            m1 = float(probs @ states)
-            m2 = float(probs @ (states.astype(float) ** 2))
-            worst_r = max(
-                worst_r,
-                abs(reflecting.r_mean(k, t, rates, ctl) - m1),
-                abs(reflecting.r_variance(k, t, rates, ctl) - (m2 - m1 * m1)),
-            )
-    return worst_b, worst_r
-
-
-def _check_laplace_roots(rates):
-    worst_vieta = 0.0
-    worst_system = 0.0
-    lam, mu = rates.lam, rates.mu
-    for s in (0.1, 1.0, 10.0):
-        roots = reflecting.laplace_roots(s, rates)
-        worst_vieta = max(worst_vieta, abs(roots.psi1_sq * roots.psi2_sq - 1.0))
-        pi = [reflecting.pi_1n(s, n, rates) for n in range(6)]
-        worst_system = max(
-            worst_system,
-            abs((lam + s) * pi[0] - mu * pi[1]),
-            abs((2 * mu + s) * pi[1] - 1.0 - lam * pi[2] - lam * pi[0]),
-            abs((2 * lam + s) * pi[2] - mu * pi[1] - mu * pi[3]),
-            abs((2 * mu + s) * pi[3] - lam * pi[4] - lam * pi[2]),
-        )
-    return worst_vieta, worst_system
-
-
-DEFAULT_VERIFY_PAIRS = ((1.0, 2.0), (2.0, 2.0), (2.0, 1.0))
-
-
-def run_verification(pairs=DEFAULT_VERIFY_PAIRS, ctl: SeriesControl | None = None):
-    """Run the full cross-check battery; returns CSV-ready result rows.
-
-    Each row is (check, lambda, mu, max_residual, tolerance, status).
-    """
-    ctl = ctl or SeriesControl()
-    times = (0.1, 0.5, 1.0, 2.0, 5.0)
-    rows = []
-
-    def add(check, lam, mu, residual, tol):
-        rows.append((check, lam, mu, residual, tol, "pass" if residual <= tol else "FAIL"))
-
-    for (lam, mu) in pairs:
-        rates = Rates(lam, mu)
-        add("normalization", lam, mu,
-            _check_normalization(rates, ctl, times, range(-3, 4)), 1e-9)
-        add("symmetry", lam, mu, _check_symmetry(rates, ctl, (0.5, 2.0)), 1e-12)
-        add("chapman_kolmogorov", lam, mu,
-            _check_chapman_kolmogorov(rates, ctl, ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7))), 1e-8)
-        add("q10_triple_agreement", lam, mu, _check_q10_triple(rates, ctl, (0.5, 1.0, 2.0)), 1e-6)
-        add("origin_vs_oracle", lam, mu, _check_origin_vs_oracle(rates, ctl, (0.25, 1.0, 5.0)), 1e-7)
-        wb, wr = _check_moments_vs_oracle(rates, ctl)
-        add("bilateral_moments_vs_oracle", lam, mu, wb, 1e-8)
-        add("reflected_moments_vs_oracle", lam, mu, wr, 1e-6)
-        wv, ws = _check_laplace_roots(rates)
-        add("psi_product_vieta", lam, mu, wv, 1e-12)
-        add("laplace_system_residual", lam, mu, ws, 1e-10)
-    add("bessel_reduction", 2.0, 2.0, _check_bessel_reduction(ctl), 1e-10)
-    return rows
 
 
 @main.command()

@@ -4,7 +4,8 @@ Three unrelated numerical routes live here so that no closed-form result is
 ever validated against itself:
 
 * `uniformize` - transient distributions as a Poisson mixture of powers of
-  the uniformized jump operator, with an explicit truncation-error budget;
+  the uniformized jump operator, stepped as a three-diagonal numpy stencil,
+  with an explicit truncation-error budget;
 * `simulate` - a continuous-time path simulator with per-replicate RNG
   streams, giving empirical distributions and moments with standard errors;
 * `invert_laplace` - Euler-summation numerical inversion of a Laplace
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bilateral import Rates
 from .specfun import DomainError
@@ -110,20 +110,21 @@ class SimResult:
     states: np.ndarray = field(default=None)
 
 
-def _uniformized_operator(chain: TruncatedChain) -> sp.csr_matrix:
-    """P = I + Q/Lambda on the window; boundary rows are substochastic."""
-    states = chain.states
-    n = states.size
-    lam, mu = chain.rates.lam, chain.rates.mu
-    big = 2.0 * max(lam, mu)
-    jump = np.where(states % 2 == 0, lam, mu) / big
-    diag = 1.0 - np.where(states % 2 == 0, 2.0 * lam, 2.0 * mu) / big
-    up = jump[:-1].copy()  # P[i, i+1], source state i
-    down = jump[1:].copy()  # P[i+1, i], source state i+1
+def _uniformized_step(chain: TruncatedChain):
+    """v -> vP, P = I + Q/Lambda three-diagonal on the window (boundary rows substochastic)."""
+    jump = np.where(chain.states % 2 == 0, chain.rates.lam, chain.rates.mu) / uniformization_rate(chain.rates)
+    stay = 1.0 - 2.0 * jump
     if chain.kind == "reflected":
-        # the zero state only jumps upward, at half its interior exit rate
-        diag[0] = 1.0 - lam / big
-    return sp.diags([down, diag, up], offsets=[-1, 0, 1], shape=(n, n), format="csr")
+        stay[0] = 1.0 - jump[0]  # the zero state only jumps upward, at half its interior exit rate
+    up, down = jump[:-1], jump[1:]  # P[i, i+1] from source state i, P[i+1, i] from source state i+1
+
+    def step(v: np.ndarray) -> np.ndarray:
+        w = stay * v
+        w[1:] += up * v[:-1]
+        w[:-1] += down * v[1:]
+        return w
+
+    return step
 
 
 def uniformization_rate(rates: Rates) -> float:
@@ -183,13 +184,13 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     v[k - chain.lo] = 1.0
     if t == 0.0:
         return v
-    PT = _uniformized_operator(chain).T.tocsr()
+    step = _uniformized_step(chain)
     left, weights = _poisson_weights(uniformization_rate(chain.rates) * t, eps)
     for _ in range(left):
-        v = PT @ v
+        v = step(v)
     acc = weights[0] * v
     for w in weights[1:]:
-        v = PT @ v
+        v = step(v)
         acc = acc + w * v
     if 1.0 - acc.sum() > eps:
         raise WindowTooSmallError(

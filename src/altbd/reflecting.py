@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .bilateral import Rates, _is_even
 from .specfun import (
@@ -48,6 +47,14 @@ __all__ = [
     "r_mean",
     "r_variance",
 ]
+
+# absolute and relative tolerance of every adaptive quadrature here
+_QUAD_TOL = 1e-10
+
+
+def _quad(f, t: float):
+    """(integral of f over [0, t], its error estimate) by adaptive quadrature."""
+    return quad(f, 0.0, t, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ def q00(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
         for k in itertools.count():
             f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb, ctl)
             f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb, ctl)
-            scale = math.exp(2 * k * lt2 - 2.0 * float(gammaln(k + 1.0)) + (2 * k + 1) * la - a * t)
+            scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + r ** (2 * k + 1)
             c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
             yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
@@ -173,8 +180,8 @@ def q10_series(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> 
                 2 * n * lt
                 + (2 * n + 2) * la
                 - (2 * n + 1) * math.log(2.0)
-                - float(gammaln(n + 1.0))
-                - float(gammaln(n + 2.0))
+                - math.lgamma(n + 1.0)
+                - math.lgamma(n + 2.0)
                 - a * t
             ) * (1.0 - r ** (2 * n + 2))
             tsq = t * t / ((2 * n + 1) * (2 * n + 2))
@@ -217,7 +224,7 @@ def _companion(s: float, a: float, b: float, ctl: SeriesControl) -> float:
     return ga + b * (1.0 + int_ga) + mb
 
 
-def q10_integral(t: float, rates: Rates, quad_tol: float = 1e-10) -> float:
+def q10_integral(t: float, rates: Rates) -> float:
     """Quadrature route to the same origin-occupation probability as
     `q10_series`: adaptive integration of the convolution of the
     Bessel-difference kernel a^2 I1(a u)/(a u) - b^2 I1(b u)/(b u) with its
@@ -226,8 +233,6 @@ def q10_integral(t: float, rates: Rates, quad_tol: float = 1e-10) -> float:
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    if not (quad_tol > 0.0):
-        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     if t == 0.0:
         return 0.0
     lam = rates.lam
@@ -238,8 +243,8 @@ def q10_integral(t: float, rates: Rates, quad_tol: float = 1e-10) -> float:
         u = t - s
         return (_kernel_m(a, u, ctl) - _kernel_m(b, u, ctl)) * _companion(s, a, b, ctl)
 
-    val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    if not math.isfinite(val) or err > max(quad_tol * 100.0, abs(val) * 1e-6):
+    val, err = _quad(integrand, t)
+    if not math.isfinite(val) or err > max(_QUAD_TOL * 100.0, abs(val) * 1e-6):
         raise ConvergenceError("q10 quadrature did not converge", val, 0)
     v = math.exp(-a * t) / (2.0 * lam * (a + b)) * val
     return min(max(v, 0.0), 1.0)
@@ -255,7 +260,7 @@ def _default_q_k0(k: int, rates: Rates, ctl: SeriesControl):
     )
 
 
-def p_even(k: int, t: float, rates: Rates, q_k0=None, quad_tol: float = 1e-10) -> float:
+def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     """Probability that the reflected chain sits in an even state at time t.
 
     Solves dP/dt = -2(lam+mu) P + lam q_{k,0}(t) + 2 mu with the
@@ -276,15 +281,11 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None, quad_tol: float = 1e-10) -
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     if t == 0.0:
         return mu / a + c
-    conv, _ = quad(
-        lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200
-    )
+    conv, _ = _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t)
     return mu / a + c * math.exp(-2.0 * a * t) + lam * conv
 
 
-def r_mean(
-    k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None, quad_tol: float = 1e-10
-) -> float:
+def r_mean(k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None) -> float:
     """Mean of the reflected chain at time t: k plus lam times the
     accumulated occupation of the origin (the boundary is the only state
     where up- and down-drift do not cancel)."""
@@ -294,13 +295,11 @@ def r_mean(
         q_k0 = _default_q_k0(k, rates, ctl)
     if t == 0.0:
         return float(k)
-    occ, _ = quad(q_k0, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    occ, _ = _quad(q_k0, t)
     return k + rates.lam * occ
 
 
-def r_variance(
-    k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None, quad_tol: float = 1e-10
-) -> float:
+def r_variance(k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None) -> float:
     """Variance of the reflected chain at time t.
 
     2(lam-mu) int P_k - lam(2k+1) int q_{k,0} - lam^2 (int q_{k,0})^2 + 2 mu t.
@@ -318,15 +317,8 @@ def r_variance(
         q_k0 = _default_q_k0(k, rates, ctl)
     if t == 0.0:
         return 0.0
-    occ, _ = quad(q_k0, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    weighted, _ = quad(
-        lambda u: q_k0(u) * (1.0 - math.exp(-2.0 * a * (t - u))),
-        0.0,
-        t,
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-        limit=200,
-    )
+    occ, _ = _quad(q_k0, t)
+    weighted, _ = _quad(lambda u: q_k0(u) * (1.0 - math.exp(-2.0 * a * (t - u))), t)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     int_p = mu / a * t + c * (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a) + lam / (2.0 * a) * weighted
     return 2.0 * (lam - mu) * int_p - lam * (2 * k + 1) * occ - lam * lam * occ * occ + 2.0 * mu * t

@@ -249,6 +249,22 @@ class TestTransitionProb:
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == 3
 
+    @pytest.mark.parametrize(
+        "t, k, n, expected",
+        [
+            # lam*t underflows to 0 at t = 1e-320; mu*t does not
+            (1e-320, 0, 0, 1.0),
+            (1e-320, 0, 1, 0.0),
+            (1e-320, 2, 0, 0.0),
+            (1e-320, 1, 1, 1.0),
+            (1e-320, 1, 0, 1e-320),
+            (1e-300, 0, 0, 1.0),
+            (1e-300, 0, 1, 9.999999999999578e-306),
+        ],
+    )
+    def test_underflowed_rate_time_product(self, t, k, n, expected):
+        assert p(k, n, t, Rates(1e-5, 1.0)) == expected
+
 
 class TestMoments:
     def test_mean_is_initial_state(self, rates_21):

@@ -3,6 +3,7 @@ import pytest
 from click.testing import CliRunner
 
 from altbd import cli
+from altbd.verify import PAIR_CHECKS
 
 from conftest import mis_index_cross_parity
 
@@ -190,8 +191,14 @@ class TestSimulate:
 
 class TestVerify:
     def test_single_pair_battery_passes(self):
-        rows = cli.run_verification(pairs=((1.0, 2.0),))
-        assert all(r[-1] == "pass" for r in rows)
+        pairs = ((1.0, 2.0),)
+        rows = cli.run_verification(pairs=pairs)
+        # one row per PAIR_CHECKS entry and pair, in table order, then the
+        # equal-rates Bessel reduction
+        expected = [(name, lam, mu, tol) for lam, mu in pairs for name, _, tol in PAIR_CHECKS]
+        expected.append(("bessel_reduction", 2.0, 2.0, 1e-10))
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == expected
+        assert all(len(r) == 6 and r[-1] == "pass" for r in rows)
 
     def test_mutated_offset_detected(self, monkeypatch):
         mis_index_cross_parity(monkeypatch)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from altbd.bilateral import Rates, TransitionQuery, transition_prob, variance
 from altbd.oracle import (
@@ -58,6 +59,25 @@ class TestUniformize:
             want = math.exp(-2.0) * bessel_i(abs(n), 2.0)
             got = probs[np.searchsorted(states, n)]
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("kind, lo, hi, k", [("bilateral", -20, 20, 0), ("reflected", 0, 24, 1)])
+    def test_matches_matrix_exponential(self, kind, lo, hi, k, rates_12):
+        # the same truncated generator, built entry by entry: rate lam (mu)
+        # to each neighbour in the window from even (odd) states, except that
+        # the reflected zero state only jumps up; boundary rows leak mass
+        t = 0.5
+        states = np.arange(lo, hi + 1)
+        q = np.zeros((states.size, states.size))
+        for i, s in enumerate(states):
+            r = rates_12.lam if s % 2 == 0 else rates_12.mu
+            q[i, i] = -r if (kind == "reflected" and s == 0) else -2.0 * r
+            if i + 1 < states.size:
+                q[i, i + 1] = r
+            if i > 0:
+                q[i, i - 1] = r
+        want = expm(q * t)[k - lo]
+        got = uniformize(TruncatedChain(kind, lo, hi, rates_12), k, t)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_window_too_small(self, rates_12):
         with pytest.raises(WindowTooSmallError):
