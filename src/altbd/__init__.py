@@ -2,7 +2,7 @@
 birth-death chains whose jump rate alternates with the parity of the state,
 on the full integer lattice and reflected at zero."""
 
-from .specfun import ConvergenceError, DomainError, SeriesControl, SeriesOverflowError, bessel_i, hyp1f2
+from .specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i, hyp1f2
 from .bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
 from .reflecting import (
     LaplaceRoots,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "SeriesControl",
     "SeriesOverflowError",
     "bessel_i",
     "hyp1f2",

@@ -2,8 +2,9 @@
 
 The chain jumps to either neighbour at rate `lam` from even states and at
 rate `mu` from odd states.  Closed forms implemented here: the even/odd
-probability generating functions, the four parity cases of the
-transition-probability double series, and the first two moments.
+probability generating functions, the transition-probability double series
+(two even-start parity cases; an odd start is an even one with the rates
+swapped), and the first two moments.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, _sum_series
+from .specfun import DomainError, _sum_series
 
 __all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "mean", "variance"]
 
@@ -159,7 +160,7 @@ def _inner_logs(d: int, x: float):
         )
 
 
-def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: float, ctl: SeriesControl) -> float:
+def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: float) -> float:
     """sum_{n>=d} [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(d, x), times e^(-at).
 
     S_n is the inner binomial sum; rt = rate*t.  Both the even and the odd
@@ -178,10 +179,10 @@ def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: fl
             # terms decay faster than geometrically
             yield base * (1.0 + c * rt / (2 * n + 1)), n >= d + 5 and 2 * n >= a * t
 
-    return _sum_series(terms(), ctl, "transition series (same parity)")
+    return _sum_series(terms(), "transition series (same parity)")
 
 
-def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl: SeriesControl) -> float:
+def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float) -> float:
     """sum_{n>=d} (rt)^{2n+1}/(2n+1)! S_n(d, x), times e^(-at)."""
     rt = rate * t
     if rt == 0.0:  # rate*t underflowed, so every term is exactly 0
@@ -193,40 +194,29 @@ def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float, ctl:
             term = math.exp((2 * n + 1) * lrt - math.lgamma(2 * n + 2) + log_s - a * t)
             yield term, n >= d + 5 and 2 * n >= a * t
 
-    return _sum_series(terms(), ctl, "transition series (cross parity)")
+    return _sum_series(terms(), "transition series (cross parity)")
 
 
-def transition_prob(q: TransitionQuery, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def transition_prob(q: TransitionQuery, rates: Rates) -> float:
     """Probability of moving from q.from_state to q.to_state in time q.t.
 
-    Dispatches on the parities of the two states to the four double-series
-    closed forms.
+    Dispatches on the parity of the target state to the two even-start
+    double-series closed forms; odd starts are reduced to even ones first.
     """
     if q.t == 0.0:
         return 1.0 if q.from_state == q.to_state else 0.0
     lam, mu = rates.lam, rates.mu
     a = rates.total
     k, n = q.from_state, q.to_state
-    if _is_even(k):
-        l = k // 2
-        if _is_even(n):
-            r = n // 2
-            v = _series_same_parity(lam, mu / lam, abs(r - l), (mu - lam) / lam, q.t, a, ctl)
-        else:
-            r = (n - 1) // 2
-            v = _series_cross_parity(lam, mu / lam, abs(r - l), q.t, a, ctl) + _series_cross_parity(
-                lam, mu / lam, abs(r - l + 1), q.t, a, ctl
-            )
+    if not _is_even(k):
+        # shifting both states by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
+        lam, mu, k, n = mu, lam, k - 1, n - 1
+    d = n // 2 - k // 2
+    x = mu / lam
+    if _is_even(n):
+        v = _series_same_parity(lam, x, abs(d), (mu - lam) / lam, q.t, a)
     else:
-        l = (k - 1) // 2
-        if _is_even(n):
-            r = n // 2
-            v = _series_cross_parity(mu, lam / mu, abs(r - l - 1), q.t, a, ctl) + _series_cross_parity(
-                mu, lam / mu, abs(r - l), q.t, a, ctl
-            )
-        else:
-            r = (n - 1) // 2
-            v = _series_same_parity(mu, lam / mu, abs(r - l), (lam - mu) / mu, q.t, a, ctl)
+        v = _series_cross_parity(lam, x, abs(d), q.t, a) + _series_cross_parity(lam, x, abs(d + 1), q.t, a)
     # guard against sub-eps excursions outside [0, 1]
     return min(max(v, 0.0), 1.0)
 

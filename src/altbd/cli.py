@@ -5,6 +5,9 @@ All numeric output uses 17 significant digits with a '.' decimal separator
 (Python's formatting is locale-independent), one '#' comment block of
 parameters, then a header line and the data rows.
 
+Series truncation is fixed (`altbd.specfun.SERIES_REL_TOL` and
+`SERIES_MAX_TERMS`), so no command takes a tolerance or a term cap.
+
 Exit codes: 0 success, 2 usage error, 3 numeric/convergence failure,
 4 verification failure.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from . import bilateral, oracle, reflecting
 from .bilateral import Rates, TransitionQuery
 from .oracle import SimConfig
-from .specfun import ConvergenceError, DomainError, SeriesControl
+from .specfun import ConvergenceError, DomainError
 from .verify import DEFAULT_VERIFY_PAIRS, run_verification
 
 EXIT_NUMERIC = 3
@@ -52,12 +55,6 @@ TIME_GRID = TimeGrid()
 def _rate_options(f):
     f = click.option("--lambda", "lam", type=float, required=True, help="jump rate out of even states")(f)
     f = click.option("--mu", "mu", type=float, required=True, help="jump rate out of odd states")(f)
-    return f
-
-
-def _series_options(f):
-    f = click.option("--tol", type=float, default=1e-14, show_default=True, help="series relative tolerance")(f)
-    f = click.option("--max-terms", type=int, default=10_000, show_default=True, help="series term cap")(f)
     return f
 
 
@@ -107,24 +104,18 @@ def main():
 @click.option("--from", "from_state", type=int, required=True, help="initial state")
 @click.option("--to", "to_state", type=int, required=True, help="target state")
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="time grid")
-@_series_options
 @_out_option
-def prob(lam, mu, from_state, to_state, grid, tol, max_terms, out):
+def prob(lam, mu, from_state, to_state, grid, out):
     """Transition probability of the unrestricted chain on a time grid."""
     def run():
         rates = Rates(lam, mu)
-        ctl = SeriesControl(rel_tol=tol, max_terms=max_terms)
         rows = [
-            (t, bilateral.transition_prob(TransitionQuery(from_state, to_state, float(t)), rates, ctl))
+            (t, bilateral.transition_prob(TransitionQuery(from_state, to_state, float(t)), rates))
             for t in grid
         ]
         _emit(
             out,
-            [
-                "altbd prob",
-                f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} to={to_state}",
-                f"tol={_fmt(tol)} max_terms={max_terms}",
-            ],
+            ["altbd prob", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} to={to_state}"],
             ["t", "p"],
             rows,
         )
@@ -160,27 +151,21 @@ def pgf(lam, mu, from_state, z, grid, out):
               show_default=True)
 @click.option("--from", "from_state", type=int, required=True, help="initial state")
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="time grid")
-@_series_options
 @_out_option
-def moments(lam, mu, process, from_state, grid, tol, max_terms, out):
+def moments(lam, mu, process, from_state, grid, out):
     """Mean and variance on a time grid (reflected: initial state 0 or 1)."""
     if process == "reflected" and from_state not in (0, 1):
         raise click.UsageError("reflected moments need --from 0 or 1")
 
     def run():
         rates = Rates(lam, mu)
-        ctl = SeriesControl(rel_tol=tol, max_terms=max_terms)
         rows = []
         for t in grid:
             t = float(t)
             if process == "bilateral":
                 rows.append((t, bilateral.mean(from_state, t, rates), bilateral.variance(from_state, t, rates)))
             else:
-                rows.append((
-                    t,
-                    reflecting.r_mean(from_state, t, rates, ctl),
-                    reflecting.r_variance(from_state, t, rates, ctl),
-                ))
+                rows.append((t, reflecting.r_mean(from_state, t, rates), reflecting.r_variance(from_state, t, rates)))
         _emit(
             out,
             ["altbd moments", f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}"],
@@ -197,20 +182,18 @@ def moments(lam, mu, process, from_state, grid, tol, max_terms, out):
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="time grid")
 @click.option("--method", type=click.Choice(["series", "integral"]), default="series",
               show_default=True, help="evaluation route for the start-at-1 case")
-@_series_options
 @_out_option
-def reflect(lam, mu, from_state, grid, method, tol, max_terms, out):
+def reflect(lam, mu, from_state, grid, method, out):
     """Probability that the reflected chain occupies the origin."""
     def run():
         rates = Rates(lam, mu)
-        ctl = SeriesControl(rel_tol=tol, max_terms=max_terms)
         rows = []
         for t in grid:
             t = float(t)
             if from_state == 0:
-                v = reflecting.q00(t, rates, ctl)
+                v = reflecting.q00(t, rates)
             elif method == "series":
-                v = reflecting.q10_series(t, rates, ctl)
+                v = reflecting.q10_series(t, rates)
             else:
                 v = reflecting.q10_integral(t, rates)
             rows.append((t, v))
@@ -255,14 +238,12 @@ def simulate(lam, mu, process, from_state, grid, paths, seed, out):
 
 
 @main.command()
-@_series_options
 @_out_option
-def verify(tol, max_terms, out):
+def verify(out):
     """Cross-check every closed form against the independent oracles."""
     def run():
-        ctl = SeriesControl(rel_tol=tol, max_terms=max_terms)
         # read the grid at call time, so the report header and rows agree
-        rows = run_verification(DEFAULT_VERIFY_PAIRS, ctl=ctl)
+        rows = run_verification(DEFAULT_VERIFY_PAIRS)
         _emit(
             out,
             ["altbd verify", f"grid={' '.join(f'({l},{m})' for l, m in DEFAULT_VERIFY_PAIRS)}"],

@@ -68,12 +68,6 @@ class TruncatedChain:
     def states(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
 
-    def exit_rate(self, state: int) -> float:
-        r = self.rates.lam if state % 2 == 0 else self.rates.mu
-        if self.kind == "reflected" and state == 0:
-            return r
-        return 2.0 * r
-
 
 @dataclass(frozen=True)
 class SimConfig:

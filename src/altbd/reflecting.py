@@ -25,16 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bilateral import Rates, _is_even
-from .specfun import (
-    ConvergenceError,
-    DEFAULT_CONTROL,
-    DomainError,
-    SeriesControl,
-    _hyp_series,
-    _sum_series,
-    bessel_i,
-    hyp1f2,
-)
+from .specfun import ConvergenceError, DomainError, _hyp_series, _sum_series, bessel_i, hyp1f2
 
 __all__ = [
     "LaplaceRoots",
@@ -117,7 +108,7 @@ def pi_1n(s, n: int, rates: Rates):
     return (lam + s) * psi2**m * (1.0 + psi2) / (lam * den)
 
 
-def q00(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q00(t: float, rates: Rates) -> float:
     """Probability of being back at the origin at time t, started there.
 
     Single series over k with two 1F2 factors per term.  Each term is
@@ -137,18 +128,18 @@ def q00(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
 
     def terms():
         for k in itertools.count():
-            f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb, ctl)
-            f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb, ctl)
+            f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb)
+            f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb)
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + r ** (2 * k + 1)
             c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
             yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
 
-    total = _sum_series(terms(), ctl, "q00 series")
+    total = _sum_series(terms(), "q00 series")
     return min(max(total / (a + b), 0.0), 1.0)
 
 
-def q10_series(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def q10_series(t: float, rates: Rates) -> float:
     """Probability of sitting at the origin at time t, started at state 1.
 
     Series form of the convolution in `q10_integral`, obtained by
@@ -172,10 +163,10 @@ def q10_series(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> 
 
     def terms():
         for n in itertools.count():
-            f_mid = _hyp_series((0.5,), (n + 1.0, n + 1.5), xa, ctl, "q10 term")
-            f_low = _hyp_series((0.5,), (n + 0.5, n + 1.0), xa, ctl, "q10 term")
-            f_high = _hyp_series((0.5,), (n + 1.5, n + 2.0), xa, ctl, "q10 term")
-            f_b = _hyp_series((0.5, 1.0), (2.0, n + 1.5, n + 2.0), xb, ctl, "q10 term")
+            f_mid = _hyp_series((0.5,), (n + 1.0, n + 1.5), xa, "q10 term")
+            f_low = _hyp_series((0.5,), (n + 0.5, n + 1.0), xa, "q10 term")
+            f_high = _hyp_series((0.5,), (n + 1.5, n + 2.0), xa, "q10 term")
+            f_b = _hyp_series((0.5, 1.0), (2.0, n + 1.5, n + 2.0), xb, "q10 term")
             scale = math.exp(
                 2 * n * lt
                 + (2 * n + 2) * la
@@ -193,34 +184,34 @@ def q10_series(t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL) -> 
             )
             yield term, 2 * n >= a * t
 
-    total = _sum_series(terms(), ctl, "q10 series")
+    total = _sum_series(terms(), "q10 series")
     return min(max(total / (2.0 * lam * (a + b)), 0.0), 1.0)
 
 
-def _bessel_ratio_i1(z: float, ctl: SeriesControl) -> float:
+def _bessel_ratio_i1(z: float) -> float:
     """I_1(z)/z for z >= 0, with the removable point at zero -> 1/2."""
     if z < 1e-6:
         return 0.5 + z * z / 16.0
-    return bessel_i(1, z, ctl) / z
+    return bessel_i(1, z) / z
 
 
-def _kernel_m(g: float, u: float, ctl: SeriesControl) -> float:
+def _kernel_m(g: float, u: float) -> float:
     """g^2 I_1(gu)/(gu); even in g and identically zero for g = 0."""
     if g == 0.0:
         return 0.0
     g = abs(g)
-    return g * g * _bessel_ratio_i1(g * u, ctl)
+    return g * g * _bessel_ratio_i1(g * u)
 
 
-def _companion(s: float, a: float, b: float, ctl: SeriesControl) -> float:
+def _companion(s: float, a: float, b: float) -> float:
     """The function convolved against the Bessel-difference kernel in q10.
 
     a(I0+I1)(as) plus b times (one plus the running integral of that term)
     plus the even-in-b primitive of b I1(bs)/s; equals 2*lam at s = 0.
     """
-    ga = a * (bessel_i(0, a * s, ctl) + bessel_i(1, a * s, ctl))
-    int_ga = a * s * hyp1f2(0.5, 1.5, 1.0, a * a * s * s / 4.0, ctl) + bessel_i(0, a * s, ctl) - 1.0
-    mb = 0.5 * b * b * s * hyp1f2(0.5, 1.5, 2.0, b * b * s * s / 4.0, ctl)
+    ga = a * (bessel_i(0, a * s) + bessel_i(1, a * s))
+    int_ga = a * s * hyp1f2(0.5, 1.5, 1.0, a * a * s * s / 4.0) + bessel_i(0, a * s) - 1.0
+    mb = 0.5 * b * b * s * hyp1f2(0.5, 1.5, 2.0, b * b * s * s / 4.0)
     return ga + b * (1.0 + int_ga) + mb
 
 
@@ -237,11 +228,10 @@ def q10_integral(t: float, rates: Rates) -> float:
         return 0.0
     lam = rates.lam
     a, b = rates.total, rates.diff
-    ctl = DEFAULT_CONTROL
 
     def integrand(s: float) -> float:
         u = t - s
-        return (_kernel_m(a, u, ctl) - _kernel_m(b, u, ctl)) * _companion(s, a, b, ctl)
+        return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b)
 
     val, err = _quad(integrand, t)
     if not math.isfinite(val) or err > max(_QUAD_TOL * 100.0, abs(val) * 1e-6):
@@ -250,11 +240,11 @@ def q10_integral(t: float, rates: Rates) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _default_q_k0(k: int, rates: Rates, ctl: SeriesControl):
+def _default_q_k0(k: int, rates: Rates):
     if k == 0:
-        return lambda tau: q00(tau, rates, ctl)
+        return lambda tau: q00(tau, rates)
     if k == 1:
-        return lambda tau: q10_series(tau, rates, ctl)
+        return lambda tau: q10_series(tau, rates)
     raise DomainError(
         f"no closed-form return probability for start {k}; supply q_k0 explicitly"
     )
@@ -277,7 +267,7 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     lam, mu = rates.lam, rates.mu
     a = rates.total
     if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates, DEFAULT_CONTROL)
+        q_k0 = _default_q_k0(k, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     if t == 0.0:
         return mu / a + c
@@ -285,21 +275,21 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     return mu / a + c * math.exp(-2.0 * a * t) + lam * conv
 
 
-def r_mean(k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None) -> float:
+def r_mean(k: int, t: float, rates: Rates, q_k0=None) -> float:
     """Mean of the reflected chain at time t: k plus lam times the
     accumulated occupation of the origin (the boundary is the only state
     where up- and down-drift do not cancel)."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be finite and >= 0, got {t}")
     if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates, ctl)
+        q_k0 = _default_q_k0(k, rates)
     if t == 0.0:
         return float(k)
     occ, _ = _quad(q_k0, t)
     return k + rates.lam * occ
 
 
-def r_variance(k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONTROL, q_k0=None) -> float:
+def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
     """Variance of the reflected chain at time t.
 
     2(lam-mu) int P_k - lam(2k+1) int q_{k,0} - lam^2 (int q_{k,0})^2 + 2 mu t.
@@ -314,7 +304,7 @@ def r_variance(k: int, t: float, rates: Rates, ctl: SeriesControl = DEFAULT_CONT
     lam, mu = rates.lam, rates.mu
     a = rates.total
     if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates, ctl)
+        q_k0 = _default_q_k0(k, rates)
     if t == 0.0:
         return 0.0
     occ, _ = _quad(q_k0, t)

@@ -7,16 +7,20 @@ The outer series of the closed forms (the bilateral transition series, q00
 and q10) are summed by the shared accumulator `_sum_series`; the two kernels
 here keep inline loops because their terms cost about as much as a
 generator step.  All functions are pure and reentrant.
+
+Every series, here and in the closed forms, truncates by the same fixed
+rule: stop after two consecutive terms below SERIES_REL_TOL relative to the
+partial sum, and give up with ConvergenceError after SERIES_MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "SeriesControl",
+    "SERIES_REL_TOL",
+    "SERIES_MAX_TERMS",
     "DomainError",
     "ConvergenceError",
     "SeriesOverflowError",
@@ -25,12 +29,20 @@ __all__ = [
 ]
 
 
+# stop once two consecutive terms are this small relative to the partial sum
+# (a single-term test misfires where a series crosses between growth and
+# decay regimes)
+SERIES_REL_TOL = 1e-14
+# hard cap on summed terms; reaching it raises ConvergenceError
+SERIES_MAX_TERMS = 10_000
+
+
 class DomainError(ValueError):
     """An argument lies outside the domain a routine supports."""
 
 
 class ConvergenceError(RuntimeError):
-    """A series hit its term cap before meeting the requested tolerance.
+    """A series hit its term cap before meeting the series tolerance.
 
     Carries the partial sum and the number of terms accumulated so far so
     callers can inspect how close the evaluation got.
@@ -51,56 +63,33 @@ class SeriesOverflowError(ConvergenceError):
     """
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy shared by every infinite-series evaluation.
-
-    rel_tol   : stop once terms are this small relative to the partial sum,
-                for two consecutive terms (single-term tests misfire where a
-                series crosses between growth and decay regimes).
-    max_terms : hard cap on summed terms; exceeding it raises
-                ConvergenceError (a non-finite partial sum raises
-                SeriesOverflowError at once).
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
-def _sum_series(terms, ctl: SeriesControl, what: str) -> float:
+def _sum_series(terms, what: str) -> float:
     """Sum an iterable of (term, settled) pairs in order.
 
-    Stops after two consecutive settled terms with |term| <= rel_tol*|total|;
-    `settled` carries each series' own guard (typically "past the peak of the
-    terms"), so a small term on the rising side cannot end the sum.  Raises
+    Stops after two consecutive settled terms with |term| <= SERIES_REL_TOL
+    * |total|; `settled` carries each series' own guard (typically "past the
+    peak of the terms"), so a small term on the rising side cannot end the
+    sum.  Raises
     SeriesOverflowError at the first non-finite partial sum and
-    ConvergenceError once ctl.max_terms terms are summed without stopping.
+    ConvergenceError once SERIES_MAX_TERMS terms are summed without stopping.
     """
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     total = 0.0
     small = 0
-    for count, (term, settled) in enumerate(itertools.islice(terms, ctl.max_terms), 1):
+    for count, (term, settled) in enumerate(itertools.islice(terms, max_terms), 1):
         total += term
         if not math.isfinite(total):
             raise SeriesOverflowError(f"{what} overflowed", total, count)
-        if settled and abs(term) <= ctl.rel_tol * abs(total):
+        if settled and abs(term) <= rel_tol * abs(total):
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{what} did not converge", total, ctl.max_terms)
+    raise ConvergenceError(f"{what} did not converge", total, max_terms)
 
 
-def bessel_i(order: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i(order: int, x: float) -> float:
     """Modified Bessel function of the first kind, integer order >= 0.
 
     Sums I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!) with the term recurrence
@@ -121,21 +110,22 @@ def bessel_i(order: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> floa
     term = math.exp(order * math.log(half) - math.lgamma(order + 1))
     total = term
     q = half * half
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     small = 0
-    for m in range(ctl.max_terms):
+    for m in range(max_terms):
         ratio = q / ((m + 1) * (m + order + 1))
         term *= ratio
         total += term
-        if term <= ctl.rel_tol * total and ratio < 1.0:
+        if term <= rel_tol * total and ratio < 1.0:
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, ctl.max_terms)
+    raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, max_terms)
 
 
-def _hyp_series(nums, dens, x: float, ctl: SeriesControl, name: str = "hyp") -> float:
+def _hyp_series(nums, dens, x: float, name: str = "hyp") -> float:
     """Generalized hypergeometric sum with one-step Pochhammer recurrence.
 
     Sums sum_m [prod (u)_m / prod (d)_m] x^m / m! for the upper-parameter
@@ -143,10 +133,11 @@ def _hyp_series(nums, dens, x: float, ctl: SeriesControl, name: str = "hyp") -> 
     terms below rel_tol once the term ratio has dropped under 1/2, at which
     point the omitted tail is below 2|next term|.
     """
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     term = 1.0
     total = 1.0
     small = 0
-    for m in range(ctl.max_terms):
+    for m in range(max_terms):
         num = x
         for u in nums:
             num *= u + m
@@ -156,16 +147,16 @@ def _hyp_series(nums, dens, x: float, ctl: SeriesControl, name: str = "hyp") -> 
         ratio = num / den
         term *= ratio
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total) and abs(ratio) < 0.5:
+        if abs(term) <= rel_tol * abs(total) and abs(ratio) < 0.5:
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{name}({x}) did not converge", total, ctl.max_terms)
+    raise ConvergenceError(f"{name}({x}) did not converge", total, max_terms)
 
 
-def hyp1f2(a: float, b1: float, b2: float, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
     """Generalized hypergeometric function 1F2(a; b1, b2; x).
 
     The series is entire in x; negative `a` (the closed forms use a = -1/2
@@ -178,4 +169,4 @@ def hyp1f2(a: float, b1: float, b2: float, x: float, ctl: SeriesControl = DEFAUL
             raise DomainError(f"lower parameter {b} is zero or a negative integer")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    return _hyp_series((a,), (b1, b2), x, ctl, name=f"hyp1f2({a},{b1},{b2})")
+    return _hyp_series((a,), (b1, b2), x, name=f"hyp1f2({a},{b1},{b2})")

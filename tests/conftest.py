@@ -48,5 +48,5 @@ def mis_index_cross_parity(monkeypatch):
     transcription slip in the closed form that the cross checks must catch."""
     series = bilateral._series_cross_parity
     monkeypatch.setattr(
-        bilateral, "_series_cross_parity", lambda rate, x, d, t, a, ctl: series(rate, x, d + 1, t, a, ctl)
+        bilateral, "_series_cross_parity", lambda rate, x, d, t, a: series(rate, x, d + 1, t, a)
     )

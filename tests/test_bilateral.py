@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from altbd import bilateral
 from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
 from altbd.oracle import default_window
-from altbd.specfun import ConvergenceError, DomainError, SeriesControl, SeriesOverflowError, bessel_i
+from altbd import specfun
+from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
 from conftest import mis_index_cross_parity, oracle_moments, oracle_prob
 
@@ -243,9 +244,10 @@ class TestTransitionProb:
         assert abs(row_sum - 1.0) > 1e-2
 
     @pytest.mark.parametrize("k, n", [(0, 0), (0, 1)])
-    def test_term_cap_reports_terms(self, k, n, rates_12):
+    def test_term_cap_reports_terms(self, k, n, rates_12, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            p(k, n, 5.0, rates_12, ctl=SeriesControl(max_terms=3))
+            p(k, n, 5.0, rates_12)
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == 3
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from altbd import cli
+from altbd import bilateral, cli
 from altbd.verify import PAIR_CHECKS
 
 from conftest import mis_index_cross_parity
@@ -60,12 +62,14 @@ class TestProb:
         assert result.exit_code == 2
 
     def test_numeric_failure_exit_code(self, runner):
+        # at (lambda+mu)t = 60000 the series peaks past its 10,000-term cap
         result = runner.invoke(
             cli.main,
             ["prob", "--lambda", "1", "--mu", "2", "--from", "0", "--to", "0",
-             "--t", "1:2:2", "--max-terms", "1"],
+             "--t", "20000:20000:1"],
         )
         assert result.exit_code == 3
+        assert "did not converge" in result.output
 
     def test_out_file(self, runner, tmp_path):
         dest = tmp_path / "table.csv"
@@ -216,6 +220,26 @@ class TestVerify:
         mis_index_cross_parity(monkeypatch)
         bad = runner.invoke(cli.main, ["verify"])
         assert bad.exit_code == 4
+
+    def test_nan_closed_form_fails(self, runner, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN residual must not be dropped on the way
+        # to a row's worst residual
+        exact = bilateral.transition_prob
+        monkeypatch.setattr(
+            bilateral, "transition_prob",
+            lambda q, rates: math.nan if (q.from_state, q.to_state) == (0, 0) else exact(q, rates),
+        )
+        rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
+        for name in ("normalization", "symmetry", "chapman_kolmogorov"):
+            assert math.isnan(rows[name][3])
+            assert rows[name][-1] == "FAIL"
+        monkeypatch.setattr(cli, "DEFAULT_VERIFY_PAIRS", ((1.0, 2.0),))
+        assert runner.invoke(cli.main, ["verify"]).exit_code == 4
+
+    @pytest.mark.parametrize("option", [["--tol", "1e-2"], ["--max-terms", "1"]])
+    def test_series_truncation_not_settable(self, runner, option):
+        result = runner.invoke(cli.main, ["verify", *option])
+        assert result.exit_code == 2
 
     def test_csv_report_shape(self, runner, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "DEFAULT_VERIFY_PAIRS", ((2.0, 2.0),))

@@ -28,15 +28,6 @@ class TestTruncatedChain:
         with pytest.raises(DomainError):
             TruncatedChain("reflected", 1, 10, rates_12)
 
-    def test_exit_rates(self, rates_12):
-        chain = TruncatedChain("reflected", 0, 10, rates_12)
-        assert chain.exit_rate(0) == 1.0  # boundary keeps only the upward jump
-        assert chain.exit_rate(2) == 2.0
-        assert chain.exit_rate(3) == 4.0
-        bi = TruncatedChain("bilateral", -5, 5, rates_12)
-        assert bi.exit_rate(0) == 2.0
-        assert bi.exit_rate(-3) == 4.0
-
 
 class TestUniformize:
     def test_time_zero_indicator(self, rates_12):

@@ -4,10 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altbd import specfun
 from altbd.specfun import (
     ConvergenceError,
     DomainError,
-    SeriesControl,
     SeriesOverflowError,
     _sum_series,
     bessel_i,
@@ -52,9 +52,10 @@ class TestBesselI:
         with pytest.raises(DomainError):
             bessel_i(0, float("inf"))
 
-    def test_convergence_error_carries_partial(self):
+    def test_convergence_error_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            bessel_i(0, 30.0, SeriesControl(rel_tol=1e-14, max_terms=3))
+            bessel_i(0, 30.0)
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
 
@@ -107,11 +108,13 @@ class TestHyp1f2:
         # the same reduction in Bessel form for non-negative arguments
         assert hyp1f2(1.0, 1.0, 1.0, x) == pytest.approx(bessel_i(0, 2.0 * math.sqrt(x)), rel=1e-12)
 
-    def test_negative_a_polynomial_like_arguments(self):
+    def test_negative_a_polynomial_like_arguments(self, monkeypatch):
         # a = -1/2 is the workhorse case; compare against a tight-tolerance
         # self-evaluation to confirm the truncation-error bound
-        loose = hyp1f2(-0.5, 0.5, 1.0, 300.0, SeriesControl(rel_tol=1e-9))
-        tight = hyp1f2(-0.5, 0.5, 1.0, 300.0, SeriesControl(rel_tol=1e-15))
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-9)
+        loose = hyp1f2(-0.5, 0.5, 1.0, 300.0)
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-15)
+        tight = hyp1f2(-0.5, 0.5, 1.0, 300.0)
         assert abs(loose - tight) <= 1e-8 * abs(tight)
 
     def test_domain_errors(self):
@@ -122,26 +125,30 @@ class TestHyp1f2:
         with pytest.raises(DomainError):
             hyp1f2(0.5, 1.0, 1.0, float("inf"))
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError):
-            hyp1f2(0.5, 1.0, 1.0, 500.0, SeriesControl(rel_tol=1e-14, max_terms=4))
+            hyp1f2(0.5, 1.0, 1.0, 500.0)
 
 
 class TestSumSeries:
-    def test_stops_after_two_settled_small_terms(self):
+    def test_stops_after_two_settled_small_terms(self, monkeypatch):
         # 1 + 1/2 + 1/4 + ...: stops once two terms in a row are below tol
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
         terms = ((0.5**m, True) for m in itertools.count())
-        got = _sum_series(terms, SeriesControl(rel_tol=1e-3), "geometric")
+        got = _sum_series(terms, "geometric")
         assert got == 2.0 - 0.5**10
 
-    def test_unsettled_terms_never_stop(self):
+    def test_unsettled_terms_never_stop(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
         terms = ((0.5**m, m >= 20) for m in itertools.count())
-        got = _sum_series(terms, SeriesControl(rel_tol=1e-3), "geometric")
+        got = _sum_series(terms, "geometric")
         assert got == 2.0 - 0.5**21
 
-    def test_cap_raises_convergence_error(self):
+    def test_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 7)
         with pytest.raises(ConvergenceError) as exc:
-            _sum_series(((1.0, True) for _ in itertools.count()), SeriesControl(max_terms=7), "ones")
+            _sum_series(((1.0, True) for _ in itertools.count()), "ones")
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == 7
         assert exc.value.partial == 7.0
@@ -150,21 +157,7 @@ class TestSumSeries:
     def test_non_finite_term_raises_overflow(self, bad):
         terms = iter([(1.0, False), (bad, True), (0.0, True), (0.0, True)])
         with pytest.raises(SeriesOverflowError) as exc:
-            _sum_series(terms, SeriesControl(), "bad")
+            _sum_series(terms, "bad")
         assert exc.value.terms == 2
         assert "bad overflowed" in str(exc.value)
 
-
-class TestSeriesControl:
-    def test_defaults(self):
-        ctl = SeriesControl()
-        assert ctl.rel_tol == 1e-14
-        assert ctl.max_terms == 10_000
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=-1e-4)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
