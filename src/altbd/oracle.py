@@ -5,9 +5,9 @@ ever validated against itself:
 
 * `uniformize` - transient distributions as a Poisson mixture of powers of
   the uniformized jump operator, stepped as a three-diagonal numpy stencil,
-  with an explicit truncation-error budget;
-* `simulate` - a continuous-time path simulator with per-replicate RNG
-  streams, giving empirical distributions and moments with standard errors;
+  on a window sized by the same Poisson bound as the sum, so no mass leaks;
+* `simulate` - an exact event-driven simulator stepping all paths together
+  as arrays, giving empirical distributions and moments with standard errors;
 * `invert_laplace` - Euler-summation numerical inversion of a Laplace
   transform along the Bromwich line.
 """
@@ -71,7 +71,7 @@ class TruncatedChain:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replicate count, time horizon and reproducibility seed for `simulate`."""
+    """Path count, seed, and `horizon`, the latest sample time `simulate` accepts."""
 
     paths: int
     horizon: float
@@ -125,13 +125,25 @@ def uniformization_rate(rates: Rates) -> float:
     return 2.0 * max(rates.lam, rates.mu)
 
 
-def default_window(kind: str, rates: Rates, k: int, t: float) -> tuple[int, int]:
-    """Window wide enough that Poisson concentration keeps boundary mass negligible."""
-    big = uniformization_rate(rates)
-    w = math.ceil(big * t + 10.0 * math.sqrt(big * t) + 20.0)
+def _check_time(t: float) -> None:
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
+
+
+def default_window(kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12) -> tuple[int, int]:
+    """The window `uniformize` needs at (t, eps) from state k.
+
+    Returns (k - R, k + R), or (0, k + R) on the reflected chain, where R is
+    the largest Poisson jump count whose weight the uniformization sum at
+    (Lambda t, eps) applies.  A walk of at most R jumps cannot step past the
+    window, so no probability mass reaches its edges.
+    """
+    _check_time(t)
+    left, weights = _poisson_weights(uniformization_rate(rates) * t, eps)
+    reach = left + weights.size - 1
     if kind == "reflected":
-        return 0, k + w
-    return k - w, k + w
+        return 0, k + reach
+    return k - reach, k + reach
 
 
 def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
@@ -169,8 +181,7 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     exceeds eps).  Returns the probability vector aligned with
     `chain.states`.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     if not (chain.lo <= k <= chain.hi):
         raise DomainError(f"initial state {k} outside window [{chain.lo}, {chain.hi}]")
     n = chain.hi - chain.lo + 1
@@ -197,49 +208,16 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
 def transient_distribution(
     kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(states, probabilities) at time t, widening the window on demand."""
-    lo, hi = default_window(kind, rates, k, t)
-    for _ in range(6):
-        try:
-            chain = TruncatedChain(kind, lo, hi, rates)
-            return chain.states, uniformize(chain, k, t, eps)
-        except WindowTooSmallError:
-            width = hi - lo + 1
-            lo = 0 if kind == "reflected" else lo - width
-            hi = hi + width
-    raise WindowTooSmallError(f"window did not stabilise for {kind} chain at t={t}")
+    """(states, probabilities) at time t: one `uniformize` on `default_window`."""
+    chain = TruncatedChain(kind, *default_window(kind, rates, k, t, eps), rates)
+    return chain.states, uniformize(chain, k, t, eps)
 
 
-def _simulate_one(kind, rates, k, horizon, sample_times, rng):
-    """States of one path at the requested sample times."""
-    lam, mu = rates.lam, rates.mu
-    big = 2.0 * max(lam, mu)
-    block = int(math.ceil(big * horizon + 6.0 * math.sqrt(big * horizon) + 16.0))
-    out = np.empty(sample_times.size, dtype=np.int64)
-    state = k
-    now = 0.0
-    idx = 0
-    exps = rng.standard_exponential(block)
-    ups = rng.integers(0, 2, size=block)
-    pos = 0
-    while idx < sample_times.size:
-        if pos >= block:
-            exps = rng.standard_exponential(block)
-            ups = rng.integers(0, 2, size=block)
-            pos = 0
-        if state % 2 == 0:
-            rate = lam if (kind == "reflected" and state == 0) else 2.0 * lam
-        else:
-            rate = 2.0 * mu
-        now += exps[pos] / rate
-        while idx < sample_times.size and sample_times[idx] < now:
-            out[idx] = state
-            idx += 1
-        if kind == "reflected" and state == 0:
-            state = 1
-        else:
-            state += 1 if ups[pos] else -1
-        pos += 1
+def _exit_rates(kind: str, rates: Rates, states: np.ndarray) -> np.ndarray:
+    """Jump rate out of each state; the reflected zero state only steps up, at lam."""
+    out = np.where(states % 2 == 0, 2.0 * rates.lam, 2.0 * rates.mu)
+    if kind == "reflected":
+        out[states == 0] = rates.lam
     return out
 
 
@@ -248,10 +226,12 @@ def simulate(
 ) -> SimResult:
     """Monte Carlo estimate of the chain's law at each sample time.
 
-    Each replicate draws from its own RNG stream spawned from
-    (cfg.seed, replicate index), and replicates are aggregated in index
-    order, so the result is a pure function of the inputs regardless of how
-    the work is scheduled.
+    Exact event-driven (Gillespie) simulation of all cfg.paths paths at
+    once, drawn from one generator seeded with cfg.seed.  For each sample
+    time in turn, every path whose next jump falls at or before it takes a
+    +-1 step and draws its next exponential holding time, as arrays over
+    those paths, until no path is due; the states then held are that time's
+    sample.  The result is a pure function of the arguments.
     """
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -265,11 +245,20 @@ def simulate(
     if np.any(np.diff(times) < 0.0):
         raise DomainError("sample_times must be nondecreasing")
 
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.paths)
+    rng = np.random.default_rng(cfg.seed)
+    state = np.full(cfg.paths, k, dtype=np.int64)
+    next_jump = rng.standard_exponential(cfg.paths) / _exit_rates(kind, rates, state)
     samples = np.empty((cfg.paths, times.size), dtype=np.int64)
-    for i, child in enumerate(children):
-        samples[i] = _simulate_one(kind, rates, k, cfg.horizon, times, np.random.default_rng(child))
+    for j, t in enumerate(times):
+        due = np.flatnonzero(next_jump <= t)
+        while due.size:
+            moved = state[due] + 2 * rng.integers(0, 2, size=due.size) - 1
+            if kind == "reflected":
+                moved[moved < 0] = 1  # the zero state only steps up
+            state[due] = moved
+            next_jump[due] += rng.standard_exponential(due.size) / _exit_rates(kind, rates, moved)
+            due = due[next_jump[due] <= t]
+        samples[:, j] = state
 
     n = float(cfg.paths)
     mean = samples.mean(axis=0)
@@ -300,21 +289,22 @@ def simulate(
     )
 
 
-def invert_laplace(transform, t: float, terms: int = 20) -> float:
+# Euler averaging order M of `invert_laplace`: discretization error about
+# 10^(-0.6 M), roundoff amplification near 10^(M/3) machine epsilon
+_EULER_TERMS = 20
+
+
+def invert_laplace(transform, t: float) -> float:
     """Euler-summation inversion of a Laplace transform at time t > 0.
 
     Implements the Abate-Whitt Euler scheme: a Bromwich-line trapezoid sum
     at abscissa M ln(10)/3 with alternating signs, binomially averaged over
-    the last M partial sums.  `terms` is the averaging order M; the scheme
-    evaluates the transform at 2M+1 complex points with positive real part.
-    Conservative default: discretization error ~ 10^(-0.6 M) while roundoff
-    amplification stays near 10^(M/3) * machine epsilon.
+    the last M partial sums, M = 20.  It evaluates the transform at 2M+1
+    complex points with positive real part.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    M = terms
+    M = _EULER_TERMS
     # Euler weights xi_k: 1/2, 1, ..., 1, then a decreasing binomial tail
     xi = np.ones(2 * M + 1)
     xi[0] = 0.5

@@ -17,11 +17,11 @@ Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad
 
 from .bilateral import Rates, _is_even
@@ -67,7 +67,7 @@ class LaplaceRoots:
 def _roots_any(s, rates: Rates):
     """A, B, psi2^2 for real s > 0 or complex s with positive real part."""
     a, b = rates.total, rates.diff
-    sqrt = np.sqrt if isinstance(s, complex) else math.sqrt
+    sqrt = cmath.sqrt if isinstance(s, complex) else math.sqrt
     A = sqrt((a + s) ** 2 - a * a)
     B = sqrt((a + s) ** 2 - b * b)
     psi2 = (A - B) ** 2 / (a * a - b * b)

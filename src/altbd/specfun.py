@@ -95,7 +95,8 @@ def bessel_i(order: int, x: float) -> float:
     Sums I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!) with the term recurrence
     t_{m+1} = t_m * (x/2)^2 / ((m+1)(m+n+1)).  Terms are positive, so the
     two-consecutive-small-terms rule plus a past-the-peak guard bounds the
-    tail geometrically.
+    tail geometrically.  Raises SeriesOverflowError once the sum is past
+    the float range (I_0(x) overflows near x = 713).
     """
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
@@ -107,7 +108,10 @@ def bessel_i(order: int, x: float) -> float:
     half = x / 2.0
     # first term (x/2)^n / n! in log form: n can be large enough to overflow
     # a naive power even when I_n(x) itself is representable
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
+    try:
+        term = math.exp(order * math.log(half) - math.lgamma(order + 1))
+    except OverflowError:
+        raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", math.inf, 1) from None
     total = term
     q = half * half
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
@@ -119,10 +123,16 @@ def bessel_i(order: int, x: float) -> float:
         if term <= rel_tol * total and ratio < 1.0:
             small += 1
             if small >= 2:
-                return total
+                break
         else:
             small = 0
-    raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, max_terms)
+    # checked once, not per term: an overflowed total stays infinite, and
+    # inf passes the stop test above
+    if not math.isfinite(total):
+        raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", total, m + 1)
+    if small < 2:
+        raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, max_terms)
+    return total
 
 
 def _hyp_series(nums, dens, x: float, name: str = "hyp") -> float:

@@ -24,3 +24,9 @@ def test_scipy_only_for_quadrature():
 
 def test_battery_does_not_need_click():
     assert not any(m.split(".")[0] == "click" for m in imported_modules(PACKAGE / "verify.py"))
+
+
+def test_closed_forms_do_not_need_numpy():
+    # numpy serves only the oracles and the CLI's grids
+    for name in ("specfun.py", "bilateral.py", "reflecting.py", "verify.py"):
+        assert not any(m.split(".")[0] == "numpy" for m in imported_modules(PACKAGE / name)), name

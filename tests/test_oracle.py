@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from altbd import oracle
 from altbd.bilateral import Rates, TransitionQuery, transition_prob, variance
 from altbd.oracle import (
+    KINDS,
     SimConfig,
     TruncatedChain,
     WindowTooSmallError,
@@ -95,6 +99,58 @@ class TestUniformize:
             narrow[n0 - span : n0 + span], wide[w0 - span : w0 + span], atol=eps
         )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(0.01, 10.0), Rates(3.0, 0.5)], ids=str)
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 7.3, 40.0])
+    def test_default_window_loses_no_mass(self, kind, rates, k, t):
+        # no mass reaches the edges of the default window: a window twice
+        # as wide gives the same numbers, bit for bit, and exact zeros
+        # outside it
+        lo, hi = default_window(kind, rates, k, t)
+        narrow = uniformize(TruncatedChain(kind, lo, hi, rates), k, t)
+        wlo = 0 if kind == "reflected" else 2 * lo - k
+        wide = uniformize(TruncatedChain(kind, wlo, 2 * hi - k, rates), k, t)
+        inside = slice(lo - wlo, hi - wlo + 1)
+        assert np.array_equal(wide[inside], narrow)
+        assert not np.any(np.delete(wide, np.arange(wide.size)[inside]))
+
+    def test_transient_distribution_sums_once(self, rates_12, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return uniformize(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "uniformize", counted)
+        for kind in KINDS:
+            calls.clear()
+            transient_distribution(kind, rates_12, 1, 40.0)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind, want", [("bilateral", [3]), ("reflected", [0, 1, 2, 3])])
+    def test_time_zero_window_ends_at_the_start(self, kind, want, rates_12):
+        states, probs = transient_distribution(kind, rates_12, 3, 0.0)
+        assert states.tolist() == want
+        assert probs.tolist() == [0.0] * (len(want) - 1) + [1.0]
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        log_lam=st.floats(math.log(1e-2), math.log(1e2)),
+        log_mu=st.floats(math.log(1e-2), math.log(1e2)),
+        k=st.integers(0, 5),
+        frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40)
+    def test_mass_within_eps(self, kind, log_lam, log_mu, k, frac):
+        # any rates in [1e-2, 1e2] and times with Poisson rate Lambda t up
+        # to 400: one window, no retry, no mass lost beyond eps
+        eps = 1e-12
+        rates = Rates(math.exp(log_lam), math.exp(log_mu))
+        t = frac * 400.0 / (2.0 * max(rates.lam, rates.mu))
+        _, probs = transient_distribution(kind, rates, k, t, eps)
+        assert abs(probs.sum() - 1.0) <= eps
+
     def test_reflected_initial_boundary(self, rates_12):
         states, probs = transient_distribution("reflected", rates_12, 0, 0.8)
         assert states[0] == 0
@@ -132,10 +188,11 @@ class TestSimulate:
         res = simulate("reflected", rates_12, 0, SimConfig(2_000, 3.0, seed=3), [1.0, 3.0])
         assert res.states.min() >= 0
 
-    def test_pmf_matches_uniformization(self, rates_12):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pmf_matches_uniformization(self, kind, rates_12):
         t = 1.0
-        res = simulate("bilateral", rates_12, 0, SimConfig(20_000, t, seed=5), [t])
-        states, probs = transient_distribution("bilateral", rates_12, 0, t)
+        res = simulate(kind, rates_12, 0, SimConfig(20_000, t, seed=5), [t])
+        states, probs = transient_distribution(kind, rates_12, 0, t)
         for state, phat in res.pmf[0].items():
             if phat <= 1e-3:
                 continue
@@ -187,5 +244,3 @@ class TestInvertLaplace:
     def test_validation(self):
         with pytest.raises(DomainError):
             invert_laplace(lambda s: 1.0 / s, 0.0)
-        with pytest.raises(DomainError):
-            invert_laplace(lambda s: 1.0 / s, 1.0, terms=0)

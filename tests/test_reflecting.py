@@ -131,6 +131,11 @@ class TestSeriesOverflow:
             fn(t, Rates(lam, mu))
         assert exc.value.terms < 10
 
+    def test_quadrature_route_names_overflow(self):
+        # the Bessel factors of the q10 integrand overflow once (lam+mu) t passes about 713
+        with pytest.raises(SeriesOverflowError):
+            q10_integral(300.0, Rates(1.0, 2.0))
+
 
 class TestQ10:
     def test_initial_values(self, rates_12):

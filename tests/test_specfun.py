@@ -59,6 +59,14 @@ class TestBesselI:
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
 
+    @pytest.mark.parametrize("order, x", [(0, 720.0), (0, 1e5), (100, 1e5)])
+    def test_overflow_is_named(self, order, x):
+        # past the float range (I_0 near x = 713, or a first term that
+        # overflows) the sum is reported as an overflow, not as a value or
+        # a failure to converge
+        with pytest.raises(SeriesOverflowError):
+            bessel_i(order, x)
+
     @settings(max_examples=40)
     @given(
         n=st.integers(min_value=1, max_value=20),
