@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .specfun import DomainError, _sum_series
+from .specfun import DomainError, _check_time, _sum_series
 
 __all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "mean", "variance"]
 
@@ -62,8 +62,7 @@ class TransitionQuery:
     t: float
 
     def __post_init__(self):
-        if not (self.t >= 0.0 and math.isfinite(self.t)):
-            raise DomainError(f"t must be finite and >= 0, got {self.t}")
+        _check_time(self.t)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"z must be strictly positive and finite, got {z}")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
     h = math.sqrt((mu * z * z + lam) * (lam * z * z + mu))
@@ -227,8 +225,7 @@ def mean(k: int, t: float, rates: Rates) -> float:
     The distribution of the displacement is symmetric about the start for
     every t and every rate pair, so the mean never moves.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     return float(k)
 
 
@@ -240,8 +237,7 @@ def variance(k: int, t: float, rates: Rates) -> float:
     mu*(mu-lam) from odd ones (each is the other under a rate swap, matching
     the translation symmetry of the chain).
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
     c = lam * (lam - mu) if _is_even(k) else mu * (mu - lam)

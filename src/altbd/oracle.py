@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bilateral import Rates
-from .specfun import DomainError
+from .specfun import DomainError, _check_time
 
 __all__ = [
     "TruncatedChain",
@@ -123,11 +123,6 @@ def _uniformized_step(chain: TruncatedChain):
 
 def uniformization_rate(rates: Rates) -> float:
     return 2.0 * max(rates.lam, rates.mu)
-
-
-def _check_time(t: float) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
 
 
 def default_window(kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12) -> tuple[int, int]:

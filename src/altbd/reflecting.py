@@ -12,6 +12,14 @@ Implemented routes:
 * occupation of the even states and the first two moments (`p_even`,
   `r_mean`, `r_variance`), expressed through the return probability.
 
+`q10_integral`, `p_even`, `r_mean` and `r_variance` integrate over [0, t]
+with one routine, `_quad`: QUADPACK's 21-point Gauss-Kronrod rule with
+bisection of the worst panel, at most 200 panels, to 1e-10 absolute or
+relative.  It has one convergence policy for all four: return a value that
+met the tolerance, or raise ConvergenceError (cap reached) or
+SeriesOverflowError (a non-finite value).  Only the standard library is
+needed.
+
 Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 """
 
@@ -22,10 +30,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .bilateral import Rates, _is_even
-from .specfun import ConvergenceError, DomainError, _hyp_series, _sum_series, bessel_i, hyp1f2
+from .specfun import (
+    ConvergenceError,
+    DomainError,
+    SeriesOverflowError,
+    _check_time,
+    _hyp_series,
+    _sum_series,
+    bessel_i,
+    hyp1f2,
+)
 
 __all__ = [
     "LaplaceRoots",
@@ -41,11 +56,110 @@ __all__ = [
 
 # absolute and relative tolerance of every adaptive quadrature here
 _QUAD_TOL = 1e-10
+# most panels one quadrature may bisect [0, t] into
+_QUAD_PANELS = 200
+
+# QUADPACK's 21-point Kronrod rule on [-1, 1] (Piessens et al., QUADPACK,
+# Springer 1983, routine qk21): nodes x_1 > ... > x_10 > x_11 = 0, each
+# x_j != 0 used as +-x_j.  x_2, x_4, ..., x_10 are the 10-point Gauss nodes,
+# and _GAUSS_WEIGHTS are their Gauss weights.
+_KRONROD_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077580632699444,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_WEIGHTS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
 
-def _quad(f, t: float):
-    """(integral of f over [0, t], its error estimate) by adaptive quadrature."""
-    return quad(f, 0.0, t, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+def _gk21(f, lo: float, hi: float) -> tuple[float, float]:
+    """(21-point Kronrod value, QUADPACK error estimate) of f over [lo, hi].
+
+    The error estimate scales the Kronrod-Gauss difference by resasc, the
+    rule's integral of |f - mean f|: resasc * min(1, (200 |K - G| / resasc)^1.5).
+    qk21's floor of 50 eps times the integral of |f| is left out; it acts
+    only at rounding level, far below _QUAD_TOL.  Sums in qk21's order: the
+    centre, the Gauss pairs, then the other pairs.
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(centre)
+    kronrod = _KRONROD_WEIGHTS[10] * fc
+    gauss = 0.0
+    values = [None] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        dx = half * _KRONROD_NODES[j]
+        f1, f2 = values[j] = f(centre - dx), f(centre + dx)
+        kronrod += _KRONROD_WEIGHTS[j] * (f1 + f2)
+        if j % 2:
+            gauss += _GAUSS_WEIGHTS[j // 2] * (f1 + f2)
+    mean = 0.5 * kronrod
+    resasc = _KRONROD_WEIGHTS[10] * abs(fc - mean)
+    for w, (f1, f2) in zip(_KRONROD_WEIGHTS, values):
+        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
+    resasc *= abs(half)
+    err = abs((kronrod - gauss) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return kronrod * half, err
+
+
+def _quad(f, t: float, what: str) -> float:
+    """Integral of f over [0, t] by globally adaptive Gauss-Kronrod quadrature.
+
+    Applies the G10K21 rule of `_gk21` and bisects the panel with the
+    largest error estimate until the summed estimate is within _QUAD_TOL,
+    absolute or relative to the summed value (the policy of QUADPACK's QAGS,
+    without its extrapolation: every integrand here is smooth on [0, t]).
+    Raises ConvergenceError once _QUAD_PANELS panels do not meet the
+    tolerance, and SeriesOverflowError at the first panel with a non-finite
+    value.  As in QAGS, the half with the larger error takes the bisected
+    panel's place, so the panels are summed in QAGS's order.
+    """
+    panels = [(0.0, t, *_gk21(f, 0.0, t))]
+    while True:
+        total = sum(p[2] for p in panels)
+        if not math.isfinite(total):
+            raise SeriesOverflowError(f"{what} overflowed", total, len(panels))
+        if sum(p[3] for p in panels) <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
+            return total
+        if len(panels) == _QUAD_PANELS:
+            raise ConvergenceError(f"{what} did not converge", total, len(panels))
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi = panels[worst][:2]
+        mid = 0.5 * (lo + hi)
+        left = (lo, mid, *_gk21(f, lo, mid))
+        right = (mid, hi, *_gk21(f, mid, hi))
+        if right[3] > left[3]:
+            left, right = right, left
+        panels[worst] = left
+        panels.append(right)
 
 
 @dataclass(frozen=True)
@@ -116,8 +230,7 @@ def q00(t: float, rates: Rates) -> float:
     e^(-at) damping folded in), because both the power factors and the 1F2
     values grow exponentially with t while the term itself stays bounded.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 1.0
     a, b = rates.total, rates.diff
@@ -128,8 +241,8 @@ def q00(t: float, rates: Rates) -> float:
 
     def terms():
         for k in itertools.count():
-            f1 = hyp1f2(-0.5, k + 0.5, k + 1.0, xb)
-            f2 = hyp1f2(-0.5, k + 1.0, k + 1.5, xb)
+            f1 = _hyp_series((-0.5,), (k + 0.5, k + 1.0), xb, "q00 term")
+            f2 = _hyp_series((-0.5,), (k + 1.0, k + 1.5), xb, "q00 term")
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + r ** (2 * k + 1)
             c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
@@ -149,8 +262,7 @@ def q10_series(t: float, rates: Rates) -> float:
     log space with the same two-consecutive-terms stopping rule as the
     unrestricted chain's series.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     lam = rates.lam
@@ -222,8 +334,7 @@ def q10_integral(t: float, rates: Rates) -> float:
     companion function over [0, t].  The I1(z)/z factors are even in z and
     continue through zero with value 1/2.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     lam = rates.lam
@@ -233,10 +344,7 @@ def q10_integral(t: float, rates: Rates) -> float:
         u = t - s
         return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b)
 
-    val, err = _quad(integrand, t)
-    if not math.isfinite(val) or err > max(_QUAD_TOL * 100.0, abs(val) * 1e-6):
-        raise ConvergenceError("q10 quadrature did not converge", val, 0)
-    v = math.exp(-a * t) / (2.0 * lam * (a + b)) * val
+    v = math.exp(-a * t) / (2.0 * lam * (a + b)) * _quad(integrand, t, "q10 quadrature")
     return min(max(v, 0.0), 1.0)
 
 
@@ -262,8 +370,7 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     k in {0, 1} are used, and any reentrant callable (for instance one
     backed by the uniformization oracle) may be injected for other starts.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
     if q_k0 is None:
@@ -271,7 +378,7 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     if t == 0.0:
         return mu / a + c
-    conv, _ = _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t)
+    conv = _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t, "p_even quadrature")
     return mu / a + c * math.exp(-2.0 * a * t) + lam * conv
 
 
@@ -279,14 +386,12 @@ def r_mean(k: int, t: float, rates: Rates, q_k0=None) -> float:
     """Mean of the reflected chain at time t: k plus lam times the
     accumulated occupation of the origin (the boundary is the only state
     where up- and down-drift do not cancel)."""
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     if q_k0 is None:
         q_k0 = _default_q_k0(k, rates)
     if t == 0.0:
         return float(k)
-    occ, _ = _quad(q_k0, t)
-    return k + rates.lam * occ
+    return k + rates.lam * _quad(q_k0, t, "r_mean quadrature")
 
 
 def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
@@ -299,16 +404,17 @@ def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
         int_0^t P_k = mu/a t + c (1-e^(-2at))/(2a)
                       + lam/(2a) int_0^t q_{k,0}(u) (1 - e^(-2a(t-u))) du.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
     if q_k0 is None:
         q_k0 = _default_q_k0(k, rates)
     if t == 0.0:
         return 0.0
-    occ, _ = _quad(q_k0, t)
-    weighted, _ = _quad(lambda u: q_k0(u) * (1.0 - math.exp(-2.0 * a * (t - u))), t)
+    occ = _quad(q_k0, t, "r_variance quadrature")
+    weighted = _quad(
+        lambda u: q_k0(u) * (1.0 - math.exp(-2.0 * a * (t - u))), t, "r_variance quadrature"
+    )
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     int_p = mu / a * t + c * (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a) + lam / (2.0 * a) * weighted
     return 2.0 * (lam - mu) * int_p - lam * (2 * k + 1) * occ - lam * lam * occ * occ + 2.0 * mu * t

@@ -42,10 +42,12 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series hit its term cap before meeting the series tolerance.
+    """A series hit its term cap before meeting the series tolerance, or a
+    quadrature its panel cap before meeting the quadrature tolerance.
 
-    Carries the partial sum and the number of terms accumulated so far so
-    callers can inspect how close the evaluation got.
+    Carries the partial sum and the number of terms (panels, for a
+    quadrature) accumulated so far so callers can inspect how close the
+    evaluation got; 0 where only the finished sum is checked.
     """
 
     def __init__(self, message: str, partial: float, terms: int):
@@ -55,12 +57,19 @@ class ConvergenceError(RuntimeError):
 
 
 class SeriesOverflowError(ConvergenceError):
-    """A series produced a non-finite partial sum (an overflowed term, or
-    inf * 0 = NaN where an overflowed factor met an underflowed scale).
+    """A series or quadrature produced a non-finite partial sum (an
+    overflowed term, or inf * 0 = NaN where an overflowed factor met an
+    underflowed scale).
 
     Raised at the first such term rather than after the term cap, since no
     further term can bring the sum back into range.
     """
+
+
+def _check_time(t: float) -> None:
+    """Raise DomainError unless t is a finite time >= 0."""
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
 
 
 def _sum_series(terms, what: str) -> float:
@@ -172,11 +181,17 @@ def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
     The series is entire in x; negative `a` (the closed forms use a = -1/2
     and a = 1/2) needs no special casing because the term recurrence carries
     the sign.  Lower parameters at zero or a negative integer would hit a
-    pole and are rejected.
+    pole and are rejected.  Raises SeriesOverflowError once the sum is past
+    the float range (1F2(1/2; 3/2, 1; x) overflows near x = 1.3e5).
     """
     for b in (b1, b2):
         if b == 0.0 or (b < 0.0 and b == int(b)):
             raise DomainError(f"lower parameter {b} is zero or a negative integer")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    return _hyp_series((a,), (b1, b2), x, name=f"hyp1f2({a},{b1},{b2})")
+    name = f"hyp1f2({a},{b1},{b2})"
+    v = _hyp_series((a,), (b1, b2), x, name)
+    # checked once, not per term: an overflowed sum comes back as +-inf
+    if not math.isfinite(v):
+        raise SeriesOverflowError(f"{name}({x}) overflowed", v, 0)
+    return v

@@ -1,9 +1,16 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import altbd
 
 PACKAGE = Path(altbd.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def imported_modules(path):
@@ -14,12 +21,29 @@ def imported_modules(path):
             yield node.module
 
 
-def test_scipy_only_for_quadrature():
+def test_package_imports_no_scipy():
     sources = sorted(PACKAGE.glob("*.py"))
     assert "reflecting.py" in {p.name for p in sources}
     for path in sources:
-        scipy = {m for m in imported_modules(path) if m.split(".")[0] == "scipy"}
-        assert scipy <= {"scipy.integrate"}, path.name
+        assert not any(m.split(".")[0] == "scipy" for m in imported_modules(path)), path.name
+
+
+def test_cli_import_loads_no_scipy():
+    # catches a transitive import too, which the source scan above cannot see
+    code = "import sys, altbd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in declared}
+    imported = {
+        m.split(".")[0] for path in PACKAGE.glob("*.py") for m in imported_modules(path)
+    } - set(sys.stdlib_module_names) - {"altbd"}
+    assert imported == names
 
 
 def test_battery_does_not_need_click():

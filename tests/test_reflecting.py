@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from altbd import reflecting
 from altbd.bilateral import Rates
 from altbd.oracle import invert_laplace, transient_distribution
 from altbd.reflecting import (
@@ -15,11 +18,100 @@ from altbd.reflecting import (
     r_mean,
     r_variance,
 )
-from altbd.specfun import DomainError, SeriesOverflowError, bessel_i
+from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
 from conftest import oracle_moments, oracle_prob
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
+QUAD_RATES = [Rates(1.0, 2.0), Rates(3.0, 0.5), Rates(0.5, 3.0)]
+
+
+def _unresolvable(u):
+    # a square wave of period 2pi/1e5: 200 panels of 21 nodes cannot follow it
+    return float(math.sin(1e5 * u) > 0.0)
+
+
+class TestQuad:
+    def test_gauss_subset_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.allclose(reflecting._KRONROD_NODES[9::-2], nodes[5:], rtol=0, atol=1e-15)
+        assert np.allclose(reflecting._GAUSS_WEIGHTS[::-1], weights[5:], rtol=0, atol=1e-15)
+
+    def test_kronrod_weights_sum_to_two(self):
+        w = reflecting._KRONROD_WEIGHTS
+        assert 2.0 * sum(w[:10]) + w[10] == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("d", range(32))
+    def test_rule_is_exact_to_degree_31(self, d):
+        got, _ = reflecting._gk21(lambda x: x**d, -1.0, 1.0)
+        assert got == pytest.approx(2.0 / (d + 1) if d % 2 == 0 else 0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rates", QUAD_RATES, ids=lambda r: f"{r.lam:g},{r.mu:g}")
+    @pytest.mark.parametrize("t", [0.5, 3.0, 7.0, 14.0, 20.0])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            q10_integral,
+            lambda t, r: p_even(0, t, r),
+            lambda t, r: r_mean(1, t, r),
+            lambda t, r: r_variance(1, t, r),
+        ],
+        ids=["q10_integral", "p_even", "r_mean", "r_variance"],
+    )
+    def test_matches_scipy_quad(self, monkeypatch, route, rates, t):
+        # every integrand a route builds is integrated by both, which must
+        # agree in value and in the number of integrand evaluations; the
+        # integrand is memoized, since both rules evaluate it at the same nodes
+        real = reflecting._quad
+        results = []
+
+        def both(f, upper, what):
+            memo = {}
+            calls = []
+
+            def g(u):
+                calls.append(u)
+                if u not in memo:
+                    memo[u] = f(u)
+                return memo[u]
+
+            tol = reflecting._QUAD_TOL
+            want, _ = quad(g, 0.0, upper, epsabs=tol, epsrel=tol, limit=reflecting._QUAD_PANELS)
+            scipy_calls = len(calls)
+            got = real(g, upper, what)
+            results.append((got, want, len(calls) - scipy_calls, scipy_calls))
+            return got
+
+        monkeypatch.setattr(reflecting, "_quad", both)
+        route(t, rates)
+        assert results
+        for got, want, calls, scipy_calls in results:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert calls == scipy_calls
+
+    def test_cap_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError) as exc:
+            reflecting._quad(_unresolvable, 1.0, "square wave")
+        assert not isinstance(exc.value, SeriesOverflowError)
+        assert exc.value.terms == reflecting._QUAD_PANELS
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_raises_at_once(self, bad):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return bad if u > 0.5 else 1.0
+
+        with pytest.raises(SeriesOverflowError):
+            reflecting._quad(f, 1.0, "bad")
+        assert len(calls) == 21
+
+    @pytest.mark.parametrize("route", [p_even, r_mean, r_variance])
+    def test_unresolved_integral_raises(self, route, rates_12):
+        # the routes return no value the quadrature could not vouch for
+        with pytest.raises(ConvergenceError):
+            route(0, 1.0, rates_12, q_k0=_unresolvable)
 
 
 class TestLaplaceRoots:

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altbd import specfun
+from altbd import bilateral, oracle, reflecting, specfun
 from altbd.specfun import (
     ConvergenceError,
     DomainError,
@@ -138,6 +138,13 @@ class TestHyp1f2:
         with pytest.raises(ConvergenceError):
             hyp1f2(0.5, 1.0, 1.0, 500.0)
 
+    @pytest.mark.parametrize("a, b1", [(0.5, 1.5), (-0.5, 0.5)])
+    def test_overflow_is_named(self, a, b1):
+        # past the float range the sum is +-inf, reported as an overflow
+        # rather than returned
+        with pytest.raises(SeriesOverflowError):
+            hyp1f2(a, b1, 1.0, 3e5)
+
 
 class TestSumSeries:
     def test_stops_after_two_settled_small_terms(self, monkeypatch):
@@ -169,3 +176,27 @@ class TestSumSeries:
         assert exc.value.terms == 2
         assert "bad overflowed" in str(exc.value)
 
+
+_RATES = bilateral.Rates(1.0, 2.0)
+TIME_ENTRY_POINTS = {
+    "TransitionQuery": lambda t: bilateral.TransitionQuery(0, 1, t),
+    "pgf": lambda t: bilateral.pgf(0, 1.0, t, _RATES),
+    "mean": lambda t: bilateral.mean(0, t, _RATES),
+    "variance": lambda t: bilateral.variance(0, t, _RATES),
+    "q00": lambda t: reflecting.q00(t, _RATES),
+    "q10_series": lambda t: reflecting.q10_series(t, _RATES),
+    "q10_integral": lambda t: reflecting.q10_integral(t, _RATES),
+    "p_even": lambda t: reflecting.p_even(0, t, _RATES),
+    "r_mean": lambda t: reflecting.r_mean(0, t, _RATES),
+    "r_variance": lambda t: reflecting.r_variance(0, t, _RATES),
+    "default_window": lambda t: oracle.default_window("bilateral", _RATES, 0, t),
+    "uniformize": lambda t: oracle.uniformize(oracle.TruncatedChain("bilateral", -2, 2, _RATES), 0, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_every_time_argument_is_checked_alike(name, t):
+    # one check (specfun._check_time) with one message serves every entry point
+    with pytest.raises(DomainError, match=r"^t must be finite and >= 0, got "):
+        TIME_ENTRY_POINTS[name](t)
