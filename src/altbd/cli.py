@@ -44,8 +44,8 @@ class TimeGrid(click.ParamType):
             self.fail("count must be >= 1", param, ctx)
         if count > 1 and not stop > start:
             self.fail("grid must be strictly increasing (stop > start)", param, ctx)
-        if start < 0:
-            self.fail("times must be >= 0", param, ctx)
+        if not (start >= 0 and np.isfinite((start, stop)).all()):
+            self.fail("times must be finite and >= 0", param, ctx)
         return np.linspace(start, stop, count)
 
 

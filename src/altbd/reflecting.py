@@ -241,8 +241,8 @@ def q00(t: float, rates: Rates) -> float:
 
     def terms():
         for k in itertools.count():
-            f1 = _hyp_series((-0.5,), (k + 0.5, k + 1.0), xb, "q00 term")
-            f2 = _hyp_series((-0.5,), (k + 1.0, k + 1.5), xb, "q00 term")
+            f1 = _hyp_series(-0.5, k + 0.5, k + 1.0, xb, "q00 term")
+            f2 = _hyp_series(-0.5, k + 1.0, k + 1.5, xb, "q00 term")
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + r ** (2 * k + 1)
             c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
@@ -258,9 +258,11 @@ def q10_series(t: float, rates: Rates) -> float:
     Series form of the convolution in `q10_integral`, obtained by
     integrating the kernel expansion term by term: four hypergeometric
     families per index n, three of flavour 1F2(1/2; n+u, n+v; a^2 t^2/4)
-    and one 2F3 carrying the b-dependent part.  Terms are accumulated in
-    log space with the same two-consecutive-terms stopping rule as the
-    unrestricted chain's series.
+    and one 2F3 carrying the b-dependent part.  The 1F2s are one sequence
+    H_j = 1F2(1/2; (j+1)/2, (j+2)/2; a^2 t^2/4) at j = 2n, 2n+1, 2n+2; the
+    last is carried to term n+1, so each value is computed once.  Terms are
+    accumulated in log space with the same two-consecutive-terms stopping
+    rule as the unrestricted chain's series.
     """
     _check_time(t)
     if t == 0.0:
@@ -274,11 +276,11 @@ def q10_series(t: float, rates: Rates) -> float:
     r = b / a
 
     def terms():
+        f_low = _hyp_series(0.5, 0.5, 1.0, xa, "q10 term")
         for n in itertools.count():
-            f_mid = _hyp_series((0.5,), (n + 1.0, n + 1.5), xa, "q10 term")
-            f_low = _hyp_series((0.5,), (n + 0.5, n + 1.0), xa, "q10 term")
-            f_high = _hyp_series((0.5,), (n + 1.5, n + 2.0), xa, "q10 term")
-            f_b = _hyp_series((0.5, 1.0), (2.0, n + 1.5, n + 2.0), xb, "q10 term")
+            f_mid = _hyp_series(0.5, n + 1.0, n + 1.5, xa, "q10 term")
+            f_high = _hyp_series(0.5, n + 1.5, n + 2.0, xa, "q10 term")
+            f_b = _hyp_series(0.5, n + 1.5, n + 2.0, xb, "q10 term", c=2.0)
             scale = math.exp(
                 2 * n * lt
                 + (2 * n + 2) * la
@@ -295,24 +297,19 @@ def q10_series(t: float, rates: Rates) -> float:
                 + 0.5 * b * b * tsq * f_b
             )
             yield term, 2 * n >= a * t
+            f_low = f_high
 
     total = _sum_series(terms(), "q10 series")
     return min(max(total / (2.0 * lam * (a + b)), 0.0), 1.0)
 
 
-def _bessel_ratio_i1(z: float) -> float:
-    """I_1(z)/z for z >= 0, with the removable point at zero -> 1/2."""
-    if z < 1e-6:
-        return 0.5 + z * z / 16.0
-    return bessel_i(1, z) / z
-
-
 def _kernel_m(g: float, u: float) -> float:
-    """g^2 I_1(gu)/(gu); even in g and identically zero for g = 0."""
-    if g == 0.0:
-        return 0.0
-    g = abs(g)
-    return g * g * _bessel_ratio_i1(g * u)
+    """g^2 I_1(gu)/(gu) for u >= 0; even in g, zero for g = 0, and I_1(z)/z
+    is continued through its removable point z = 0 by its series."""
+    z = abs(g) * u
+    if z < 1e-6:
+        return g * g * (0.5 + z * z / 16.0)
+    return g * g * (bessel_i(1, z) / z)
 
 
 def _companion(s: float, a: float, b: float) -> float:
@@ -321,8 +318,9 @@ def _companion(s: float, a: float, b: float) -> float:
     a(I0+I1)(as) plus b times (one plus the running integral of that term)
     plus the even-in-b primitive of b I1(bs)/s; equals 2*lam at s = 0.
     """
-    ga = a * (bessel_i(0, a * s) + bessel_i(1, a * s))
-    int_ga = a * s * hyp1f2(0.5, 1.5, 1.0, a * a * s * s / 4.0) + bessel_i(0, a * s) - 1.0
+    i0 = bessel_i(0, a * s)
+    ga = a * (i0 + bessel_i(1, a * s))
+    int_ga = a * s * hyp1f2(0.5, 1.5, 1.0, a * a * s * s / 4.0) + i0 - 1.0
     mb = 0.5 * b * b * s * hyp1f2(0.5, 1.5, 2.0, b * b * s * s / 4.0)
     return ga + b * (1.0 + int_ga) + mb
 
@@ -358,6 +356,11 @@ def _default_q_k0(k: int, rates: Rates):
     )
 
 
+def _relaxed(q_k0, a: float, t: float, what: str) -> float:
+    """W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du, as in `p_even`."""
+    return _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t, what)
+
+
 def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     """Probability that the reflected chain sits in an even state at time t.
 
@@ -378,7 +381,7 @@ def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     if t == 0.0:
         return mu / a + c
-    conv = _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t, "p_even quadrature")
+    conv = _relaxed(q_k0, a, t, "p_even quadrature")
     return mu / a + c * math.exp(-2.0 * a * t) + lam * conv
 
 
@@ -402,7 +405,9 @@ def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
     quadratures of the return probability remain:
 
         int_0^t P_k = mu/a t + c (1-e^(-2at))/(2a)
-                      + lam/(2a) int_0^t q_{k,0}(u) (1 - e^(-2a(t-u))) du.
+                      + lam/(2a) int_0^t q_{k,0}(u) (1 - e^(-2a(t-u))) du,
+
+    the last integral being int_0^t q_{k,0} less the W(t) of `p_even`.
     """
     _check_time(t)
     lam, mu = rates.lam, rates.mu
@@ -412,9 +417,7 @@ def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
     if t == 0.0:
         return 0.0
     occ = _quad(q_k0, t, "r_variance quadrature")
-    weighted = _quad(
-        lambda u: q_k0(u) * (1.0 - math.exp(-2.0 * a * (t - u))), t, "r_variance quadrature"
-    )
+    weighted = occ - _relaxed(q_k0, a, t, "r_variance quadrature")
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     int_p = mu / a * t + c * (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a) + lam / (2.0 * a) * weighted
     return 2.0 * (lam - mu) * int_p - lam * (2 * k + 1) * occ - lam * lam * occ * occ + 2.0 * mu * t

@@ -3,10 +3,12 @@
 Everything here is evaluated by direct power series with a running
 term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
-The outer series of the closed forms (the bilateral transition series, q00
-and q10) are summed by the shared accumulator `_sum_series`; the two kernels
-here keep inline loops because their terms cost about as much as a
-generator step.  All functions are pure and reentrant.
+Three loops sum everything: `_sum_series`, the accumulator of the outer
+series of the closed forms (the bilateral series, q00 and q10); the
+fixed-shape `_hyp_series`, which gives every 1F2 and the one 2F3 of
+`q10_series`; and `bessel_i`'s own, kept because `_hyp_series` as a 0F1
+took 1.6 times as long per call (orders 0 and 1, x up to 60) and moved
+values by up to 2e-15.  All functions are pure and reentrant.
 
 Every series, here and in the closed forms, truncates by the same fixed
 rule: stop after two consecutive terms below SERIES_REL_TOL relative to the
@@ -144,26 +146,18 @@ def bessel_i(order: int, x: float) -> float:
     return total
 
 
-def _hyp_series(nums, dens, x: float, name: str = "hyp") -> float:
-    """Generalized hypergeometric sum with one-step Pochhammer recurrence.
-
-    Sums sum_m [prod (u)_m / prod (d)_m] x^m / m! for the upper-parameter
-    tuple `nums` and lower-parameter tuple `dens`.  Stops on two consecutive
-    terms below rel_tol once the term ratio has dropped under 1/2, at which
-    point the omitted tail is below 2|next term|.
+def _hyp_series(a: float, b1: float, b2: float, x: float, name: str, c: float = 1.0) -> float:
+    """sum_m (a)_m x^m / ((c)_m (b1)_m (b2)_m), each term the last times
+    x (a+m) / ((c+m)(b1+m)(b2+m)): 1F2(a; b1, b2; x) at c = 1, and at c = 2
+    the 2F3(a, 1; 2, b1, b2; x) of `q10_series`.  Stops on two consecutive
+    terms below SERIES_REL_TOL once the term ratio has dropped under 1/2,
+    at which point the omitted tail is below 2|next term|.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
-    term = 1.0
-    total = 1.0
+    term = total = 1.0
     small = 0
     for m in range(max_terms):
-        num = x
-        for u in nums:
-            num *= u + m
-        den = m + 1.0
-        for d in dens:
-            den *= d + m
-        ratio = num / den
+        ratio = x * (a + m) / ((c + m) * (b1 + m) * (b2 + m))
         term *= ratio
         total += term
         if abs(term) <= rel_tol * abs(total) and abs(ratio) < 0.5:
@@ -176,21 +170,23 @@ def _hyp_series(nums, dens, x: float, name: str = "hyp") -> float:
 
 
 def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
-    """Generalized hypergeometric function 1F2(a; b1, b2; x).
+    """Generalized hypergeometric function 1F2(a; b1, b2; x) for x >= 0.
 
-    The series is entire in x; negative `a` (the closed forms use a = -1/2
-    and a = 1/2) needs no special casing because the term recurrence carries
-    the sign.  Lower parameters at zero or a negative integer would hit a
-    pole and are rejected.  Raises SeriesOverflowError once the sum is past
-    the float range (1F2(1/2; 3/2, 1; x) overflows near x = 1.3e5).
+    Negative `a` (the closed forms use a = -1/2 and a = 1/2) needs no
+    special casing because the term recurrence carries the sign.  A lower
+    parameter at a pole (zero or a negative integer) and a negative x raise
+    DomainError: at x < 0 cancellation ruins the alternating sum, and every
+    x of the closed forms is a square over 4.  Raises SeriesOverflowError
+    once the sum is past the float range (1F2(1/2; 3/2, 1; x) overflows
+    near x = 1.3e5).
     """
     for b in (b1, b2):
         if b == 0.0 or (b < 0.0 and b == int(b)):
             raise DomainError(f"lower parameter {b} is zero or a negative integer")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     name = f"hyp1f2({a},{b1},{b2})"
-    v = _hyp_series((a,), (b1, b2), x, name)
+    v = _hyp_series(a, b1, b2, x, name)
     # checked once, not per term: an overflowed sum comes back as +-inf
     if not math.isfinite(v):
         raise SeriesOverflowError(f"{name}({x}) overflowed", v, 0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestProb:
             ["prob", "--lambda", "1", "--mu", "2", "--from", "0", "--to", "0", "--t", "5:1:10"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:1", "inf:inf:1"])
+    def test_non_finite_grid_rejected(self, runner, grid):
+        # a usage error before any numerics run, not a numpy warning followed
+        # by a numeric failure
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "0", "--t", grid]
+            )
+        assert result.exit_code == 2
+        assert "times must be finite" in result.output
+        assert "Warning" not in result.output
+        assert not caught
 
     def test_numeric_failure_exit_code(self, runner):
         # at (lambda+mu)t = 60000 the series peaks past its 10,000-term cap

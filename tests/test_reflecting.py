@@ -261,6 +261,54 @@ class TestQ10:
             assert q10_series(100.0, rates) < 0.1
             assert q10_series(100.0, rates) < q10_series(40.0, rates) < q10_series(10.0, rates)
 
+    @pytest.mark.parametrize("t", [0.3, 5.0, 17.0])
+    def test_series_computes_each_value_once(self, monkeypatch, t):
+        # the H_{2n+2} of term n is reused as the H_{2n} of term n+1, so each
+        # outer term costs three kernel sums, plus one for H_0
+        kernel_calls, outer_terms = [], []
+        real_kernel, real_sum = reflecting._hyp_series, reflecting._sum_series
+
+        def kernel(*args, **kwargs):
+            kernel_calls.append(args)
+            return real_kernel(*args, **kwargs)
+
+        def sum_series(terms, what):
+            def counted():
+                for item in terms:
+                    outer_terms.append(item)
+                    yield item
+
+            return real_sum(counted(), what)
+
+        monkeypatch.setattr(reflecting, "_hyp_series", kernel)
+        monkeypatch.setattr(reflecting, "_sum_series", sum_series)
+        q10_series(t, Rates(3.0, 0.5))
+        assert len(outer_terms) > 2
+        assert len(kernel_calls) == 3 * len(outer_terms) + 1
+
+    def test_integrand_computes_i0_once(self, monkeypatch):
+        # per node: I_1 in each of the two kernel terms, and I_0 and I_1 of
+        # a*s in the companion, I_0 shared by its two uses
+        bessel_calls, nodes = [], []
+        real_bessel, real_quad = reflecting.bessel_i, reflecting._quad
+
+        def bessel(order, x):
+            bessel_calls.append((order, x))
+            return real_bessel(order, x)
+
+        def quad(f, upper, what):
+            def counted(u):
+                nodes.append(u)
+                return f(u)
+
+            return real_quad(counted, upper, what)
+
+        monkeypatch.setattr(reflecting, "bessel_i", bessel)
+        monkeypatch.setattr(reflecting, "_quad", quad)
+        q10_integral(5.0, Rates(1.0, 2.0))
+        assert nodes
+        assert len(bessel_calls) == 4 * len(nodes)
+
 
 class TestLaplaceConsistency:
     def test_inversion_matches_uniformization_low_states(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +106,7 @@ class TestHyp1f2:
         want = hyp0f1_bruteforce(b2, x)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
-    @pytest.mark.parametrize("x", [-3.0, 0.5, 5.0, 20.0])
+    @pytest.mark.parametrize("x", [0.5, 5.0, 20.0])
     def test_unit_parameters_reduce_to_squared_factorials(self, x):
         # a = b1 cancels, leaving sum x^m / (m!)^2, i.e. 0F1(; 1; x)
         want = sum(x**m / math.factorial(m) ** 2 for m in range(60))
@@ -133,6 +134,13 @@ class TestHyp1f2:
         with pytest.raises(DomainError):
             hyp1f2(0.5, 1.0, 1.0, float("inf"))
 
+    @pytest.mark.parametrize("x", [-1e-3, -3.0, -1e3])
+    def test_negative_x_is_rejected(self, x):
+        # the alternating sum cancels catastrophically (at x = -1e3 the direct
+        # sum is off by five orders of magnitude); no closed form passes x < 0
+        with pytest.raises(DomainError, match=r"x must be finite and >= 0"):
+            hyp1f2(0.5, 1.5, 1.0, x)
+
     def test_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 4)
         with pytest.raises(ConvergenceError):
@@ -144,6 +152,32 @@ class TestHyp1f2:
         # rather than returned
         with pytest.raises(SeriesOverflowError):
             hyp1f2(a, b1, 1.0, 3e5)
+
+
+def hyp2f3_exact(n, x):
+    """Independent oracle: 2F3(1/2, 1; 2, n+3/2, n+2; x) in exact rationals."""
+    x = Fraction(x)
+    a, b1, b2 = Fraction(1, 2), Fraction(2 * n + 3, 2), Fraction(n + 2)
+    term = total = Fraction(1)
+    for m in itertools.count():
+        # the definition's ratio: upper parameters a and 1, lower 2, b1, b2, and m!
+        ratio = x * (a + m) * (1 + m) / ((2 + m) * (b1 + m) * (b2 + m) * (m + 1))
+        term *= ratio
+        total += term
+        # positive terms with ratios falling below 1/2: the tail is < term
+        if ratio < Fraction(1, 2) and term < total * Fraction(1, 10**30):
+            return float(total)
+
+
+class TestHypSeries:
+    @pytest.mark.parametrize("n", [0, 1, 3, 10, 40])
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 3.0, 50.0, 400.0, 5000.0])
+    def test_c2_is_the_q10_2f3(self, n, x):
+        # c = 2 turns the 1F2 kernel into the 2F3 of q10_series; the (1)_m of
+        # its upper parameter 1 cancels the m! of the series
+        got = specfun._hyp_series(0.5, n + 1.5, n + 2.0, x, "2F3", c=2.0)
+        want = hyp2f3_exact(n, x)
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestSumSeries:
