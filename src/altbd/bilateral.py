@@ -4,7 +4,9 @@ The chain jumps to either neighbour at rate `lam` from even states and at
 rate `mu` from odd states.  Closed forms implemented here: the even/odd
 probability generating functions, the transition-probability double series
 (two even-start parity cases; an odd start is an even one with the rates
-swapped), and the first two moments.
+swapped), and the first two moments.  Each transition probability is one
+series (`_series`): an odd target's two inner offsets are summed in the same
+pass over n.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .specfun import DomainError, _check_time, _sum_series
@@ -55,13 +58,22 @@ class Rates:
 
 @dataclass(frozen=True)
 class TransitionQuery:
-    """One transition probability: start in `from_state`, end in `to_state` at time t."""
+    """One transition probability: start in `from_state`, end in `to_state` at time t.
+
+    States are integers (anything `operator.index` accepts, stored as int).
+    """
 
     from_state: int
     to_state: int
     t: float
 
     def __post_init__(self):
+        for name in ("from_state", "to_state"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         _check_time(self.t)
 
 
@@ -158,48 +170,44 @@ def _inner_logs(d: int, x: float):
         )
 
 
-def _series_same_parity(rate: float, x: float, d: int, c: float, t: float, a: float) -> float:
-    """sum_{n>=d} [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(d, x), times e^(-at).
+def _series(rate: float, x: float, d: int, t: float, a: float, c: float | None) -> float:
+    """e^(-at) times the outer series of one transition probability; rt = rate*t.
 
-    S_n is the inner binomial sum; rt = rate*t.  Both the even and the odd
-    part of each term share S_n, so the odd part is the even one times
-    c*rt/(2n+1).
+    For an even target (c given) it is
+        sum_{n>=d} [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(d, x),
+    whose even and odd parts share S_n, so the odd part is the even one
+    times c*rt/(2n+1).  For an odd target (c None) it is
+        sum_{n>=d} (rt)^{2n+1}/(2n+1)! [ S_n(d, x) + S_n(d+1, x) ],
+    both offsets in one pass: S_(d+1) joins at n = d+1 (S_d(d+1, x) = 0).
     """
     rt = rate * t
-    if rt == 0.0:  # rate*t underflowed, so every term past the leading one is exactly 0
-        return math.exp(-a * t) if d == 0 else 0.0
+    if rt == 0.0:  # rate*t underflowed: every term but an even target's e^(-at) S_0(0, x) is exactly 0
+        return math.exp(-a * t) if d == 0 and c is not None else 0.0
     lrt = math.log(rt)
 
     def terms():
+        upper = itertools.chain([-math.inf], _inner_logs(d + 1, x)) if c is None else None
         for n, log_s in enumerate(_inner_logs(d, x), d):
-            base = math.exp(2 * n * lrt - math.lgamma(2 * n + 1) + log_s - a * t)
+            if c is None:
+                term = math.exp((2 * n + 1) * lrt - math.lgamma(2 * n + 2) + log_s - a * t)
+                term *= 1.0 + math.exp(next(upper) - log_s)
+            else:
+                base = math.exp(2 * n * lrt - math.lgamma(2 * n + 1) + log_s - a * t)
+                term = base * (1.0 + c * rt / (2 * n + 1))
             # settled only past the Poisson-weight peak at 2n ~ at, where
             # terms decay faster than geometrically
-            yield base * (1.0 + c * rt / (2 * n + 1)), n >= d + 5 and 2 * n >= a * t
-
-    return _sum_series(terms(), "transition series (same parity)")
-
-
-def _series_cross_parity(rate: float, x: float, d: int, t: float, a: float) -> float:
-    """sum_{n>=d} (rt)^{2n+1}/(2n+1)! S_n(d, x), times e^(-at)."""
-    rt = rate * t
-    if rt == 0.0:  # rate*t underflowed, so every term is exactly 0
-        return 0.0
-    lrt = math.log(rt)
-
-    def terms():
-        for n, log_s in enumerate(_inner_logs(d, x), d):
-            term = math.exp((2 * n + 1) * lrt - math.lgamma(2 * n + 2) + log_s - a * t)
             yield term, n >= d + 5 and 2 * n >= a * t
 
-    return _sum_series(terms(), "transition series (cross parity)")
+    return _sum_series(terms(), "transition series (cross parity)" if c is None else "transition series (same parity)")
 
 
 def transition_prob(q: TransitionQuery, rates: Rates) -> float:
     """Probability of moving from q.from_state to q.to_state in time q.t.
 
-    Dispatches on the parity of the target state to the two even-start
-    double-series closed forms; odd starts are reduced to even ones first.
+    Odd starts are reduced to even ones first; then the parity of the target
+    picks one of the two even-start double-series closed forms, and each
+    call sums exactly one series.  An odd target's two offsets, |d| and
+    |d+1|, are the consecutive pair (m, m+1), summed in one pass.
     """
     if q.t == 0.0:
         return 1.0 if q.from_state == q.to_state else 0.0
@@ -212,9 +220,9 @@ def transition_prob(q: TransitionQuery, rates: Rates) -> float:
     d = n // 2 - k // 2
     x = mu / lam
     if _is_even(n):
-        v = _series_same_parity(lam, x, abs(d), (mu - lam) / lam, q.t, a)
+        v = _series(lam, x, abs(d), q.t, a, (mu - lam) / lam)
     else:
-        v = _series_cross_parity(lam, x, abs(d), q.t, a) + _series_cross_parity(lam, x, abs(d + 1), q.t, a)
+        v = _series(lam, x, min(abs(d), abs(d + 1)), q.t, a, None)
     # guard against sub-eps excursions outside [0, 1]
     return min(max(v, 0.0), 1.0)
 

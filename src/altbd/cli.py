@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric/convergence failure,
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -52,9 +53,17 @@ class TimeGrid(click.ParamType):
 TIME_GRID = TimeGrid()
 
 
+def _positive_rate(ctx, param, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise click.BadParameter(f"must be strictly positive and finite, got {value}")
+    return value
+
+
 def _rate_options(f):
-    f = click.option("--lambda", "lam", type=float, required=True, help="jump rate out of even states")(f)
-    f = click.option("--mu", "mu", type=float, required=True, help="jump rate out of odd states")(f)
+    f = click.option("--lambda", "lam", type=float, required=True, callback=_positive_rate,
+                     help="jump rate out of even states")(f)
+    f = click.option("--mu", "mu", type=float, required=True, callback=_positive_rate,
+                     help="jump rate out of odd states")(f)
     return f
 
 
@@ -213,7 +222,7 @@ def reflect(lam, mu, from_state, grid, method, out):
               show_default=True)
 @click.option("--from", "from_state", type=int, required=True, help="initial state")
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="sample times")
-@click.option("--paths", type=int, default=10_000, show_default=True, help="replicate count")
+@click.option("--paths", type=click.IntRange(min=1), default=10_000, show_default=True, help="replicate count")
 @click.option("--seed", type=int, default=0, show_default=True, help="reproducibility seed")
 @_out_option
 def simulate(lam, mu, process, from_state, grid, paths, seed, out):

@@ -164,16 +164,14 @@ def _quad(f, t: float, what: str) -> float:
 
 @dataclass(frozen=True)
 class LaplaceRoots:
-    """Square roots A, B and the biquadratic roots psi1^2 > 1 > psi2^2 > 0.
+    """The biquadratic roots psi1^2 > 1 > psi2^2 > 0.
 
-    A^2 = (a+s)^2 - a^2 and B^2 = (a+s)^2 - b^2; the squared roots satisfy
-    psi1^2 * psi2^2 = 1 (the biquadratic has equal leading and trailing
-    coefficients).
+    With A^2 = (a+s)^2 - a^2 and B^2 = (a+s)^2 - b^2, psi1^2 = (A+B)^2/(a^2-b^2)
+    and psi2^2 = (A-B)^2/(a^2-b^2); each is computed on its own, and their
+    product is 1 (the biquadratic has equal leading and trailing
+    coefficients), which `verify` checks.
     """
 
-    s: float
-    a_term: float
-    b_term: float
     psi1_sq: float
     psi2_sq: float
 
@@ -194,7 +192,7 @@ def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
         raise DomainError(f"s must be strictly positive, got {s}")
     A, B, psi2 = _roots_any(s, rates)
     psi1 = (A + B) ** 2 / (rates.total**2 - rates.diff**2)
-    return LaplaceRoots(s=s, a_term=A, b_term=B, psi1_sq=psi1, psi2_sq=psi2)
+    return LaplaceRoots(psi1_sq=psi1, psi2_sq=psi2)
 
 
 def pi_1n(s, n: int, rates: Rates):

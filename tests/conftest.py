@@ -44,9 +44,10 @@ def oracle_prob(kind, rates, k, n, t, eps=1e-12):
 
 
 def mis_index_cross_parity(monkeypatch):
-    """Shift the offset d of every cross-parity series by one: a
-    transcription slip in the closed form that the cross checks must catch."""
-    series = bilateral._series_cross_parity
+    """Shift every cross-parity offset up by one (an odd target sums
+    S_(m+1) + S_(m+2) in place of S_m + S_(m+1)): a transcription slip in
+    the closed form that the cross checks must catch."""
+    series = bilateral._series
     monkeypatch.setattr(
-        bilateral, "_series_cross_parity", lambda rate, x, d, t, a: series(rate, x, d + 1, t, a)
+        bilateral, "_series", lambda rate, x, d, t, a, c: series(rate, x, d + (c is None), t, a, c)
     )

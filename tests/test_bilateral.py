@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,43 @@ def exact_log_inner(n, d, x: Fraction) -> float:
         power *= small
         c = c * (n - k) * (n - d - k) // ((k + 1) * (k + d + 1))  # exact: c_(k+1) is an integer
     return math.log(acc) + d * (math.log(a) - math.log(b)) - 2 * (n - d) * math.log(b)
+
+
+def mp_transition_prob(k, n, t, lam, mu):
+    """p_(k,n)(t) from the paper's even-start double series at 50 digits.
+
+    An odd start is an even one with the rates swapped.  The inner sums
+    S_j(d, x) come from their exact three-term recurrence in mpmath, and an
+    odd target's two offsets |d| and |d+1| are summed as two separate series.
+    Each term is at most the Poisson(at) weight of 2j (S_j(d, x) <= (1+x)^(2j)),
+    so summing to 20 standard deviations past the mean leaves no visible tail.
+    """
+    with mpmath.workdps(50):
+        if k % 2:
+            lam, mu, k, n = mu, lam, k - 1, n - 1
+        lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+        a, x, lt = lam + mu, mu / lam, lam * t
+        top = int(a * t + 20 * mpmath.sqrt(a * t) + 40) // 2 + 1
+        d = n // 2 - k // 2
+
+        def inner(d):
+            # S_(d-1) = 0, S_d = x^d, then
+            # (j+1-d)(j+1+d) S_(j+1) = (j+1) [(2j+1)(1+x^2) S_j - j(1-x^2)^2 S_(j-1)]
+            s = [mpmath.mpf(0), x**d]
+            for j in range(d, top):
+                s.append((j + 1) * ((2 * j + 1) * (1 + x * x) * s[-1] - j * (1 - x * x) ** 2 * s[-2])
+                         / ((j + 1 - d) * (j + 1 + d)))
+            return dict(zip(range(d, top + 1), s[1:]))
+
+        def weight(m):
+            return lt**m / mpmath.factorial(m)
+
+        if n % 2 == 0:
+            c = (mu - lam) / lam
+            total = sum((weight(2 * j) + c * weight(2 * j + 1)) * s for j, s in inner(abs(d)).items())
+        else:
+            total = sum(weight(2 * j + 1) * s for e in (abs(d), abs(d + 1)) for j, s in inner(e).items())
+        return float(mpmath.exp(-a * t) * total)
 
 
 class TestInnerSum:
@@ -143,6 +181,21 @@ class TestPgf:
                 assert total == pytest.approx(pair.total, abs=1e-9)
 
 
+class TestTransitionQuery:
+    @pytest.mark.parametrize("state", [0.5, 1.5, "1"])
+    @pytest.mark.parametrize("field", ["from_state", "to_state"])
+    def test_non_integer_state_rejected(self, field, state):
+        states = {"from_state": 0, "to_state": 1, field: state}
+        with pytest.raises(DomainError, match=field):
+            TransitionQuery(t=1.0, **states)
+
+    def test_numpy_integer_state_accepted(self, rates_12):
+        q = TransitionQuery(np.int64(0), np.int64(3), 1.0)
+        assert (q.from_state, q.to_state) == (0, 3)
+        assert type(q.from_state) is int and type(q.to_state) is int
+        assert transition_prob(q, rates_12) == p(0, 3, 1.0, rates_12)
+
+
 class TestTransitionProb:
     def test_kronecker_at_zero(self, rates_12):
         assert p(3, 3, 0.0, rates_12) == 1.0
@@ -196,6 +249,24 @@ class TestTransitionProb:
         t = horizon / (2.0 * max(rates.lam, rates.mu))
         want = oracle_prob("bilateral", rates, k, k + shift, t)
         assert abs(p(k, k + shift, t, rates) - want) <= 1e-10
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, -3), (1, 4), (0, 0), (-1, -1)])
+    def test_one_series_per_probability(self, k, n, rates_12, monkeypatch):
+        # an odd target sums both of its offsets in one pass
+        calls = []
+        sum_series = bilateral._sum_series
+        monkeypatch.setattr(bilateral, "_sum_series", lambda terms, what: calls.append(what) or sum_series(terms, what))
+        p(k, n, 2.5, rates_12)
+        parity = "same" if (n - k) % 2 == 0 else "cross"
+        assert calls == [f"transition series ({parity} parity)"]
+
+    @pytest.mark.parametrize("t", [0.3, 5.0, 40.0])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 2.0), (0.5, 3.0), (10.0, 0.01), (0.01, 10.0), (1.0, 1.0001)])
+    def test_matches_mpmath_reference(self, lam, mu, t):
+        rates = Rates(lam, mu)
+        for k, n in ((0, 0), (0, 1), (0, -3), (1, 1), (1, 4), (2, -2)):
+            want = mp_transition_prob(k, n, t, lam, mu)
+            assert abs(p(k, n, t, rates) - want) <= 1e-12, (k, n, want)
 
     def test_parity_reflection_about_start(self, rates_12):
         # displacement distribution is symmetric for every start

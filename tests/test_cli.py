@@ -62,6 +62,16 @@ class TestProb:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option, value", [("--lambda", "-1"), ("--mu", "0"), ("--lambda", "nan"), ("--mu", "inf")])
+    def test_invalid_rate_is_usage_error(self, runner, option, value):
+        rates = {"--lambda": "1", "--mu": "2", option: value}
+        result = runner.invoke(
+            cli.main,
+            ["prob", *(w for kv in rates.items() for w in kv), "--from", "0", "--to", "1", "--t", "0:1:3"],
+        )
+        assert result.exit_code == 2
+        assert option in result.output and "strictly positive and finite" in result.output
+
     @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:1", "inf:inf:1"])
     def test_non_finite_grid_rejected(self, runner, grid):
         # a usage error before any numerics run, not a numpy warning followed
@@ -196,6 +206,14 @@ class TestSimulate:
         a = runner.invoke(cli.main, self.ARGS)
         b = runner.invoke(cli.main, self.ARGS)
         assert a.output == b.output
+
+    def test_zero_paths_is_usage_error(self, runner):
+        result = runner.invoke(
+            cli.main,
+            ["simulate", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "0.5:1:2", "--paths", "0"],
+        )
+        assert result.exit_code == 2
+        assert "--paths" in result.output
 
     def test_reflected_nonnegative_states(self, runner):
         result = runner.invoke(
