@@ -25,11 +25,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
-from .specfun import DomainError, _check_time, _sum_series
+from .specfun import DomainError, SeriesOverflowError, _check_time, _sum_series
 
 __all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "mean", "variance"]
+
+# the largest x with e^x in the float range
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -105,30 +109,29 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
 
     F_k carries the even states and G_k the odd states of the chain started
     at k.  Requires z > 0: the closed forms divide by z and by the
-    square-root helper h(z).  cosh/sinh of t*h(z)/z are folded together with
-    the overall e^(-(lam+mu)t) factor so large t cannot overflow
-    intermediates when the result itself is in range.
+    square-root helper h(z).  z^k and cosh/sinh of t*h(z)/z are folded
+    together with the overall e^(-(lam+mu)t) factor in log space, so nothing
+    overflows unless F or G itself is out of the float range; there
+    SeriesOverflowError names the arguments.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"z must be strictly positive and finite, got {z}")
     _check_time(t)
     lam, mu = rates.lam, rates.mu
-    a = rates.total
     h = math.sqrt((mu * z * z + lam) * (lam * z * z + mu))
     theta = t * h / z
-    # e^(-at) cosh(theta) and e^(-at) sinh(theta), computed without forming e^theta
-    ep = math.exp(theta - a * t)
-    em = math.exp(-theta - a * t)
-    ch = 0.5 * (ep + em)
-    sh = 0.5 * (ep - em)
-    zk = z**k
+    # F and G are z^k e^(theta - at) times these brackets of e^(-theta) cosh and sinh
+    ch = 0.5 * (1.0 + math.exp(-2.0 * theta))
+    sh = -0.5 * math.expm1(-2.0 * theta)
     if _is_even(k):
-        f = zk * (ch + (mu - lam) * z / h * sh)
-        g = zk * lam * (z * z + 1.0) / h * sh
+        f, g = ch + (mu - lam) * z / h * sh, lam * (z * z + 1.0) / h * sh
     else:
-        f = zk * mu * (z * z + 1.0) / h * sh
-        g = zk * (ch + (lam - mu) * z / h * sh)
-    return PgfPair(f=f, g=g, h=h)
+        f, g = mu * (z * z + 1.0) / h * sh, ch + (lam - mu) * z / h * sh
+    log_scale = k * math.log(z) + theta - rates.total * t
+    logs = [log_scale + math.log(v) if v > 0.0 else -math.inf for v in (f, g)]
+    if not all(v <= _LOG_MAX for v in logs):  # also false for NaN
+        raise SeriesOverflowError(f"pgf at k={k}, z={z!r}, t={t!r} is out of the float range", math.inf, 0)
+    return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]), h=h)
 
 
 def _inner_logs(d: int, x: float):
@@ -248,5 +251,8 @@ def variance(k: int, t: float, rates: Rates) -> float:
     _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
-    c = lam * (lam - mu) if _is_even(k) else mu * (mu - lam)
-    return 4.0 * lam * mu / a * t + c / (a * a) * (1.0 - math.exp(-2.0 * a * t))
+    c = lam / a * ((lam - mu) / a) if _is_even(k) else mu / a * ((mu - lam) / a)
+    v = 4.0 * lam * (mu / a) * t + c * (1.0 - math.exp(-2.0 * a * t))
+    if not math.isfinite(v):
+        raise SeriesOverflowError(f"variance at t={t!r} is out of the float range", v, 0)
+    return v

@@ -15,7 +15,7 @@ ever validated against itself:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class SimResult:
     var: np.ndarray
     var_se: np.ndarray
     paths: int
-    states: np.ndarray = field(default=None)
+    states: np.ndarray
 
 
 def _uniformized_step(chain: TruncatedChain):

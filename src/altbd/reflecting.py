@@ -10,15 +10,12 @@ Implemented routes:
   (`q00`, and `q10_series` / `q10_integral` as two independent evaluations
   of the same function);
 * occupation of the even states and the first two moments (`p_even`,
-  `r_mean`, `r_variance`), expressed through the return probability.
+  `r_mean`, `r_variance`) from starts 0 and 1, closed formulas in two
+  integrals of the return probability that `_occupation` takes from the
+  transform by one contour sum, with no reach limit in t.
 
-`q10_integral`, `p_even`, `r_mean` and `r_variance` integrate over [0, t]
-with one routine, `_quad`: QUADPACK's 21-point Gauss-Kronrod rule with
-bisection of the worst panel, at most 200 panels, to 1e-10 absolute or
-relative.  It has one convergence policy for all four: return a value that
-met the tolerance, or raise ConvergenceError (cap reached) or
-SeriesOverflowError (a non-finite value).  Only the standard library is
-needed.
+`q10_integral` integrates with `_quad`, QUADPACK's 21-point Gauss-Kronrod
+rule, so only the standard library is needed.
 
 Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 """
@@ -54,7 +51,7 @@ __all__ = [
     "r_variance",
 ]
 
-# absolute and relative tolerance of every adaptive quadrature here
+# absolute and relative tolerance of the adaptive quadrature
 _QUAD_TOL = 1e-10
 # most panels one quadrature may bisect [0, t] into
 _QUAD_PANELS = 200
@@ -162,6 +159,15 @@ def _quad(f, t: float, what: str) -> float:
         panels.append(right)
 
 
+# Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007): the N = 32
+# midpoints theta_j of (-pi, pi) on z = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)
+# give f(t) = (1/t) Re sum_j w_j F(z_j/t), w_j = 2 e^(z_j) z'(theta_j)/(N i), summed
+# over theta_j > 0 only: F is real on the real axis, so the rest are conjugates.
+_CONTOUR_THETA = [math.pi * (2 * j + 1) / 32 for j in range(16)]
+_CONTOUR_NODES = [32 * complex(0.1309 - 0.1194 * th * th, 0.25 * th) for th in _CONTOUR_THETA]
+_CONTOUR_WEIGHTS = [-2j * cmath.exp(z) * complex(-0.2388 * th, 0.25) for z, th in zip(_CONTOUR_NODES, _CONTOUR_THETA)]
+
+
 @dataclass(frozen=True)
 class LaplaceRoots:
     """The biquadratic roots psi1^2 > 1 > psi2^2 > 0.
@@ -176,48 +182,53 @@ class LaplaceRoots:
     psi2_sq: float
 
 
-def _roots_any(s, rates: Rates):
-    """A, B, psi2^2 for real s > 0 or complex s with positive real part."""
-    a, b = rates.total, rates.diff
+def _roots(s, rates: Rates):
+    """A and B of A^2 = (a+s)^2 - a^2, B^2 = (a+s)^2 - b^2, principal for Re s > 0; factored
+    so that nothing squares s and both are analytic off (-inf, 0], where each factor's cut lies."""
     sqrt = cmath.sqrt if isinstance(s, complex) else math.sqrt
-    A = sqrt((a + s) ** 2 - a * a)
-    B = sqrt((a + s) ** 2 - b * b)
-    psi2 = (A - B) ** 2 / (a * a - b * b)
-    return A, B, psi2
+    return sqrt(s) * sqrt(s + 2.0 * rates.total), sqrt(s + 2.0 * rates.mu) * sqrt(s + 2.0 * rates.lam)
 
 
 def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
-    """Roots of the biquadratic underlying the transform-domain solution."""
+    """Roots of the biquadratic underlying the transform-domain solution;
+    SeriesOverflowError where psi1^2 leaves the float range."""
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be strictly positive, got {s}")
-    A, B, psi2 = _roots_any(s, rates)
-    psi1 = (A + B) ** 2 / (rates.total**2 - rates.diff**2)
-    return LaplaceRoots(psi1_sq=psi1, psi2_sq=psi2)
+    A, B = _roots(s, rates)
+    scale = 2.0 * math.sqrt(rates.lam * rates.mu)  # sqrt(a^2 - b^2)
+    psi1, psi2 = (A + B) / scale, (A - B) / scale
+    if math.isinf(psi1 * psi1):
+        raise SeriesOverflowError(f"psi1^2 overflows at s={s!r}", math.inf, 0)
+    return LaplaceRoots(psi1_sq=psi1 * psi1, psi2_sq=psi2 * psi2)
 
 
 def pi_1n(s, n: int, rates: Rates):
     """Laplace transform of the transition probability 1 -> n of the chain.
 
-    Real s > 0 gives the transform proper; complex s with positive real part
-    is accepted so numerical inversion can walk the Bromwich line.
+    Real s > 0 gives the transform proper, a finite float; complex s with
+    positive real part is accepted so numerical inversion can walk the
+    Bromwich line.
     """
     if n < 0:
         raise DomainError(f"state must be >= 0, got {n}")
-    if isinstance(s, complex):
-        if not s.real > 0.0:
-            raise DomainError(f"Re(s) must be positive, got {s}")
-    elif not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"s must be strictly positive, got {s}")
+    if not (s.real > 0.0 and cmath.isfinite(s)):
+        raise DomainError(f"s must be finite with a positive real part, got {s}")
+    return _pi1n(s, n, rates)
+
+
+def _pi1n(s, n: int, rates: Rates):
+    """pi_1n(s), unchecked, for real s > 0 or complex s off (-inf, 0]."""
     lam, mu = rates.lam, rates.mu
-    A, B, psi2 = _roots_any(s, rates)
-    if n == 0:
-        return ((2.0 * lam + s) * (2.0 * mu + s) - A * B) / (lam * (s * (2.0 * mu + s) + A * B))
-    den = mu * (1.0 - psi2) - s * psi2
+    A, B = _roots(s, rates)
+    if n == 0:  # P - AB = 4 lam mu P/(P + AB), P = (2lam+s)(2mu+s): no cancellation, scaled by s
+        return 4.0 * mu / s / ((1.0 + A / (2.0 * lam + s) * (B / (2.0 * mu + s))) * (2.0 * mu + s + A / s * B))
+    # psi2^2 = rho^2 = 4 lam mu/(A+B)^2 does not cancel; one rho per factor of size s
+    rho = 2.0 * math.sqrt(lam * mu) / (A + B)
+    psi2 = rho * rho
+    den = mu * (1.0 - psi2) - s * rho * rho
     if n % 2 == 0:
-        m = n // 2
-        return (2.0 * mu + s) * (lam + s) * psi2 ** (m + 1) / (lam * lam * den)
-    m = (n + 1) // 2
-    return (lam + s) * psi2**m * (1.0 + psi2) / (lam * den)
+        return (2.0 * mu + s) * rho * ((lam + s) * rho) * psi2 ** (n // 2) / (lam * lam * den)
+    return (lam + s) * rho * rho * psi2 ** ((n - 1) // 2) * (1.0 + psi2) / (lam * den)
 
 
 def q00(t: float, rates: Rates) -> float:
@@ -344,78 +355,71 @@ def q10_integral(t: float, rates: Rates) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _default_q_k0(k: int, rates: Rates):
-    if k == 0:
-        return lambda tau: q00(tau, rates)
-    if k == 1:
-        return lambda tau: q10_series(tau, rates)
-    raise DomainError(
-        f"no closed-form return probability for start {k}; supply q_k0 explicitly"
-    )
+def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
+    """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du for k in {0, 1},
+    from their transforms pi_{k,0}(s)/s and pi_{k,0}(s)/(s + 2a) on one contour;
+    pi_00 = (1 + lam pi_10)/(lam + s) by the first jump out of 0."""
+    _check_time(t)
+    if k not in (0, 1):
+        raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
+    if t == 0.0:
+        return 0.0, 0.0
+    lam, a = rates.lam, rates.total
+    occ = relaxed = 0.0
+    for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS):
+        s = z / t
+        pi = _pi1n(s, 0, rates)
+        if k == 0:
+            pi = (1.0 + lam * pi) / (lam + s)
+        occ += (w * pi / z).real  # (1/t) pi/s
+        relaxed += (w * pi / (z + 2.0 * a * t)).real
+    if not (math.isfinite(occ) and math.isfinite(relaxed)):
+        raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", occ + relaxed, len(_CONTOUR_NODES))
+    return occ, relaxed
 
 
-def _relaxed(q_k0, a: float, t: float, what: str) -> float:
-    """W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du, as in `p_even`."""
-    return _quad(lambda u: math.exp(-2.0 * a * (t - u)) * q_k0(u), t, what)
-
-
-def p_even(k: int, t: float, rates: Rates, q_k0=None) -> float:
+def p_even(k: int, t: float, rates: Rates) -> float:
     """Probability that the reflected chain sits in an even state at time t.
 
     Solves dP/dt = -2(lam+mu) P + lam q_{k,0}(t) + 2 mu with the
     definitional initial condition P(0) = 1 for even k and 0 for odd k:
 
-        P(t) = mu/a + (P(0) - mu/a) e^(-2at) + lam * int_0^t e^(-2a(t-u)) q_{k,0}(u) du.
+        P(t) = mu/a + (P(0) - mu/a) e^(-2at) + lam * int_0^t e^(-2a(t-u)) q_{k,0}(u) du,
 
-    `q_k0` supplies the return probability; by default the closed forms for
-    k in {0, 1} are used, and any reentrant callable (for instance one
-    backed by the uniformization oracle) may be injected for other starts.
+    the last integral being the W(t) of `_occupation`.
     """
-    _check_time(t)
-    lam, mu = rates.lam, rates.mu
-    a = rates.total
-    if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates)
+    mu, a = rates.mu, rates.total
+    _, relaxed = _occupation(k, t, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
-    if t == 0.0:
-        return mu / a + c
-    conv = _relaxed(q_k0, a, t, "p_even quadrature")
-    return mu / a + c * math.exp(-2.0 * a * t) + lam * conv
+    return mu / a + c * math.exp(-2.0 * a * t) + rates.lam * relaxed
 
 
-def r_mean(k: int, t: float, rates: Rates, q_k0=None) -> float:
-    """Mean of the reflected chain at time t: k plus lam times the
-    accumulated occupation of the origin (the boundary is the only state
-    where up- and down-drift do not cancel)."""
-    _check_time(t)
-    if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates)
-    if t == 0.0:
-        return float(k)
-    return k + rates.lam * _quad(q_k0, t, "r_mean quadrature")
+def r_mean(k: int, t: float, rates: Rates) -> float:
+    """Mean of the reflected chain at time t from k in {0, 1}: k plus lam
+    times the accumulated occupation of the origin (the boundary is the only
+    state where up- and down-drift do not cancel)."""
+    occ, _ = _occupation(k, t, rates)
+    return k + rates.lam * occ
 
 
-def r_variance(k: int, t: float, rates: Rates, q_k0=None) -> float:
-    """Variance of the reflected chain at time t.
+def r_variance(k: int, t: float, rates: Rates) -> float:
+    """Variance of the reflected chain at time t from k in {0, 1}.
 
     2(lam-mu) int P_k - lam(2k+1) int q_{k,0} - lam^2 (int q_{k,0})^2 + 2 mu t.
     The double integral of P_k is flattened through Fubini so only single
-    quadratures of the return probability remain:
+    integrals of the return probability remain:
 
         int_0^t P_k = mu/a t + c (1-e^(-2at))/(2a)
                       + lam/(2a) int_0^t q_{k,0}(u) (1 - e^(-2a(t-u))) du,
 
     the last integral being int_0^t q_{k,0} less the W(t) of `p_even`.
     """
-    _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
-    if q_k0 is None:
-        q_k0 = _default_q_k0(k, rates)
-    if t == 0.0:
-        return 0.0
-    occ = _quad(q_k0, t, "r_variance quadrature")
-    weighted = occ - _relaxed(q_k0, a, t, "r_variance quadrature")
+    occ, relaxed = _occupation(k, t, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
-    int_p = mu / a * t + c * (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a) + lam / (2.0 * a) * weighted
-    return 2.0 * (lam - mu) * int_p - lam * (2 * k + 1) * occ - lam * lam * occ * occ + 2.0 * mu * t
+    int_p = mu / a * t + c * -math.expm1(-2.0 * a * t) / (2.0 * a) + lam / (2.0 * a) * (occ - relaxed)
+    v = 2.0 * (lam - mu) * int_p - lam * occ * (2 * k + 1 + lam * occ) + 2.0 * mu * t
+    if not math.isfinite(v):
+        raise SeriesOverflowError(f"r_variance at t={t!r} is out of the float range", v, 0)
+    return v

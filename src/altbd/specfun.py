@@ -61,7 +61,7 @@ class ConvergenceError(RuntimeError):
 class SeriesOverflowError(ConvergenceError):
     """A series or quadrature produced a non-finite partial sum (an
     overflowed term, or inf * 0 = NaN where an overflowed factor met an
-    underflowed scale).
+    underflowed scale), or a closed form's value lies outside the float range.
 
     Raised at the first such term rather than after the term cap, since no
     further term can bring the sum back into range.

@@ -117,9 +117,10 @@ def psi_product_vieta(rates):
 
 
 def laplace_system_residual(rates):
+    # on the real axis, and at the complex nodes s = z/t where the moments' contour sums evaluate the transform
     lam, mu = rates.lam, rates.mu
-    for s in (0.1, 1.0, 10.0):
-        pi = [reflecting.pi_1n(s, n, rates) for n in range(6)]
+    for s in (0.1, 1.0, 10.0, *(z / t for t in (1e-3, 1.0, 1e3) for z in reflecting._CONTOUR_NODES)):
+        pi = [reflecting._pi1n(s, n, rates) for n in range(5)]
         yield abs((lam + s) * pi[0] - mu * pi[1])
         yield abs((2 * mu + s) * pi[1] - 1.0 - lam * pi[2] - lam * pi[0])
         yield abs((2 * lam + s) * pi[2] - mu * pi[1] - mu * pi[3])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -169,6 +170,26 @@ class TestPgf:
         assert isinstance(pair, PgfPair)
         want = math.sqrt((2.0 * z * z + 1.0) * (z * z + 2.0))
         assert pair.h == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("k, z, t", [(400, 10.0, 1.0), (-200, 1e-3, 300.0), (0, 1e200, 1.0)])
+    def test_out_of_range_raises_naming_arguments(self, k, z, t, rates_12):
+        with pytest.raises(SeriesOverflowError, match=re.escape(f"k={k}, z={z!r}, t={t!r}")):
+            pgf(k, z, t, rates_12)
+
+    def test_in_range_value_with_out_of_range_factors(self, rates_12):
+        # e^(theta - at) alone overflows and z^k alone underflows, but F and G
+        # are near e^18; a 50-digit evaluation of the closed forms is the reference
+        k, z, t = 120, 1e-3, 0.6
+        lam, mu = rates_12.lam, rates_12.mu
+        with mpmath.workdps(50):
+            z_, t_ = mpmath.mpf(z), mpmath.mpf(t)
+            h = mpmath.sqrt((mu * z_**2 + lam) * (lam * z_**2 + mu))
+            scale = z_**k * mpmath.exp(-(lam + mu) * t_)
+            f = scale * (mpmath.cosh(t_ * h / z_) + (mu - lam) * z_ / h * mpmath.sinh(t_ * h / z_))
+            g = scale * lam * (z_**2 + 1) / h * mpmath.sinh(t_ * h / z_)
+        pair = pgf(k, z, t, rates_12)
+        assert pair.f == pytest.approx(float(f), rel=1e-11)
+        assert pair.g == pytest.approx(float(g), rel=1e-11)
 
     def test_coefficient_extraction_consistency(self, rates_12):
         # sum_n z^n p_{k,n}(t) over a tail-bounded window reproduces f + g
@@ -373,6 +394,12 @@ class TestMoments:
             m2 = float(probs @ ns.astype(float) ** 2)
             assert mean(k, t, rates_21) == pytest.approx(m1, abs=1e-8)
             assert variance(k, t, rates_21) == pytest.approx(m2 - m1 * m1, abs=1e-8)
+
+    def test_variance_out_of_range_raises(self, rates_12):
+        with pytest.raises(SeriesOverflowError, match=r"t=1e\+308"):
+            variance(0, 1e308, rates_12)
+        # in range although lam * mu is not
+        assert variance(0, 1.0, Rates(1e200, 1e200)) == pytest.approx(2e200, rel=1e-14)
 
     def test_time_validation(self, rates_12):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from altbd import bilateral, cli
 from altbd.verify import PAIR_CHECKS
 
-from conftest import mis_index_cross_parity
+from conftest import mis_index_cross_parity, oracle_moments
 
 
 @pytest.fixture
@@ -147,6 +147,21 @@ class TestMoments:
         _, rows = parse_csv(result.output)
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 0.0
         assert float(rows[-1][1]) > 1.0
+
+    def test_reflected_past_the_series_reach(self, runner):
+        # (lam+mu) t reaches 3000, far past the q-series' reach of about 690
+        result = runner.invoke(
+            cli.main,
+            ["moments", "--process", "reflected", "--lambda", "1", "--mu", "2",
+             "--from", "1", "--t", "0:1000:3"],
+        )
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [float(r[0]) for r in rows] == [0.0, 500.0, 1000.0]
+        for t, m, var in rows:
+            want_m, want_var = oracle_moments("reflected", bilateral.Rates(1.0, 2.0), 1, float(t))
+            assert float(m) == pytest.approx(want_m, abs=1e-6)
+            assert float(var) == pytest.approx(want_var, abs=1e-6)
 
     def test_reflected_start_must_be_boundary_adjacent(self, runner):
         result = runner.invoke(

@@ -1,10 +1,13 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from altbd import reflecting
+from altbd import reflecting, verify
 from altbd.bilateral import Rates
 from altbd.oracle import invert_laplace, transient_distribution
 from altbd.reflecting import (
@@ -24,11 +27,30 @@ from conftest import oracle_moments, oracle_prob
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
 QUAD_RATES = [Rates(1.0, 2.0), Rates(3.0, 0.5), Rates(0.5, 3.0)]
+LOG_UNIFORM = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 def _unresolvable(u):
     # a square wave of period 2pi/1e5: 200 panels of 21 nodes cannot follow it
     return float(math.sin(1e5 * u) > 0.0)
+
+
+@functools.cache
+def _scipy_occupation(k, t, rates):
+    """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du by scipy's quad over the series."""
+    series = q00 if k == 0 else q10_series
+    memo = {}
+
+    def q(u):
+        if u not in memo:
+            memo[u] = series(u, rates)
+        return memo[u]
+
+    a = rates.total
+    return tuple(
+        quad(f, 0.0, t, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+        for f in (q, lambda u: math.exp(-2.0 * a * (t - u)) * q(u))
+    )
 
 
 class TestQuad:
@@ -59,10 +81,12 @@ class TestQuad:
         ids=["q10_integral", "p_even", "r_mean", "r_variance"],
     )
     def test_matches_scipy_quad(self, monkeypatch, route, rates, t):
-        # every integrand a route builds is integrated by both, which must
-        # agree in value and in the number of integrand evaluations; the
-        # integrand is memoized, since both rules evaluate it at the same nodes
-        real = reflecting._quad
+        # every integral a route takes must agree with scipy's quad: each
+        # integrand of _quad in value and in the number of integrand
+        # evaluations (memoized, since both rules evaluate it at the same
+        # nodes), and both integrals of the contour sum in _occupation with
+        # quad over the series
+        real_quad, real_occupation = reflecting._quad, reflecting._occupation
         results = []
 
         def both(f, upper, what):
@@ -78,16 +102,22 @@ class TestQuad:
             tol = reflecting._QUAD_TOL
             want, _ = quad(g, 0.0, upper, epsabs=tol, epsrel=tol, limit=reflecting._QUAD_PANELS)
             scipy_calls = len(calls)
-            got = real(g, upper, what)
-            results.append((got, want, len(calls) - scipy_calls, scipy_calls))
+            got = real_quad(g, upper, what)
+            assert len(calls) - scipy_calls == scipy_calls
+            results.append((got, want, 1e-12))
+            return got
+
+        def occupation(k, upper, r):
+            got = real_occupation(k, upper, r)
+            results.extend((g, w, 1e-10) for g, w in zip(got, _scipy_occupation(k, upper, r)))
             return got
 
         monkeypatch.setattr(reflecting, "_quad", both)
+        monkeypatch.setattr(reflecting, "_occupation", occupation)
         route(t, rates)
         assert results
-        for got, want, calls, scipy_calls in results:
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-            assert calls == scipy_calls
+        for got, want, tol in results:
+            assert abs(got - want) <= tol * max(1.0, abs(want))
 
     def test_cap_raises_convergence_error(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -106,12 +136,6 @@ class TestQuad:
         with pytest.raises(SeriesOverflowError):
             reflecting._quad(f, 1.0, "bad")
         assert len(calls) == 21
-
-    @pytest.mark.parametrize("route", [p_even, r_mean, r_variance])
-    def test_unresolved_integral_raises(self, route, rates_12):
-        # the routes return no value the quadrature could not vouch for
-        with pytest.raises(ConvergenceError):
-            route(0, 1.0, rates_12, q_k0=_unresolvable)
 
 
 class TestLaplaceRoots:
@@ -138,6 +162,12 @@ class TestLaplaceRoots:
         for s in (0.1, 1.0, 10.0):
             roots = laplace_roots(s, rates_22)
             assert 0.0 < roots.psi2_sq < 1.0
+
+    def test_overflow_names_s(self, rates_12):
+        # psi1^2 is about s^2/(lam mu)
+        assert laplace_roots(1e150, rates_12).psi1_sq == pytest.approx(5e299, rel=1e-12)
+        with pytest.raises(SeriesOverflowError, match=r"s=1e\+200"):
+            laplace_roots(1e200, rates_12)
 
     def test_domain_error(self, rates_12):
         with pytest.raises(DomainError):
@@ -168,6 +198,33 @@ class TestPi1n:
         for m in (1, 2, 3):
             got = pi_1n(s, 2 * (m + 1), rates_21) / pi_1n(s, 2 * m, rates_21)
             assert got == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e8, 1e100, 1e200, 1e300, 1.7e308])
+    def test_finite_float_for_large_s(self, s, rates_12):
+        values = [pi_1n(s, n, rates_12) for n in range(6)]
+        assert all(type(v) is float and math.isfinite(v) for v in values)
+        # the chain leaves 1 at rate 2 mu: pi_11(s) = 1/(s + 2 mu) + O(s^-3)
+        assert values[1] == pytest.approx(1.0 / s, rel=1e-6, abs=1e-307)
+
+    @pytest.mark.parametrize("s", [1e3, 1e6])
+    def test_matches_mpmath_at_large_s(self, s, rates_12):
+        # the paper's formulas at 50 digits; in floats (A - B)^2 and
+        # (2lam+s)(2mu+s) - AB lose about log10(s^2) digits to cancellation
+        lam, mu = rates_12.lam, rates_12.mu
+        with mpmath.workdps(50):
+            s_ = mpmath.mpf(s)
+            A = mpmath.sqrt(s_ * (s_ + 2 * (lam + mu)))
+            B = mpmath.sqrt((s_ + 2 * mu) * (s_ + 2 * lam))
+            psi2 = (A - B) ** 2 / (4 * lam * mu)
+            den = mu * (1 - psi2) - s_ * psi2
+            want = [((2 * lam + s_) * (2 * mu + s_) - A * B) / (lam * (s_ * (2 * mu + s_) + A * B))]
+            for n in range(1, 6):
+                if n % 2 == 0:
+                    want.append((2 * mu + s_) * (lam + s_) * psi2 ** (n // 2 + 1) / (lam * lam * den))
+                else:
+                    want.append((lam + s_) * psi2 ** ((n + 1) // 2) * (1 + psi2) / (lam * den))
+        for n, w in enumerate(want):
+            assert pi_1n(s, n, rates_12) == pytest.approx(float(w), rel=1e-12, abs=0.0)
 
     def test_complex_argument_supported(self, rates_12):
         v = pi_1n(1.0 + 2.0j, 0, rates_12)
@@ -350,17 +407,6 @@ class TestPEven:
                 v = p_even(k, t, rates_12)
                 assert -1e-12 <= v <= 1.0 + 1e-12
 
-    def test_injected_evaluator_for_general_start(self, rates_12):
-        # the oracle supplies the return probability for starts without a
-        # closed form
-        k = 2
-        def q_k0(tau):
-            return oracle_prob("reflected", rates_12, k, 0, tau, eps=1e-11)
-        t = 1.0
-        states, probs = transient_distribution("reflected", rates_12, k, t)
-        want = float(probs[::2].sum())
-        assert p_even(k, t, rates_12, q_k0=q_k0) == pytest.approx(want, abs=1e-7)
-
     def test_unknown_start_requires_evaluator(self, rates_12):
         with pytest.raises(DomainError):
             p_even(3, 1.0, rates_12)
@@ -392,10 +438,66 @@ class TestReflectedMoments:
         _, var = oracle_moments("reflected", rates_21, 1, 2.0)
         assert r_variance(1, 2.0, rates_21) == pytest.approx(var, abs=1e-6)
 
-    def test_injected_evaluator(self, rates_12):
-        k = 3
-        def q_k0(tau):
-            return oracle_prob("reflected", rates_12, k, 0, tau, eps=1e-11)
-        m, var = oracle_moments("reflected", rates_12, k, 1.0)
-        assert r_mean(k, 1.0, rates_12, q_k0=q_k0) == pytest.approx(m, abs=1e-6)
-        assert r_variance(k, 1.0, rates_12, q_k0=q_k0) == pytest.approx(var, abs=1e-6)
+
+class TestContour:
+    def test_moments_evaluate_neither_series_nor_quadrature(self, monkeypatch, rates_12):
+        def forbidden(*args):
+            raise AssertionError("the moments take their integrals from the transform")
+
+        for name in ("q00", "q10_series", "_quad"):
+            monkeypatch.setattr(reflecting, name, forbidden)
+        for k in (0, 1):
+            assert 0.0 < p_even(k, 3.0, rates_12) < 1.0
+            assert r_mean(k, 3.0, rates_12) > k
+            assert r_variance(k, 3.0, rates_12) > 0.0
+
+    @pytest.mark.parametrize(
+        "rates", [*FIG3_PAIRS, Rates(1e-3, 1e3), Rates(1e3, 1e-3)], ids=lambda r: f"{r.lam:g},{r.mu:g}"
+    )
+    def test_balance_at_contour_nodes(self, rates):
+        # laplace_system_residual also evaluates the transform at the nodes
+        # z/t, t in {1e-3, 1, 1e3}, off the real axis and across Re s < 0
+        assert max(verify.laplace_system_residual(rates)) <= 1e-10
+
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(3.0, 0.5)], ids=["1,2", "3,0.5"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_long_time_against_uniformization(self, k, rates):
+        # at t = 1000, a t is past the q-series' reach of about 690
+        t = 1000.0
+        states, probs = transient_distribution("reflected", rates, k, t)
+        m1, var = oracle_moments("reflected", rates, k, t)
+        assert abs(r_mean(k, t, rates) - m1) <= 1e-9
+        assert abs(r_variance(k, t, rates) - var) <= 1e-9 * var
+        assert abs(p_even(k, t, rates) - float(probs[states % 2 == 0].sum())) <= 1e-12
+
+    @settings(max_examples=25)
+    @given(lam=LOG_UNIFORM, mu=LOG_UNIFORM, t=LOG_UNIFORM, k=st.sampled_from([0, 1]))
+    def test_property_against_uniformization(self, lam, mu, t, k):
+        assume(2.0 * max(lam, mu) * t <= 2e4)
+        rates = Rates(lam, mu)
+        states, probs = transient_distribution("reflected", rates, k, t)
+        m1, var = oracle_moments("reflected", rates, k, t)
+        pairs = [
+            (p_even(k, t, rates), float(probs[states % 2 == 0].sum())),
+            (r_mean(k, t, rates), m1),
+            (r_variance(k, t, rates), var),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_extreme_times_give_a_value_or_a_typed_error(self, rates_12):
+        for t in (1e-300, 1e-100, 1e100, 1e300):
+            assert math.isfinite(r_mean(1, t, rates_12))
+            assert math.isfinite(r_variance(1, t, rates_12))
+            assert 0.0 <= p_even(1, t, rates_12) <= 1.0
+        # from 0 the origin is held at first: lam int_0^t q00 = lam t + O(t^2);
+        # from 1 the chain leaves at rate 2 mu, so the variance is 2 mu t + O(t^2)
+        assert r_mean(0, 1e-300, rates_12) == pytest.approx(1e-300, rel=1e-9, abs=0.0)
+        assert r_variance(1, 1e-300, rates_12) == pytest.approx(4e-300, rel=1e-9, abs=0.0)
+        assert math.isfinite(r_variance(0, 1.0, Rates(1e200, 1e200)))
+        for t in (5e-324, 1e-308, 1e308):
+            for route in (p_even, r_mean, r_variance):
+                try:
+                    assert math.isfinite(route(1, t, rates_12))
+                except SeriesOverflowError as exc:
+                    assert f"t={t!r}" in str(exc)
