@@ -194,6 +194,9 @@ def moments(lam, mu, process, from_state, grid, out):
 @_out_option
 def reflect(lam, mu, from_state, grid, method, out):
     """Probability that the reflected chain occupies the origin."""
+    if from_state == 0 and method == "integral":
+        raise click.UsageError("--method integral needs --from 1; the start at 0 has only the q00 series")
+
     def run():
         rates = Rates(lam, mu)
         rows = []

@@ -14,8 +14,8 @@ Implemented routes:
   integrals of the return probability that `_occupation` takes from the
   transform by one contour sum, with no reach limit in t.
 
-`q10_integral` integrates with `_quad`, QUADPACK's 21-point Gauss-Kronrod
-rule, so only the standard library is needed.
+`q10_integral` integrates with `_quad`, nested Clenshaw-Curtis rules whose
+weights are computed here, so only the standard library is needed.
 
 Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 """
@@ -23,6 +23,7 @@ Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,112 +52,57 @@ __all__ = [
     "r_variance",
 ]
 
-# absolute and relative tolerance of the adaptive quadrature
+# absolute and relative tolerance of the quadrature: two successive rules agree within it
 _QUAD_TOL = 1e-10
-# most panels one quadrature may bisect [0, t] into
-_QUAD_PANELS = 200
-
-# QUADPACK's 21-point Kronrod rule on [-1, 1] (Piessens et al., QUADPACK,
-# Springer 1983, routine qk21): nodes x_1 > ... > x_10 > x_11 = 0, each
-# x_j != 0 used as +-x_j.  x_2, x_4, ..., x_10 are the 10-point Gauss nodes,
-# and _GAUSS_WEIGHTS are their Gauss weights.
-_KRONROD_NODES = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077580632699444,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_GAUSS_WEIGHTS = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
+# first and last order n of the nested Clenshaw-Curtis rules, each doubling the last
+_QUAD_MIN_ORDER = 8
+_QUAD_MAX_ORDER = 512
 
 
-def _gk21(f, lo: float, hi: float) -> tuple[float, float]:
-    """(21-point Kronrod value, QUADPACK error estimate) of f over [lo, hi].
-
-    The error estimate scales the Kronrod-Gauss difference by resasc, the
-    rule's integral of |f - mean f|: resasc * min(1, (200 |K - G| / resasc)^1.5).
-    qk21's floor of 50 eps times the integral of |f| is left out; it acts
-    only at rounding level, far below _QUAD_TOL.  Sums in qk21's order: the
-    centre, the Gauss pairs, then the other pairs.
-    """
-    centre = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(centre)
-    kronrod = _KRONROD_WEIGHTS[10] * fc
-    gauss = 0.0
-    values = [None] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        dx = half * _KRONROD_NODES[j]
-        f1, f2 = values[j] = f(centre - dx), f(centre + dx)
-        kronrod += _KRONROD_WEIGHTS[j] * (f1 + f2)
-        if j % 2:
-            gauss += _GAUSS_WEIGHTS[j // 2] * (f1 + f2)
-    mean = 0.5 * kronrod
-    resasc = _KRONROD_WEIGHTS[10] * abs(fc - mean)
-    for w, (f1, f2) in zip(_KRONROD_WEIGHTS, values):
-        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
-    resasc *= abs(half)
-    err = abs((kronrod - gauss) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return kronrod * half, err
+@functools.cache
+def _clenshaw_curtis_weights(n: int) -> tuple[float, ...]:
+    """Weights on [-1, 1] of the Clenshaw-Curtis rule at the n + 1 nodes
+    cos(j pi/n), for even n, by the closed cosine sum of Trefethen's
+    `clencurt` (Spectral Methods in MATLAB, SIAM 2000)."""
+    cos = [math.cos(math.pi * m / n) for m in range(2 * n)]  # cos(2 k j pi/n) = cos[2kj mod 2n]
+    end = 1.0 / (n * n - 1)
+    weights = [end]
+    for j in range(1, n):
+        v = 1.0 - (-1) ** j * end
+        for k in range(1, n // 2):
+            v -= 2.0 * cos[2 * k * j % (2 * n)] / (4 * k * k - 1)
+        weights.append(2.0 * v / n)
+    weights.append(end)
+    return tuple(weights)
 
 
 def _quad(f, t: float, what: str) -> float:
-    """Integral of f over [0, t] by globally adaptive Gauss-Kronrod quadrature.
+    """Integral of f over [0, t] by nested Clenshaw-Curtis rules.
 
-    Applies the G10K21 rule of `_gk21` and bisects the panel with the
-    largest error estimate until the summed estimate is within _QUAD_TOL,
-    absolute or relative to the summed value (the policy of QUADPACK's QAGS,
-    without its extrapolation: every integrand here is smooth on [0, t]).
-    Raises ConvergenceError once _QUAD_PANELS panels do not meet the
-    tolerance, and SeriesOverflowError at the first panel with a non-finite
-    value.  As in QAGS, the half with the larger error takes the bisected
-    panel's place, so the panels are summed in QAGS's order.
+    The rule of order n takes f at the images t sin^2(j pi/(2n)) of the
+    nodes cos(j pi/n), j = 0..n; doubling n keeps every node, so each order
+    evaluates f only at its n/2 new ones.  Starts at _QUAD_MIN_ORDER and
+    returns once two successive rules agree within _QUAD_TOL, absolute or
+    relative.  Raises SeriesOverflowError at the first non-finite rule, and
+    ConvergenceError, with terms the number of nodes, when the rule of order
+    _QUAD_MAX_ORDER still disagrees with the one before it.  Every integrand
+    here is entire, where Clenshaw-Curtis converges as fast as Gauss
+    (Trefethen, SIAM Review 50, 2008).
     """
-    panels = [(0.0, t, *_gk21(f, 0.0, t))]
+    n = _QUAD_MIN_ORDER
+    values = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
+    previous = None
     while True:
-        total = sum(p[2] for p in panels)
+        total = 0.5 * t * sum(w * v for w, v in zip(_clenshaw_curtis_weights(n), values))
         if not math.isfinite(total):
-            raise SeriesOverflowError(f"{what} overflowed", total, len(panels))
-        if sum(p[3] for p in panels) <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
+            raise SeriesOverflowError(f"{what} overflowed", total, len(values))
+        if previous is not None and abs(total - previous) <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
             return total
-        if len(panels) == _QUAD_PANELS:
-            raise ConvergenceError(f"{what} did not converge", total, len(panels))
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi = panels[worst][:2]
-        mid = 0.5 * (lo + hi)
-        left = (lo, mid, *_gk21(f, lo, mid))
-        right = (mid, hi, *_gk21(f, mid, hi))
-        if right[3] > left[3]:
-            left, right = right, left
-        panels[worst] = left
-        panels.append(right)
+        if n == _QUAD_MAX_ORDER:
+            raise ConvergenceError(f"{what} did not converge", total, len(values))
+        previous, n = total, 2 * n
+        new = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(1, n, 2)]
+        values = [v for pair in zip(values, new) for v in pair] + values[-1:]
 
 
 # Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007): the N = 32
@@ -173,9 +119,10 @@ class LaplaceRoots:
     """The biquadratic roots psi1^2 > 1 > psi2^2 > 0.
 
     With A^2 = (a+s)^2 - a^2 and B^2 = (a+s)^2 - b^2, psi1^2 = (A+B)^2/(a^2-b^2)
-    and psi2^2 = (A-B)^2/(a^2-b^2); each is computed on its own, and their
-    product is 1 (the biquadratic has equal leading and trailing
-    coefficients), which `verify` checks.
+    and psi2^2 = (A-B)^2/(a^2-b^2) = (a^2-b^2)/(A+B)^2, formed in the last
+    way so that nothing cancels at large s.  Their product is then 1 by
+    construction; `verify` checks their sum against Vieta's
+    ((lam+mu+s)^2 - lam^2 - mu^2)/(lam mu).
     """
 
     psi1_sq: float
@@ -196,7 +143,7 @@ def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
         raise DomainError(f"s must be strictly positive, got {s}")
     A, B = _roots(s, rates)
     scale = 2.0 * math.sqrt(rates.lam * rates.mu)  # sqrt(a^2 - b^2)
-    psi1, psi2 = (A + B) / scale, (A - B) / scale
+    psi1, psi2 = (A + B) / scale, scale / (A + B)
     if math.isinf(psi1 * psi1):
         raise SeriesOverflowError(f"psi1^2 overflows at s={s!r}", math.inf, 0)
     return LaplaceRoots(psi1_sq=psi1 * psi1, psi2_sq=psi2 * psi2)
@@ -336,10 +283,11 @@ def _companion(s: float, a: float, b: float) -> float:
 
 def q10_integral(t: float, rates: Rates) -> float:
     """Quadrature route to the same origin-occupation probability as
-    `q10_series`: adaptive integration of the convolution of the
-    Bessel-difference kernel a^2 I1(a u)/(a u) - b^2 I1(b u)/(b u) with its
-    companion function over [0, t].  The I1(z)/z factors are even in z and
-    continue through zero with value 1/2.
+    `q10_series`: nested Clenshaw-Curtis rules (`_quad`) integrate the
+    convolution of the Bessel-difference kernel
+    a^2 I1(a u)/(a u) - b^2 I1(b u)/(b u) with its companion function over
+    [0, t].  The I1(z)/z factors are even in z and continue through zero
+    with value 1/2.
     """
     _check_time(t)
     if t == 0.0:

@@ -45,9 +45,9 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series hit its term cap before meeting the series tolerance, or a
-    quadrature its panel cap before meeting the quadrature tolerance.
+    quadrature its highest order before meeting the quadrature tolerance.
 
-    Carries the partial sum and the number of terms (panels, for a
+    Carries the partial sum and the number of terms (integrand nodes, for a
     quadrature) accumulated so far so callers can inspect how close the
     evaluation got; 0 where only the finished sum is checked.
     """

@@ -111,9 +111,13 @@ def reflected_moments_vs_oracle(rates):
 
 
 def psi_product_vieta(rates):
+    # Vieta's product and, relative, Vieta's sum of the biquadratic roots
+    lam, mu = rates.lam, rates.mu
     for s in (0.1, 1.0, 10.0):
         r = reflecting.laplace_roots(s, rates)
         yield abs(r.psi1_sq * r.psi2_sq - 1.0)
+        vieta_sum = ((lam + mu + s) ** 2 - lam * lam - mu * mu) / (lam * mu)
+        yield abs(r.psi1_sq + r.psi2_sq - vieta_sum) / vieta_sum
 
 
 def laplace_system_residual(rates):

@@ -188,6 +188,14 @@ class TestReflect:
         assert result.exit_code == 3
         assert "overflowed" in result.output
 
+    def test_integral_from_origin_is_usage_error(self, runner):
+        result = runner.invoke(
+            cli.main,
+            ["reflect", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "0:1:3", "--method", "integral"],
+        )
+        assert result.exit_code == 2
+        assert "--from 1" in result.output
+
     def test_methods_agree(self, runner):
         out = {}
         for method in ("series", "integral"):
