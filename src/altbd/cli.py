@@ -174,7 +174,7 @@ def moments(lam, mu, process, from_state, grid, out):
             if process == "bilateral":
                 rows.append((t, bilateral.mean(from_state, t, rates), bilateral.variance(from_state, t, rates)))
             else:
-                rows.append((t, reflecting.r_mean(from_state, t, rates), reflecting.r_variance(from_state, t, rates)))
+                rows.append((t, *reflecting._moments(from_state, t, rates)))
         _emit(
             out,
             ["altbd moments", f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}"],

@@ -5,7 +5,9 @@ ever validated against itself:
 
 * `uniformize` - transient distributions as a Poisson mixture of powers of
   the uniformized jump operator, stepped as a three-diagonal numpy stencil,
-  on a window sized by the same Poisson bound as the sum, so no mass leaks;
+  on a window no wider than the walk can reach: the lesser of the Poisson
+  jump bound R of the sum and a displacement bound of order sqrt(R), past
+  which at most eps/2 of the mass leaks (Azuma-Hoeffding);
 * `simulate` - an exact event-driven simulator stepping all paths together
   as arrays, giving empirical distributions and moments with standard errors;
 * `invert_laplace` - Euler-summation numerical inversion of a Laplace
@@ -128,17 +130,34 @@ def uniformization_rate(rates: Rates) -> float:
 def default_window(kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12) -> tuple[int, int]:
     """The window `uniformize` needs at (t, eps) from state k.
 
-    Returns (k - R, k + R), or (0, k + R) on the reflected chain, where R is
-    the largest Poisson jump count whose weight the uniformization sum at
-    (Lambda t, eps) applies.  A walk of at most R jumps cannot step past the
-    window, so no probability mass reaches its edges.
+    Returns (k - r, k + r), or (0, k + r) on the reflected chain, with r the
+    lesser of two reaches.  The jump reach R is the largest Poisson jump
+    count whose weight the uniformization sum at (Lambda t, eps) applies; no
+    walk of at most R jumps steps past it.  The displacement reach is
+    d = ceil(sqrt(2 R ln(4/eps))), or 2d on the reflected chain: each
+    uniformized step is -1, 0 or +1 with up and down equally likely, so the
+    walk is a martingale and the Azuma-Hoeffding maximal inequality gives
+    P(max_{j<=R} |S_j - k| >= d) <= 2 exp(-d^2/2R) = eps/2; the reflected
+    walk is that martingale plus a Skorokhod regulator, so it stays below
+    k + 2 max_j |S_j - k|.  At most eps/2 of the mass thus leaks past the
+    window, and each entry differs from the untruncated row's by at most
+    eps/2.  Raises DomainError unless 0 < eps < 1.
     """
+    _check_eps(eps)
     _check_time(t)
     left, weights = _poisson_weights(uniformization_rate(rates) * t, eps)
-    reach = left + weights.size - 1
+    jumps = left + weights.size - 1
+    spread = math.ceil(math.sqrt(2.0 * jumps * math.log(4.0 / eps)))
+    reach = min(jumps, 2 * spread if kind == "reflected" else spread)
     if kind == "reflected":
         return 0, k + reach
     return k - reach, k + reach
+
+
+def _check_eps(eps: float) -> None:
+    """Raise DomainError unless 0 < eps < 1 (NaN included)."""
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
 
 
 def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
@@ -174,8 +193,9 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     in total and sum to one, so the a-posteriori deficiency is the mass
     leaked at the window boundary (raising WindowTooSmallError if it
     exceeds eps).  Returns the probability vector aligned with
-    `chain.states`.
+    `chain.states`.  Raises DomainError unless 0 < eps < 1.
     """
+    _check_eps(eps)
     _check_time(t)
     if not (chain.lo <= k <= chain.hi):
         raise DomainError(f"initial state {k} outside window [{chain.lo}, {chain.hi}]")
@@ -203,7 +223,8 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
 def transient_distribution(
     kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(states, probabilities) at time t: one `uniformize` on `default_window`."""
+    """(states, probabilities) at time t: one `uniformize` on `default_window`,
+    so within eps/2 of the untruncated row entry by entry."""
     chain = TruncatedChain(kind, *default_window(kind, rates, k, t, eps), rates)
     return chain.states, uniformize(chain, k, t, eps)
 

@@ -167,8 +167,9 @@ def _pi1n(s, n: int, rates: Rates):
     """pi_1n(s), unchecked, for real s > 0 or complex s off (-inf, 0]."""
     lam, mu = rates.lam, rates.mu
     A, B = _roots(s, rates)
-    if n == 0:  # P - AB = 4 lam mu P/(P + AB), P = (2lam+s)(2mu+s): no cancellation, scaled by s
-        return 4.0 * mu / s / ((1.0 + A / (2.0 * lam + s) * (B / (2.0 * mu + s))) * (2.0 * mu + s + A / s * B))
+    if n == 0:  # P - AB = 4 lam mu P/(P + AB), P = (2lam+s)(2mu+s): no cancellation, scaled by s,
+        # and divided by s last, since 4 mu/s alone overflows for s near the least normal float
+        return 4.0 * mu / (2.0 * mu + s + A / s * B) / s / (1.0 + A / (2.0 * lam + s) * (B / (2.0 * mu + s)))
     # psi2^2 = rho^2 = 4 lam mu/(A+B)^2 does not cancel; one rho per factor of size s
     rho = 2.0 * math.sqrt(lam * mu) / (A + B)
     psi2 = rho * rho
@@ -306,21 +307,28 @@ def q10_integral(t: float, rates: Rates) -> float:
 def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
     """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du for k in {0, 1},
     from their transforms pi_{k,0}(s)/s and pi_{k,0}(s)/(s + 2a) on one contour;
-    pi_00 = (1 + lam pi_10)/(lam + s) by the first jump out of 0."""
+    pi_00 = (1 + lam pi_10)/(lam + s) by the first jump out of 0.
+
+    Below a t = 1e-17 both are their t -> 0 limits, t from 0 and mu t^2/2
+    from 1 (q_{k,0}(u) = [k = 0] + mu u [k = 1] + O((a u)^2)), exact in
+    floats; the nodes z/t would leave the float range from t of about 2e-307.
+    """
     _check_time(t)
     if k not in (0, 1):
         raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
-    if t == 0.0:
-        return 0.0, 0.0
     lam, a = rates.lam, rates.total
+    if a * t < 1e-17:
+        occ = t if k == 0 else 0.5 * rates.mu * t * t
+        return occ, occ
     occ = relaxed = 0.0
     for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS):
         s = z / t
         pi = _pi1n(s, 0, rates)
         if k == 0:
             pi = (1.0 + lam * pi) / (lam + s)
-        occ += (w * pi / z).real  # (1/t) pi/s
-        relaxed += (w * pi / (z + 2.0 * a * t)).real
+        term = w * pi / z  # (1/t) pi/s
+        occ += term.real
+        relaxed += (term * (s / (s + 2.0 * a))).real  # (1/t) pi/(s + 2a), forming no 2at to overflow
     if not (math.isfinite(occ) and math.isfinite(relaxed)):
         raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", occ + relaxed, len(_CONTOUR_NODES))
     return occ, relaxed
@@ -361,13 +369,22 @@ def r_variance(k: int, t: float, rates: Rates) -> float:
                       + lam/(2a) int_0^t q_{k,0}(u) (1 - e^(-2a(t-u))) du,
 
     the last integral being int_0^t q_{k,0} less the W(t) of `p_even`.
+    The two terms that grow like t, h^2 = 4 lam mu t/a and g^2 with
+    g = lam int q_{k,0}, are subtracted as the product (h - g)(h + g),
+    which stays in range wherever the variance does.
     """
+    return _moments(k, t, rates)[1]
+
+
+def _moments(k: int, t: float, rates: Rates) -> tuple[float, float]:
+    """`r_mean` and `r_variance` from one contour sum."""
     lam, mu = rates.lam, rates.mu
     a = rates.total
     occ, relaxed = _occupation(k, t, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
-    int_p = mu / a * t + c * -math.expm1(-2.0 * a * t) / (2.0 * a) + lam / (2.0 * a) * (occ - relaxed)
-    v = 2.0 * (lam - mu) * int_p - lam * occ * (2 * k + 1 + lam * occ) + 2.0 * mu * t
+    h, g = math.sqrt(4.0 * lam * (mu / a)) * math.sqrt(t), lam * occ
+    rest = c * -math.expm1(-2.0 * a * t) / (2.0 * a) + lam / (2.0 * a) * (occ - relaxed)
+    v = (h - g) * (h + g) + 2.0 * (lam - mu) * rest - g * (2 * k + 1)
     if not math.isfinite(v):
         raise SeriesOverflowError(f"r_variance at t={t!r} is out of the float range", v, 0)
-    return v
+    return k + g, v

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from altbd import bilateral, cli
+from altbd import bilateral, cli, reflecting
 from altbd.verify import PAIR_CHECKS
 
 from conftest import mis_index_cross_parity, oracle_moments
@@ -162,6 +162,27 @@ class TestMoments:
             want_m, want_var = oracle_moments("reflected", bilateral.Rates(1.0, 2.0), 1, float(t))
             assert float(m) == pytest.approx(want_m, abs=1e-6)
             assert float(var) == pytest.approx(want_var, abs=1e-6)
+
+    def test_reflected_one_contour_sum_per_point(self, runner, monkeypatch):
+        # mean and variance share one _occupation call per grid point, and
+        # the rows are exactly those of r_mean and r_variance
+        calls = []
+        occupation = reflecting._occupation
+
+        def counted(k, t, rates):
+            calls.append((k, t))
+            return occupation(k, t, rates)
+
+        monkeypatch.setattr(reflecting, "_occupation", counted)
+        args = ["moments", "--process", "reflected", "--lambda", "1", "--mu", "2", "--from", "1", "--t", "0:20:41"]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert len(calls) == 41 and len(set(calls)) == 41
+        rates = bilateral.Rates(1.0, 2.0)
+        _, rows = parse_csv(result.output)
+        for t, m, var in rows:
+            assert m == cli._fmt(reflecting.r_mean(1, float(t), rates))
+            assert var == cli._fmt(reflecting.r_variance(1, float(t), rates))
 
     def test_reflected_start_must_be_boundary_adjacent(self, runner):
         result = runner.invoke(

@@ -23,6 +23,24 @@ from altbd.reflecting import pi_1n
 from altbd.specfun import DomainError, bessel_i
 
 
+def _against_twice_wider(kind, rates, k, t, eps):
+    """The row on `default_window`, and the parts of the row on a window twice
+    as wide that lie inside and outside it."""
+    lo, hi = default_window(kind, rates, k, t, eps)
+    narrow = uniformize(TruncatedChain(kind, lo, hi, rates), k, t, eps)
+    wlo = 0 if kind == "reflected" else 2 * lo - k
+    wide = uniformize(TruncatedChain(kind, wlo, 2 * hi - k, rates), k, t, eps)
+    inside = np.zeros(wide.size, dtype=bool)
+    inside[lo - wlo : hi - wlo + 1] = True
+    return narrow, wide[inside], wide[~inside]
+
+
+def _assert_leaks_at_most_half_eps(narrow, inside, outside, eps):
+    # the Azuma-Hoeffding guarantee of default_window
+    assert np.max(np.abs(inside - narrow)) <= eps / 2
+    assert outside.sum() <= eps / 2
+
+
 class TestTruncatedChain:
     def test_validation(self, rates_12):
         with pytest.raises(DomainError):
@@ -104,16 +122,52 @@ class TestUniformize:
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("t", [0.05, 1.0, 7.3, 40.0])
     def test_default_window_loses_no_mass(self, kind, rates, k, t):
-        # no mass reaches the edges of the default window: a window twice
-        # as wide gives the same numbers, bit for bit, and exact zeros
-        # outside it
-        lo, hi = default_window(kind, rates, k, t)
-        narrow = uniformize(TruncatedChain(kind, lo, hi, rates), k, t)
-        wlo = 0 if kind == "reflected" else 2 * lo - k
-        wide = uniformize(TruncatedChain(kind, wlo, 2 * hi - k, rates), k, t)
-        inside = slice(lo - wlo, hi - wlo + 1)
-        assert np.array_equal(wide[inside], narrow)
-        assert not np.any(np.delete(wide, np.arange(wide.size)[inside]))
+        # where the displacement reach is no shorter than the jump reach R,
+        # the window is the jump window and no mass reaches its edges: a
+        # window twice as wide gives the same numbers, bit for bit, and exact
+        # zeros outside it; where it is shorter, the contract of the
+        # narrowed window holds
+        eps = 1e-12
+        narrow, inside, outside = _against_twice_wider(kind, rates, k, t, eps)
+        left, weights = oracle._poisson_weights(oracle.uniformization_rate(rates) * t, eps)
+        if default_window(kind, rates, k, t, eps)[1] - k == left + weights.size - 1:
+            assert np.array_equal(inside, narrow)
+            assert not np.any(outside)
+        else:
+            _assert_leaks_at_most_half_eps(narrow, inside, outside, eps)
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        log_lam=st.floats(math.log(1e-3), math.log(1e3)),
+        log_mu=st.floats(math.log(1e-3), math.log(1e3)),
+        k=st.integers(0, 5),
+        frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=12)
+    def test_window_leaks_at_most_half_eps(self, kind, log_lam, log_mu, k, frac):
+        # any rates in [1e-3, 1e3] and Poisson rates Lambda t up to 2e4
+        eps = 1e-10
+        rates = Rates(math.exp(log_lam), math.exp(log_mu))
+        t = frac * 2e4 / oracle.uniformization_rate(rates)
+        narrow, inside, outside = _against_twice_wider(kind, rates, k, t, eps)
+        _assert_leaks_at_most_half_eps(narrow, inside, outside, eps)
+        assert abs(narrow.sum() - 1.0) <= eps
+
+    def test_long_time_row_is_short(self, rates_12):
+        # the walk spreads like sqrt(Lambda t), not Lambda t: at t = 1000 the
+        # jump reach alone would give 8,847 states
+        states, _ = transient_distribution("bilateral", rates_12, 0, 1000.0, 1e-10)
+        assert states.size <= 1000
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 5.0, math.nan, math.inf])
+    def test_eps_outside_the_unit_interval(self, eps, rates_12):
+        with pytest.raises(DomainError, match="eps"):
+            default_window("bilateral", rates_12, 0, 1.0, eps)
+        with pytest.raises(DomainError, match="eps"):
+            transient_distribution("reflected", rates_12, 0, 1.0, eps)
+        for t in (0.0, 1.0):
+            with pytest.raises(DomainError, match="eps"):
+                uniformize(TruncatedChain("bilateral", -20, 20, rates_12), 0, t, eps)
 
     def test_transient_distribution_sums_once(self, rates_12, monkeypatch):
         calls = []

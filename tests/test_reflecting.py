@@ -501,9 +501,28 @@ class TestContour:
         assert r_mean(0, 1e-300, rates_12) == pytest.approx(1e-300, rel=1e-9, abs=0.0)
         assert r_variance(1, 1e-300, rates_12) == pytest.approx(4e-300, rel=1e-9, abs=0.0)
         assert math.isfinite(r_variance(0, 1.0, Rates(1e200, 1e200)))
-        for t in (5e-324, 1e-308, 1e308):
-            for route in (p_even, r_mean, r_variance):
-                try:
-                    assert math.isfinite(route(1, t, rates_12))
-                except SeriesOverflowError as exc:
-                    assert f"t={t!r}" in str(exc)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("t", [5e-324, 1e-308])
+    def test_below_the_contour_the_t_to_0_limits(self, k, t, rates_12):
+        # z/t leaves the float range here: P(0), k and 0, to within t
+        assert p_even(k, t, rates_12) == (1.0 if k == 0 else 0.0)
+        assert r_mean(k, t, rates_12) == pytest.approx(k, abs=1e-307)
+        assert 0.0 <= r_variance(k, t, rates_12) <= 1e-307
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_at_the_largest_times_values_in_range(self, k, rates_12):
+        # past the relaxation time the mean grows like sqrt(t) and the
+        # variance like t; at t = 1e308 neither leaves the float range,
+        # though 4 lam mu t/a and (lam int q)^2 each do
+        t, base = 1e308, 1e300
+        assert r_mean(k, t, rates_12) == pytest.approx(1e4 * r_mean(k, base, rates_12), rel=1e-9)
+        assert r_mean(k, t, rates_12) == pytest.approx(1.3e154, rel=1e-2)
+        assert r_variance(k, t, rates_12) == pytest.approx(1e8 * r_variance(k, base, rates_12), rel=1e-9)
+        assert r_variance(k, t, rates_12) == pytest.approx(9.7e307, rel=1e-2)
+        assert p_even(k, t, rates_12) == pytest.approx(rates_12.mu / rates_12.total, abs=1e-12)
+
+    def test_variance_overflow_is_typed(self):
+        # with rates 1e3 the variance at t = 1e308 is about 7e310
+        with pytest.raises(SeriesOverflowError, match=r"t=1e\+308"):
+            r_variance(0, 1e308, Rates(1e3, 1e3))
