@@ -47,6 +47,9 @@ class Rates:
         for name, v in (("lam", self.lam), ("mu", self.mu)):
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be strictly positive and finite, got {v}")
+        # every series and oracle scales by lam + mu or by the uniformization rate 2 max(lam, mu)
+        if not math.isfinite(2.0 * (self.lam + self.mu)):
+            raise DomainError(f"2(lam + mu) overflows at lam={self.lam!r}, mu={self.mu!r}")
 
     @property
     def total(self) -> float:
@@ -85,14 +88,11 @@ class TransitionQuery:
 class PgfPair:
     """Values of the even-state and odd-state generating functions at (z, t).
 
-    `f` collects the even states (coefficients of z^(2j)), `g` the odd ones;
-    `h` is the square-root helper sqrt((mu z^2 + lam)(lam z^2 + mu)) both
-    closed forms share.
+    `f` collects the even states (coefficients of z^(2j)), `g` the odd ones.
     """
 
     f: float
     g: float
-    h: float
 
     @property
     def total(self) -> float:
@@ -131,7 +131,7 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     logs = [log_scale + math.log(v) if v > 0.0 else -math.inf for v in (f, g)]
     if not all(v <= _LOG_MAX for v in logs):  # also false for NaN
         raise SeriesOverflowError(f"pgf at k={k}, z={z!r}, t={t!r} is out of the float range", math.inf, 0)
-    return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]), h=h)
+    return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]))
 
 
 def _inner_logs(d: int, x: float):

@@ -8,8 +8,9 @@ parameters, then a header line and the data rows.
 Series truncation is fixed (`altbd.specfun.SERIES_REL_TOL` and
 `SERIES_MAX_TERMS`), so no command takes a tolerance or a term cap.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/convergence failure,
-4 verification failure.
+Exit codes: 0 success, 2 usage error (a rate or --z that is not positive and
+finite is one), 3 numeric failure (a typed library error from any command,
+mapped in one place, `_Main.invoke`), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ class TimeGrid(click.ParamType):
 TIME_GRID = TimeGrid()
 
 
-def _positive_rate(ctx, param, value):
+def _positive(ctx, param, value):
     if not (value > 0.0 and math.isfinite(value)):
         raise click.BadParameter(f"must be strictly positive and finite, got {value}")
     return value
 
 
 def _rate_options(f):
-    f = click.option("--lambda", "lam", type=float, required=True, callback=_positive_rate,
+    f = click.option("--lambda", "lam", type=float, required=True, callback=_positive,
                      help="jump rate out of even states")(f)
-    f = click.option("--mu", "mu", type=float, required=True, callback=_positive_rate,
+    f = click.option("--mu", "mu", type=float, required=True, callback=_positive,
                      help="jump rate out of odd states")(f)
     return f
 
@@ -85,6 +86,11 @@ def _emit(out, comments, header, rows):
             fh.write(text)
 
 
+def _table(out, name, params, header, grid, row):
+    """One CSV row (t, *row(t)) per grid time under `# altbd <name>` and `# <params>`."""
+    _emit(out, [f"altbd {name}", params], ["t", *header], [(t, *row(float(t))) for t in grid])
+
+
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
@@ -93,15 +99,18 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _numeric_guard(fn):
-    try:
-        return fn()
-    except (ConvergenceError, DomainError, oracle.WindowTooSmallError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+class _Main(click.Group):
+    """The one place where a command's typed numeric failure becomes exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConvergenceError, DomainError, oracle.WindowTooSmallError) as exc:
+            click.echo(f"numeric failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Transient probabilities and moments of birth-death chains with
     parity-alternating jump rates (rate lambda out of even states, mu out of
@@ -116,42 +125,26 @@ def main():
 @_out_option
 def prob(lam, mu, from_state, to_state, grid, out):
     """Transition probability of the unrestricted chain on a time grid."""
-    def run():
-        rates = Rates(lam, mu)
-        rows = [
-            (t, bilateral.transition_prob(TransitionQuery(from_state, to_state, float(t)), rates))
-            for t in grid
-        ]
-        _emit(
-            out,
-            ["altbd prob", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} to={to_state}"],
-            ["t", "p"],
-            rows,
-        )
-    _numeric_guard(run)
+    rates = Rates(lam, mu)
+    _table(out, "prob", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} to={to_state}", ["p"], grid,
+           lambda t: (bilateral.transition_prob(TransitionQuery(from_state, to_state, t), rates),))
 
 
 @main.command()
 @_rate_options
 @click.option("--from", "from_state", type=int, required=True, help="initial state")
-@click.option("--z", type=float, required=True, help="generating-function argument (> 0)")
+@click.option("--z", type=float, required=True, callback=_positive,
+              help="generating-function argument (> 0)")
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="time grid")
 @_out_option
 def pgf(lam, mu, from_state, z, grid, out):
     """Even/odd-state generating-function values on a time grid."""
-    def run():
-        rates = Rates(lam, mu)
-        rows = []
-        for t in grid:
-            pair = bilateral.pgf(from_state, z, float(t), rates)
-            rows.append((t, pair.f, pair.g, pair.total))
-        _emit(
-            out,
-            ["altbd pgf", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} z={_fmt(z)}"],
-            ["t", "f_even", "g_odd", "total"],
-            rows,
-        )
-    _numeric_guard(run)
+    rates = Rates(lam, mu)
+    def row(t):
+        pair = bilateral.pgf(from_state, z, t, rates)
+        return pair.f, pair.g, pair.total
+    _table(out, "pgf", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} z={_fmt(z)}",
+           ["f_even", "g_odd", "total"], grid, row)
 
 
 @main.command()
@@ -165,23 +158,13 @@ def moments(lam, mu, process, from_state, grid, out):
     """Mean and variance on a time grid (reflected: initial state 0 or 1)."""
     if process == "reflected" and from_state not in (0, 1):
         raise click.UsageError("reflected moments need --from 0 or 1")
-
-    def run():
-        rates = Rates(lam, mu)
-        rows = []
-        for t in grid:
-            t = float(t)
-            if process == "bilateral":
-                rows.append((t, bilateral.mean(from_state, t, rates), bilateral.variance(from_state, t, rates)))
-            else:
-                rows.append((t, *reflecting._moments(from_state, t, rates)))
-        _emit(
-            out,
-            ["altbd moments", f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}"],
-            ["t", "mean", "variance"],
-            rows,
-        )
-    _numeric_guard(run)
+    rates = Rates(lam, mu)
+    def row(t):
+        if process == "bilateral":
+            return bilateral.mean(from_state, t, rates), bilateral.variance(from_state, t, rates)
+        return reflecting._moments(from_state, t, rates)
+    _table(out, "moments", f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}",
+           ["mean", "variance"], grid, row)
 
 
 @main.command()
@@ -196,27 +179,13 @@ def reflect(lam, mu, from_state, grid, method, out):
     """Probability that the reflected chain occupies the origin."""
     if from_state == 0 and method == "integral":
         raise click.UsageError("--method integral needs --from 1; the start at 0 has only the q00 series")
-
-    def run():
-        rates = Rates(lam, mu)
-        rows = []
-        for t in grid:
-            t = float(t)
-            if from_state == 0:
-                v = reflecting.q00(t, rates)
-            elif method == "series":
-                v = reflecting.q10_series(t, rates)
-            else:
-                v = reflecting.q10_integral(t, rates)
-            rows.append((t, v))
-        _emit(
-            out,
-            ["altbd reflect",
-             f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} method={method}"],
-            ["t", "q"],
-            rows,
-        )
-    _numeric_guard(run)
+    rates = Rates(lam, mu)
+    if from_state == 0:
+        route = reflecting.q00
+    else:
+        route = reflecting.q10_series if method == "series" else reflecting.q10_integral
+    _table(out, "reflect", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} method={method}", ["q"],
+           grid, lambda t: (route(t, rates),))
 
 
 @main.command()
@@ -230,50 +199,44 @@ def reflect(lam, mu, from_state, grid, method, out):
 @_out_option
 def simulate(lam, mu, process, from_state, grid, paths, seed, out):
     """Empirical distribution from stochastic simulation (fixed-seed reproducible)."""
-    def run():
-        rates = Rates(lam, mu)
-        cfg = SimConfig(paths=paths, horizon=float(grid[-1]) if grid[-1] > 0 else 1.0, seed=seed)
-        res = oracle.simulate(process, rates, from_state, cfg, np.asarray(grid, dtype=float))
-        rows = []
-        for i, t in enumerate(res.times):
-            for state in sorted(res.pmf[i]):
-                rows.append((t, state, res.pmf[i][state], res.pmf_se[i][state]))
-        _emit(
-            out,
-            ["altbd simulate",
-             f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}",
-             f"paths={paths} seed={seed}"],
-            ["t", "state", "empirical_p", "std_err"],
-            rows,
-        )
-    _numeric_guard(run)
+    rates = Rates(lam, mu)
+    cfg = SimConfig(paths=paths, horizon=float(grid[-1]) if grid[-1] > 0 else 1.0, seed=seed)
+    res = oracle.simulate(process, rates, from_state, cfg, np.asarray(grid, dtype=float))
+    rows = [(t, state, res.pmf[i][state], res.pmf_se[i][state])
+            for i, t in enumerate(res.times) for state in sorted(res.pmf[i])]
+    _emit(
+        out,
+        ["altbd simulate",
+         f"process={process} lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state}",
+         f"paths={paths} seed={seed}"],
+        ["t", "state", "empirical_p", "std_err"],
+        rows,
+    )
 
 
 @main.command()
 @_out_option
 def verify(out):
     """Cross-check every closed form against the independent oracles."""
-    def run():
-        # read the grid at call time, so the report header and rows agree
-        rows = run_verification(DEFAULT_VERIFY_PAIRS)
-        _emit(
-            out,
-            ["altbd verify", f"grid={' '.join(f'({l},{m})' for l, m in DEFAULT_VERIFY_PAIRS)}"],
-            ["check", "lambda", "mu", "max_residual", "tolerance", "status"],
-            rows,
+    # read the grid at call time, so the report header and rows agree
+    rows = run_verification(DEFAULT_VERIFY_PAIRS)
+    _emit(
+        out,
+        ["altbd verify", f"grid={' '.join(f'({l},{m})' for l, m in DEFAULT_VERIFY_PAIRS)}"],
+        ["check", "lambda", "mu", "max_residual", "tolerance", "status"],
+        rows,
+    )
+    failures = [r for r in rows if r[-1] == "FAIL"]
+    for check, lam, mu, residual, tolerance, status in rows:
+        click.echo(
+            f"{status.upper():4s} {check:28s} ({_fmt(lam)},{_fmt(mu)}) "
+            f"max residual {residual:.3e} (tolerance {tolerance:.1e})",
+            err=True,
         )
-        failures = [r for r in rows if r[-1] == "FAIL"]
-        for check, lam, mu, residual, tolerance, status in rows:
-            click.echo(
-                f"{status.upper():4s} {check:28s} ({_fmt(lam)},{_fmt(mu)}) "
-                f"max residual {residual:.3e} (tolerance {tolerance:.1e})",
-                err=True,
-            )
-        if failures:
-            click.echo(f"{len(failures)} check(s) failed", err=True)
-            sys.exit(EXIT_VERIFY)
-        click.echo("all checks passed", err=True)
-    _numeric_guard(run)
+    if failures:
+        click.echo(f"{len(failures)} check(s) failed", err=True)
+        sys.exit(EXIT_VERIFY)
+    click.echo("all checks passed", err=True)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,6 @@ class SimResult:
     mean_se: np.ndarray
     var: np.ndarray
     var_se: np.ndarray
-    paths: int
     states: np.ndarray
 
 
@@ -300,7 +299,6 @@ def simulate(
         mean_se=mean_se,
         var=var,
         var_se=var_se,
-        paths=cfg.paths,
         states=np.unique(samples),
     )
 

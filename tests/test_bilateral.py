@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -117,6 +118,19 @@ class TestRates:
         with pytest.raises(DomainError):
             Rates(1.0, float("inf"))
 
+    @pytest.mark.parametrize("lam, mu", [(1e308, 1e308), (1e308, 1e-3), (1e-3, 1e308)])
+    def test_overflowing_rate_sum_rejected(self, lam, mu):
+        # at these rates lam + mu or the uniformization rate 2 max(lam, mu) is
+        # inf: the series summed zero terms to the cap and reported "did not
+        # converge", default_window raised a bare OverflowError and
+        # laplace_roots returned NaN roots
+        with pytest.raises(DomainError, match=re.escape(f"lam={lam!r}, mu={mu!r}")):
+            Rates(lam, mu)
+
+    def test_largest_accepted_rates(self):
+        rates = Rates(sys.float_info.max / 4.0, sys.float_info.max / 4.0)
+        assert math.isfinite(2.0 * rates.total)
+
     def test_swapped(self):
         assert Rates(1.0, 2.0).swapped() == Rates(2.0, 1.0)
 
@@ -125,6 +139,7 @@ class TestPgf:
     @pytest.mark.parametrize("k", [-4, -1, 0, 1, 2, 5])
     def test_initial_condition(self, k, rates_12):
         pair = pgf(k, 0.7, 0.0, rates_12)
+        assert isinstance(pair, PgfPair)
         zk = 0.7**k
         if k % 2 == 0:
             assert pair.f == pytest.approx(zk, rel=1e-14)
@@ -163,13 +178,6 @@ class TestPgf:
             pgf(0, -1.0, 1.0, rates_12)
         with pytest.raises(DomainError):
             pgf(0, 1.0, -0.1, rates_12)
-
-    def test_houses_sqrt_helper(self, rates_12):
-        z = 1.2
-        pair = pgf(0, z, 0.5, rates_12)
-        assert isinstance(pair, PgfPair)
-        want = math.sqrt((2.0 * z * z + 1.0) * (z * z + 2.0))
-        assert pair.h == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("k, z, t", [(400, 10.0, 1.0), (-200, 1e-3, 300.0), (0, 1e200, 1.0)])
     def test_out_of_range_raises_naming_arguments(self, k, z, t, rates_12):

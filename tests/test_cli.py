@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from altbd import bilateral, cli, reflecting
+from altbd import bilateral, cli, oracle, reflecting
+from altbd.specfun import ConvergenceError
 from altbd.verify import PAIR_CHECKS
 
 from conftest import mis_index_cross_parity, oracle_moments
@@ -123,7 +124,8 @@ class TestPgf:
         result = runner.invoke(
             cli.main, ["pgf", "--lambda", "2", "--mu", "1", "--from", "1", "--z", "-1", "--t", "0:3:7"]
         )
-        assert result.exit_code == 3
+        assert result.exit_code == 2
+        assert "--z" in result.output and "strictly positive and finite" in result.output
 
 
 class TestMoments:
@@ -335,7 +337,54 @@ class TestVerify:
         assert {(float(r[1]), float(r[2])) for r in rows} == {(2.0, 2.0)}
 
 
+RATES = ["--lambda", "1", "--mu", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, module, name",
+    [
+        (["prob", *RATES, "--from", "0", "--to", "1", "--t", "0:1:2"], bilateral, "transition_prob"),
+        (["pgf", *RATES, "--from", "0", "--z", "0.5", "--t", "0:1:2"], bilateral, "pgf"),
+        (["moments", *RATES, "--from", "0", "--t", "0:1:2"], bilateral, "mean"),
+        (["reflect", *RATES, "--from", "0", "--t", "0:1:2"], reflecting, "q00"),
+        (["simulate", *RATES, "--from", "0", "--t", "0:1:2", "--paths", "10"], oracle, "simulate"),
+        (["verify"], cli, "run_verification"),
+    ],
+    ids=["prob", "pgf", "moments", "reflect", "simulate", "verify"],
+)
+def test_numeric_failure_is_exit_3(runner, monkeypatch, args, module, name):
+    # every command's typed library error reaches the one boundary in cli.main
+    def fail(*_args, **_kwargs):
+        raise ConvergenceError("stub did not converge", 0.0, 0)
+
+    monkeypatch.setattr(module, name, fail)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 3
+    assert "numeric failure: stub did not converge" in result.output
+
+
 class TestOutputFormat:
+    @pytest.mark.parametrize(
+        "args, head",
+        [
+            (["prob", *RATES, "--from", "0", "--to", "1", "--t", "0:1:2"],
+             ["# altbd prob", "# lambda=1 mu=2 from=0 to=1", "t,p"]),
+            (["pgf", *RATES, "--from", "1", "--z", "0.5", "--t", "0:1:2"],
+             ["# altbd pgf", "# lambda=1 mu=2 from=1 z=0.5", "t,f_even,g_odd,total"]),
+            (["moments", "--process", "reflected", *RATES, "--from", "1", "--t", "0:1:2"],
+             ["# altbd moments", "# process=reflected lambda=1 mu=2 from=1", "t,mean,variance"]),
+            (["reflect", *RATES, "--from", "1", "--t", "0:1:2", "--method", "integral"],
+             ["# altbd reflect", "# lambda=1 mu=2 from=1 method=integral", "t,q"]),
+        ],
+        ids=["prob", "pgf", "moments", "reflect"],
+    )
+    def test_grid_table_head(self, runner, args, head):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[:3] == head
+        assert [ln.split(",")[0] for ln in lines[3:]] == ["0", "1"]
+
     def test_comment_header_and_precision(self, runner):
         result = runner.invoke(
             cli.main,

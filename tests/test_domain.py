@@ -1,0 +1,68 @@
+"""The domain contract: at any positive rates, long times and generating-function
+or transform arguments, each public function returns a finite value in its
+advertised range or raises a typed error that names the cause."""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
+
+from altbd import (
+    ConvergenceError, DomainError, Rates, TransitionQuery, WindowTooSmallError, invert_laplace, laplace_roots,
+    p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance, transient_distribution,
+    transition_prob, variance,
+)
+
+TYPED = (ConvergenceError, DomainError, WindowTooSmallError)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def calls(t, z, n, k, kind):
+    """(name, call, lo, hi): every value `call(rates)` returns must be finite and in [lo, hi]."""
+    return [
+        ("transition_prob", lambda r: transition_prob(TransitionQuery(k, n, t), r), 0.0, 1.0),
+        ("pgf", lambda r: pgf(n, z, t, r), 0.0, math.inf),
+        ("variance", lambda r: variance(n, t, r), 0.0, math.inf),
+        ("q00", lambda r: q00(t, r), 0.0, 1.0),
+        ("q10_series", lambda r: q10_series(t, r), 0.0, 1.0),
+        ("q10_integral", lambda r: q10_integral(t, r), 0.0, 1.0),
+        ("p_even", lambda r: p_even(k, t, r), 0.0, 1.0),
+        ("r_mean", lambda r: r_mean(k, t, r), 0.0, math.inf),
+        ("r_variance", lambda r: r_variance(k, t, r), 0.0, math.inf),
+        ("laplace_roots", lambda r: laplace_roots(z, r), 0.0, math.inf),
+        # the transform of a probability lies in [0, 1/s]
+        ("pi_1n", lambda r: pi_1n(z, abs(n), r), 0.0, 1.0 / z),
+        ("transient_distribution", lambda r: transient_distribution(kind, r, k, t)[1], 0.0, 1.0),
+        # q10 from its transform, to the 1e-6 the inversion is held to elsewhere
+        ("invert_laplace", lambda r: invert_laplace(lambda s: pi_1n(s, 0, r), t), -1e-6, 1.0 + 1e-6),
+    ]
+
+
+@settings(max_examples=25)
+@given(
+    lam=log_uniform(1e-3, 1e3),
+    mu=log_uniform(1e-3, 1e3),
+    t=log_uniform(1e-3, 1e3),
+    z=log_uniform(0.01, 100.0),
+    n=st.integers(min_value=-4, max_value=4),
+    k=st.sampled_from([0, 1]),
+    kind=st.sampled_from(["bilateral", "reflected"]),
+)
+# 2(lam + mu) overflows: Rates raises DomainError, naming both rates, before any series runs
+@example(lam=1e308, mu=1e308, t=1e-305, z=1.0, n=0, k=0, kind="bilateral")
+def test_value_in_range_or_typed_error(lam, mu, t, z, n, k, kind):
+    # 2 max(lam, mu) t <= 2e4, formed so that it does not overflow at the explicit example
+    assume(max(lam, mu) * t <= 1e4)
+    for name, call, lo, hi in calls(t, z, n, k, kind):
+        try:
+            got = call(Rates(lam, mu))
+        except TYPED:
+            continue
+        if dataclasses.is_dataclass(got):
+            got = dataclasses.astuple(got)
+        values = np.atleast_1d(np.asarray(got, dtype=float))
+        assert np.isfinite(values).all() and ((lo <= values) & (values <= hi)).all(), (name, got)
