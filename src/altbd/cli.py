@@ -178,7 +178,8 @@ def moments(lam, mu, process, from_state, grid, out):
 def reflect(lam, mu, from_state, grid, method, out):
     """Probability that the reflected chain occupies the origin."""
     if from_state == 0 and method == "integral":
-        raise click.UsageError("--method integral needs --from 1; the start at 0 has only the q00 series")
+        raise click.UsageError("--method integral needs --from 1; the start at 0 has only q00, "
+                               "a contour sum of its transform")
     rates = Rates(lam, mu)
     if from_state == 0:
         route = reflecting.q00

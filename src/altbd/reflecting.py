@@ -7,8 +7,8 @@ Implemented routes:
 * the Laplace-domain solution for a start at state 1 (`laplace_roots`,
   `pi_1n`), built on the roots of a biquadratic;
 * closed-form return probabilities to the origin from starts 0 and 1
-  (`q00`, and `q10_series` / `q10_integral` as two independent evaluations
-  of the same function);
+  (`q00`, a contour sum of its transform, and `q10_series` /
+  `q10_integral` as two independent evaluations of the same function);
 * occupation of the even states and the first two moments (`p_even`,
   `r_mean`, `r_variance`) from starts 0 and 1, closed formulas in two
   integrals of the return probability that `_occupation` takes from the
@@ -130,10 +130,12 @@ class LaplaceRoots:
 
 
 def _roots(s, rates: Rates):
-    """A and B of A^2 = (a+s)^2 - a^2, B^2 = (a+s)^2 - b^2, principal for Re s > 0; factored
-    so that nothing squares s and both are analytic off (-inf, 0], where each factor's cut lies."""
+    """The factors sqrt(s), sqrt(s+2a), sqrt(s+2mu), sqrt(s+2lam) of A = sqrt(s) sqrt(s+2a)
+    and B = sqrt(s+2mu) sqrt(s+2lam), A^2 = (a+s)^2 - a^2 and B^2 = (a+s)^2 - b^2, principal
+    for Re s > 0; factored so that nothing squares s and both are analytic off (-inf, 0],
+    where each factor's cut lies."""
     sqrt = cmath.sqrt if isinstance(s, complex) else math.sqrt
-    return sqrt(s) * sqrt(s + 2.0 * rates.total), sqrt(s + 2.0 * rates.mu) * sqrt(s + 2.0 * rates.lam)
+    return sqrt(s), sqrt(s + 2.0 * rates.total), sqrt(s + 2.0 * rates.mu), sqrt(s + 2.0 * rates.lam)
 
 
 def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
@@ -141,8 +143,9 @@ def laplace_roots(s: float, rates: Rates) -> LaplaceRoots:
     SeriesOverflowError where psi1^2 leaves the float range."""
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be strictly positive, got {s}")
-    A, B = _roots(s, rates)
-    scale = 2.0 * math.sqrt(rates.lam * rates.mu)  # sqrt(a^2 - b^2)
+    rs, r2a, r2m, r2l = _roots(s, rates)
+    A, B = rs * r2a, r2m * r2l
+    scale = 2.0 * math.sqrt(rates.lam) * math.sqrt(rates.mu)  # sqrt(a^2 - b^2), forming no lam mu to overflow
     psi1, psi2 = (A + B) / scale, scale / (A + B)
     if math.isinf(psi1 * psi1):
         raise SeriesOverflowError(f"psi1^2 overflows at s={s!r}", math.inf, 0)
@@ -164,49 +167,87 @@ def pi_1n(s, n: int, rates: Rates):
 
 
 def _pi1n(s, n: int, rates: Rates):
-    """pi_1n(s), unchecked, for real s > 0 or complex s off (-inf, 0]."""
+    """pi_1n(s), unchecked, for real s > 0 or complex s off (-inf, 0].
+
+    With w = 2/(A+B), psi2^2 = lam mu w^2 and 1 - psi2^2 = A w, since
+    (A+B)^2 - 4 lam mu = 2A(A+B); the paper's denominator mu(1 - psi2^2) - s psi2^2
+    is mu w (A - lam s w); and pi_10 = 4 mu P/((s(2mu+s) + AB)(P + AB)) with
+    P = (2lam+s)(2mu+s) = B^2 is, both brackets factored,
+    2 mu w sqrt(s+2lam)/(sqrt(s) (sqrt(s) sqrt(s+2mu) + sqrt(s+2a) sqrt(s+2lam))).
+    Nothing cancels at small or large s, and no product of rates is formed, so
+    every rate pair that `Rates` accepts keeps its values in the float range.
+    """
     lam, mu = rates.lam, rates.mu
-    A, B = _roots(s, rates)
-    if n == 0:  # P - AB = 4 lam mu P/(P + AB), P = (2lam+s)(2mu+s): no cancellation, scaled by s,
-        # and divided by s last, since 4 mu/s alone overflows for s near the least normal float
-        return 4.0 * mu / (2.0 * mu + s + A / s * B) / s / (1.0 + A / (2.0 * lam + s) * (B / (2.0 * mu + s)))
-    # psi2^2 = rho^2 = 4 lam mu/(A+B)^2 does not cancel; one rho per factor of size s
-    rho = 2.0 * math.sqrt(lam * mu) / (A + B)
+    rs, r2a, r2m, r2l = _roots(s, rates)
+    w = 2.0 / (rs * r2a + r2m * r2l)
+    if n == 0:
+        return 2.0 * mu * w * r2l / (rs * r2m + r2a * r2l) / rs
+    u = math.sqrt(mu) * w
+    rho = math.sqrt(lam) * u
     psi2 = rho * rho
-    den = mu * (1.0 - psi2) - s * rho * rho
+    den = rs * r2a - lam * (s * w)
     if n % 2 == 0:
-        return (2.0 * mu + s) * rho * ((lam + s) * rho) * psi2 ** (n // 2) / (lam * lam * den)
-    return (lam + s) * rho * rho * psi2 ** ((n - 1) // 2) * (1.0 + psi2) / (lam * den)
+        return (2.0 * mu + s) / den * ((lam + s) * w) * (u * u) * psi2 ** (n // 2 - 1)
+    return (lam + s) * w / den * psi2 ** ((n - 1) // 2) * (1.0 + psi2)
+
+
+def _pi_k0(s, k: int, rates: Rates):
+    """pi_{k,0}(s) for k in {0, 1}, unchecked: pi_10 is `_pi1n` at n = 0, and the
+    first jump out of 0 gives pi_00 = (1 + lam pi_10)/(lam + s)."""
+    pi = _pi1n(s, 0, rates)
+    return pi if k else (1.0 + rates.lam * pi) / (rates.lam + s)
 
 
 def q00(t: float, rates: Rates) -> float:
     """Probability of being back at the origin at time t, started there.
 
-    Single series over k with two 1F2 factors per term.  Each term is
-    assembled in log space around its a^(2k+1) scale (with the overall
-    e^(-at) damping folded in), because both the power factors and the 1F2
-    values grow exponentially with t while the term itself stays bounded.
+    One contour sum (1/t) Re sum_j w_j pi_00(z_j/t) of the transform
+    `_pi_k0`, the sum the moments take: 16 transform values at every t, no
+    reach limit in t, and about 1e-13 absolute error.  The 1F2 series of
+    `_q00_series` is kept as an independent reference for it.
     """
     _check_time(t)
-    if t == 0.0:
+    if rates.lam * t < 1e-17:  # q00 lies in [e^(-lam t), 1], so it rounds to 1
         return 1.0
+    total = sum((w * _pi_k0(z / t, 0, rates)).real for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS)) / t
+    if not math.isfinite(total):
+        raise SeriesOverflowError(f"q00 contour sum overflowed at t={t!r}", total, len(_CONTOUR_NODES))
+    return min(max(total, 0.0), 1.0)
+
+
+def _q00_series(t: float, rates: Rates) -> float:
+    """q00 by a single series over k with two 1F2 factors per term, the
+    reference that `q00`'s contour sum is checked against.
+
+    Each term is assembled in log space around its a^(2k+1) scale (with the
+    overall e^(-at) damping folded in), because both the power factors and
+    the 1F2 values grow exponentially with t while the term itself stays
+    bounded.  The factors 1 + r^(2k+1) and 1 - r^(2k+2), r = b/a, are formed
+    as 1 +- |r|^m with 1 - |r|^m = -expm1(m log1p(-2 min(lam, mu)/a)), and
+    the sum is divided by 2 lam, not a + b: nothing cancels when one rate is
+    tiny.  Raises SeriesOverflowError once |b| t passes about 709.
+    """
     a, b = rates.total, rates.diff
-    xb = b * b * t * t / 4.0
+    xb = (0.5 * b * t) ** 2
     la = math.log(a)
-    lt2 = math.log(t / 2.0)
-    r = b / a  # in (-1, 1)
+    lt2 = math.log(t) - math.log(2.0)  # t/2 underflows at the least subnormal t
+    # log |r|; at r = 0 (log1p(-1) raises) every power |r|^m, m >= 1, is 0
+    log_r = math.log1p(-2.0 * min(rates.lam, rates.mu) / a) if b else -math.inf
+
+    def one_minus(m):  # 1 - |r|^m
+        return -math.expm1(m * log_r)
 
     def terms():
         for k in itertools.count():
             f1 = _hyp_series(-0.5, k + 0.5, k + 1.0, xb, "q00 term")
             f2 = _hyp_series(-0.5, k + 1.0, k + 1.5, xb, "q00 term")
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
-            c1 = 1.0 + r ** (2 * k + 1)
-            c2 = t * a * (1.0 - r ** (2 * k + 2)) / (2.0 * (k + 1))
+            c1 = 1.0 + math.exp((2 * k + 1) * log_r) if b > 0 else one_minus(2 * k + 1)
+            c2 = t * a * one_minus(2 * k + 2) / (2.0 * (k + 1))
             yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
 
     total = _sum_series(terms(), "q00 series")
-    return min(max(total / (a + b), 0.0), 1.0)
+    return min(max(total / (2.0 * rates.lam), 0.0), 1.0)
 
 
 def q10_series(t: float, rates: Rates) -> float:
@@ -306,8 +347,7 @@ def q10_integral(t: float, rates: Rates) -> float:
 
 def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
     """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du for k in {0, 1},
-    from their transforms pi_{k,0}(s)/s and pi_{k,0}(s)/(s + 2a) on one contour;
-    pi_00 = (1 + lam pi_10)/(lam + s) by the first jump out of 0.
+    from their transforms pi_{k,0}(s)/s and pi_{k,0}(s)/(s + 2a) on one contour.
 
     Below a t = 1e-17 both are their t -> 0 limits, t from 0 and mu t^2/2
     from 1 (q_{k,0}(u) = [k = 0] + mu u [k = 1] + O((a u)^2)), exact in
@@ -316,17 +356,14 @@ def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
     _check_time(t)
     if k not in (0, 1):
         raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
-    lam, a = rates.lam, rates.total
+    a = rates.total
     if a * t < 1e-17:
         occ = t if k == 0 else 0.5 * rates.mu * t * t
         return occ, occ
     occ = relaxed = 0.0
     for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS):
         s = z / t
-        pi = _pi1n(s, 0, rates)
-        if k == 0:
-            pi = (1.0 + lam * pi) / (lam + s)
-        term = w * pi / z  # (1/t) pi/s
+        term = w * _pi_k0(s, k, rates) / z  # (1/t) pi/s
         occ += term.real
         relaxed += (term * (s / (s + 2.0 * a))).real  # (1/t) pi/(s + 2a), forming no 2at to overflow
     if not (math.isfinite(occ) and math.isfinite(relaxed)):

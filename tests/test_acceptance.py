@@ -12,7 +12,9 @@ from click.testing import CliRunner
 from altbd import cli
 from altbd.bilateral import Rates, TransitionQuery, mean, transition_prob, variance
 from altbd.oracle import SimConfig, invert_laplace, simulate, transient_distribution
-from altbd.reflecting import laplace_roots, p_even, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance
+from altbd.reflecting import (
+    _q00_series, laplace_roots, p_even, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance,
+)
 from altbd.specfun import bessel_i
 
 GRID_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0), Rates(0.5, 3.0)]
@@ -173,7 +175,8 @@ def test_criterion_8_reflected_moments():
     for rates in FIG3_PAIRS:
         lam, mu = rates.lam, rates.mu
         for k in (0, 1):
-            qf = (lambda tt, rr=rates: q00(tt, rr)) if k == 0 else (lambda tt, rr=rates: q10_series(tt, rr))
+            # the series of q00, not the contour sum the moments take their integrals from
+            qf = (lambda tt, rr=rates: _q00_series(tt, rr)) if k == 0 else (lambda tt, rr=rates: q10_series(tt, rr))
             for t in (0.5, 1.5):
                 dp = (p_even(k, t + h, rates) - p_even(k, t - h, rates)) / (2 * h)
                 residual = dp + 2.0 * (lam + mu) * p_even(k, t, rates) - lam * qf(t) - 2.0 * mu

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -34,10 +35,28 @@ def _unresolvable(u):
     return float(math.sin(1e5 * u) > 0.0)
 
 
+def _paper_pi_1n(lam, mu, s, count, dps):
+    """pi_1n(s) for n < count by the paper's formulas at dps digits, A and B factored."""
+    with mpmath.workdps(dps):
+        lam, mu, s = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpmathify(s)
+        A = mpmath.sqrt(s) * mpmath.sqrt(s + 2 * (lam + mu))
+        B = mpmath.sqrt(s + 2 * mu) * mpmath.sqrt(s + 2 * lam)
+        psi2 = 4 * lam * mu / (A + B) ** 2
+        den = mu * (1 - psi2) - s * psi2
+        want = [((2 * lam + s) * (2 * mu + s) - A * B) / (lam * (s * (2 * mu + s) + A * B))]
+        for n in range(1, count):
+            if n % 2 == 0:
+                want.append((2 * mu + s) * (lam + s) * psi2 ** (n // 2 + 1) / (lam * lam * den))
+            else:
+                want.append((lam + s) * psi2 ** ((n + 1) // 2) * (1 + psi2) / (lam * den))
+        return [complex(w) for w in want]
+
+
 @functools.cache
 def _scipy_occupation(k, t, rates):
-    """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du by scipy's quad over the series."""
-    series = q00 if k == 0 else q10_series
+    """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du by scipy's quad over the series
+    (the series of q00, not q00, which sums the same contour as the moments)."""
+    series = reflecting._q00_series if k == 0 else q10_series
     memo = {}
 
     def q(u):
@@ -161,6 +180,12 @@ class TestLaplaceRoots:
         with pytest.raises(SeriesOverflowError, match=r"s=1e\+200"):
             laplace_roots(1e200, rates_12)
 
+    def test_largest_rates_roots_in_range(self):
+        # 4 lam mu overflows here; the roots are 1 -+ 1.5e-154, so both round to 1
+        roots = laplace_roots(1.0, Rates(sys.float_info.max / 4, sys.float_info.max / 4))
+        assert roots.psi1_sq == pytest.approx(1.0, rel=1e-15)
+        assert roots.psi2_sq == pytest.approx(1.0, rel=1e-15)
+
     def test_domain_error(self, rates_12):
         with pytest.raises(DomainError):
             laplace_roots(0.0, rates_12)
@@ -200,23 +225,28 @@ class TestPi1n:
 
     @pytest.mark.parametrize("s", [1e3, 1e6])
     def test_matches_mpmath_at_large_s(self, s, rates_12):
-        # the paper's formulas at 50 digits; in floats (A - B)^2 and
-        # (2lam+s)(2mu+s) - AB lose about log10(s^2) digits to cancellation
-        lam, mu = rates_12.lam, rates_12.mu
-        with mpmath.workdps(50):
-            s_ = mpmath.mpf(s)
-            A = mpmath.sqrt(s_ * (s_ + 2 * (lam + mu)))
-            B = mpmath.sqrt((s_ + 2 * mu) * (s_ + 2 * lam))
-            psi2 = (A - B) ** 2 / (4 * lam * mu)
-            den = mu * (1 - psi2) - s_ * psi2
-            want = [((2 * lam + s_) * (2 * mu + s_) - A * B) / (lam * (s_ * (2 * mu + s_) + A * B))]
-            for n in range(1, 6):
-                if n % 2 == 0:
-                    want.append((2 * mu + s_) * (lam + s_) * psi2 ** (n // 2 + 1) / (lam * lam * den))
-                else:
-                    want.append((lam + s_) * psi2 ** ((n + 1) // 2) * (1 + psi2) / (lam * den))
-        for n, w in enumerate(want):
-            assert pi_1n(s, n, rates_12) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+        # in floats (A - B)^2 and (2lam+s)(2mu+s) - AB lose about log10(s^2) digits to cancellation
+        for n, w in enumerate(_paper_pi_1n(rates_12.lam, rates_12.mu, s, 6, 50)):
+            assert pi_1n(s, n, rates_12) == pytest.approx(w.real, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "lam, mu, s",
+        [
+            (1.0, 2.0, 1e-300),
+            (1.0, 2.0, 0.3 + 2.0j),
+            (sys.float_info.max / 4, sys.float_info.max / 4, 1.0),
+            (sys.float_info.max / 4, sys.float_info.max / 4, 1e-300),
+            (1e-300, sys.float_info.max / 4, 1.0),
+            (sys.float_info.max / 4, 1e-300, 1e10),
+            (1e-300, 1e-300, 1e10),
+        ],
+    )
+    def test_matches_mpmath_at_extreme_s_and_rates(self, lam, mu, s):
+        # in floats lam mu overflows here, 1 - psi2^2 cancels at small s, and
+        # (2 mu + s)/den or lam^2 den leaves the float range
+        rates = Rates(lam, mu)
+        for n, w in enumerate(_paper_pi_1n(lam, mu, s, 5, 700)):
+            assert pi_1n(s, n, rates) == pytest.approx(w, rel=1e-12, abs=1e-300)
 
     def test_complex_argument_supported(self, rates_12):
         v = pi_1n(1.0 + 2.0j, 0, rates_12)
@@ -252,6 +282,41 @@ class TestQ00:
     def test_eventual_decay(self, rates_21):
         assert q00(50.0, rates_21) < q00(20.0, rates_21) < q00(5.0, rates_21)
 
+    @pytest.mark.parametrize("rates", [*FIG3_PAIRS, Rates(0.5, 3.0)], ids=lambda r: f"{r.lam:g},{r.mu:g}")
+    @pytest.mark.parametrize("at", [1e-12, 1e-3, 0.1, 1.0, 5.0, 20.0, 50.0, 150.0, 400.0, 690.0])
+    def test_contour_agrees_with_series(self, rates, at):
+        # the contour sum against its 1F2 series, from a t near 0 up to the series' reach
+        t = at / rates.total
+        assert abs(q00(t, rates) - reflecting._q00_series(t, rates)) <= 1e-12
+
+    @settings(max_examples=25)
+    @given(lam=LOG_UNIFORM, mu=LOG_UNIFORM, t=LOG_UNIFORM)
+    def test_property_against_uniformization(self, lam, mu, t):
+        assume(2.0 * max(lam, mu) * t <= 2e4)
+        rates = Rates(lam, mu)
+        assert abs(q00(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-9
+
+    @pytest.mark.parametrize("t", [1e6, 1e300])
+    def test_in_the_unit_interval_at_long_times(self, t):
+        for rates in (*FIG3_PAIRS, Rates(1e-3, 1e3), Rates(1e3, 1e-3)):
+            assert 0.0 <= q00(t, rates) <= 1.0
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
+    def test_series_at_very_unequal_rates(self, t):
+        # 1 - r^m, r = b/a, formed as -expm1(m log1p(-2 lam/a)): subtracted
+        # directly it lost about 7 digits here
+        rates = Rates(1e-8, 1.0)
+        assert abs(reflecting._q00_series(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [1e-5, 0.5, 1.0, 5.0, 100.0])
+    def test_one_rate_vanishing(self, t):
+        # with lam = 1e-300 the chain stays at 0 (q00 = e^(-lam t) to within
+        # lam t); with mu = 1e-300 state 1 holds it once entered (q00 = e^(-t));
+        # the series divides by 2 lam, where a + b = 1e-300 + (1e-300 - 1) is 0
+        assert q00(t, Rates(1e-300, 1.0)) == pytest.approx(1.0, abs=1e-13)
+        assert q00(t, Rates(1.0, 1e-300)) == pytest.approx(math.exp(-t), abs=1e-13)
+        assert reflecting._q00_series(t, Rates(1e-300, 1.0)) == pytest.approx(1.0, abs=1e-13)
+
 
 class TestSeriesOverflow:
     # past (lam+mu)t or |lam-mu|t ~ 709 a 1F2 factor overflows to inf while
@@ -259,11 +324,11 @@ class TestSeriesOverflow:
     @pytest.mark.parametrize(
         "fn, lam, mu, t",
         [
-            (q00, 1.0, 2.0, 720.0),
-            (q00, 1.0, 2.0, 792.0),
+            (reflecting._q00_series, 1.0, 2.0, 720.0),
+            (reflecting._q00_series, 1.0, 2.0, 792.0),
             (q10_series, 1.0, 2.0, 240.0),
             (q10_series, 1.0, 2.0, 426.0),
-            (q00, 1e-3, 1e3, 1.0),
+            (reflecting._q00_series, 1e-3, 1e3, 1.0),
             (q10_series, 1e-3, 1e3, 1.0),
         ],
     )
@@ -271,6 +336,14 @@ class TestSeriesOverflow:
         with pytest.raises(SeriesOverflowError) as exc:
             fn(t, Rates(lam, mu))
         assert exc.value.terms < 10
+
+    @pytest.mark.parametrize(
+        "lam, mu, t", [(1.0, 2.0, 720.0), (1.0, 2.0, 792.0), (1.0, 2.0, 1000.0), (1e-3, 1e3, 1.0)]
+    )
+    def test_q00_past_the_series_reach(self, lam, mu, t):
+        # q00 has no reach limit: it holds where its series overflows
+        rates = Rates(lam, mu)
+        assert abs(q00(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-9
 
     def test_quadrature_route_names_overflow(self):
         # the Bessel factors of the q10 integrand overflow once (lam+mu) t passes about 713
@@ -403,7 +476,7 @@ class TestPEven:
         h = 1e-4
         for t in (0.5, 1.5):
             dp = (p_even(k, t + h, rates_21) - p_even(k, t - h, rates_21)) / (2 * h)
-            q = q00(t, rates_21) if k == 0 else q10_series(t, rates_21)
+            q = reflecting._q00_series(t, rates_21) if k == 0 else q10_series(t, rates_21)
             residual = dp + 2.0 * (lam + mu) * p_even(k, t, rates_21) - lam * q - 2.0 * mu
             assert abs(residual) < 1e-6
 
