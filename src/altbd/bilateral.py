@@ -4,9 +4,16 @@ The chain jumps to either neighbour at rate `lam` from even states and at
 rate `mu` from odd states.  Closed forms implemented here: the even/odd
 probability generating functions, the transition-probability double series
 (two even-start parity cases; an odd start is an even one with the rates
-swapped), and the first two moments.  Each transition probability is one
-series (`_series`): an odd target's two inner offsets are summed in the same
-pass over n.
+swapped), and the first two moments.
+
+`transition_probs` is the one route of the double series, and
+`transition_prob` its one-target case.  Each target reduces to a key, its
+offset m and whether it has the start's parity (`_sum_key`): targets k + 2j
+and k - 2j share a key, and an odd target's two inner offsets m and m+1 are
+summed in one pass over n.  A row sums each distinct key once, so a window
+around the start sums about half as many series as it has targets, and
+steps each inner sequence once for all the keys that read it
+(`_row_sums`).  Every value is the one a single call returns, bit for bit.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
@@ -30,10 +37,12 @@ from dataclasses import dataclass
 
 from .specfun import DomainError, SeriesOverflowError, _check_time, _sum_series
 
-__all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "mean", "variance"]
+__all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "mean", "variance"]
 
 # the largest x with e^x in the float range
 _LOG_MAX = math.log(sys.float_info.max)
+# what a transition series' errors name it by
+_SAME_PARITY, _CROSS_PARITY = "transition series (same parity)", "transition series (cross parity)"
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,16 @@ class TransitionQuery:
 
     def __post_init__(self):
         for name in ("from_state", "to_state"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _state(name, getattr(self, name)))
         _check_time(self.t)
+
+
+def _state(name: str, value) -> int:
+    """`value` as an int state; DomainError unless `operator.index` accepts it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -164,70 +177,130 @@ def _inner_logs(d: int, x: float):
     log_s = d * math.log(y)
     yield log_s + d * shift
     e = d + (d + 1) * w  # S_(d+1) = (d+1)(1+w) S_d
+    # fn is n as a float, exact below 2^51: float-float operations give the
+    # values of the int-float ones bit for bit and take about a quarter less
+    # time per step in CPython
+    log1p, dd, fn = math.log1p, float(d * d), d + 1.0
     for n in itertools.count(d + 1):
-        log_s += math.log1p(e)
-        yield log_s + n * shift
-        m = n + 1
-        e = (n * e + w * (4 * n + 1 - n * w + (2 * n + 1) * e) + d * d * (1.0 + e) / m) / (
-            (m - d) * (m + d) / m * (1.0 + e)
-        )
+        log_s += log1p(e)
+        yield log_s + fn * shift
+        m, fm = n + 1, fn + 1.0
+        e1 = 1.0 + e
+        e = (fn * e + w * (4.0 * fn + 1.0 - fn * w + (2.0 * fn + 1.0) * e) + dd * e1 / fm) / ((m - d) * (m + d) / m * e1)
+        fn = fm
 
 
-def _series(rate: float, x: float, d: int, t: float, a: float, c: float | None) -> float:
-    """e^(-at) times the outer series of one transition probability; rt = rate*t.
+def _sum_key(d: int, same: bool) -> tuple[int, bool]:
+    """The series a target at inner offset d reads, as (m, same parity).
 
-    For an even target (c given) it is
-        sum_{n>=d} [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(d, x),
-    whose even and odd parts share S_n, so the odd part is the even one
-    times c*rt/(2n+1).  For an odd target (c None) it is
-        sum_{n>=d} (rt)^{2n+1}/(2n+1)! [ S_n(d, x) + S_n(d+1, x) ],
-    both offsets in one pass: S_(d+1) joins at n = d+1 (S_d(d+1, x) = 0).
+    A same-parity target sums S_|d|; a cross-parity one sums S_m + S_(m+1)
+    with (m, m+1) the pair |d|, |d+1| in order.  Targets k + 2j and k - 2j
+    share a key, so a row sums each key once.
     """
+    return (abs(d), True) if same else (min(abs(d), abs(d + 1)), False)
+
+
+def _same_terms(logs, m: int, lrt: float, at: float, crt: float):
+    """(term, settled) pairs of a same-parity key (m, True), from its S_n(m, x) in `logs`:
+        e^(-at) [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(m, x),  n >= m,
+    whose even and odd parts share S_n, so the odd part is the even one times
+    c*rt/(2n+1); lrt = log(rt), at = a*t, crt = c*rt.
+
+    two_n is 2n as a float, exact like the counter of `_inner_logs`.  A term
+    is settled only from n = m + 5 and past the Poisson-weight peak at
+    2n ~ at, where terms decay faster than geometrically.
+    """
+    exp, lgamma = math.exp, math.lgamma
+    two_n, settled_from = 2.0 * m, max(2.0 * m + 10.0, at)
+    for log_s in logs:
+        odd = two_n + 1.0
+        yield exp(two_n * lrt - lgamma(odd) + log_s - at) * (1.0 + crt / odd), two_n >= settled_from
+        two_n = odd + 1.0
+
+
+def _cross_terms(logs, upper, m: int, lrt: float, at: float):
+    """(term, settled) pairs of a cross-parity key (m, False), from S_n(m, x) in
+    `logs` and S_n(m+1, x) in `upper`, as in `_same_terms`:
+        e^(-at) (rt)^{2n+1}/(2n+1)! [ S_n(m, x) + S_n(m+1, x) ],  n >= m,
+    both offsets in one pass: S_(m+1) joins at n = m+1 (S_m(m+1, x) = 0).
+    """
+    exp, lgamma = math.exp, math.lgamma
+    upper = itertools.chain([-math.inf], upper)
+    two_n, settled_from = 2.0 * m, max(2.0 * m + 10.0, at)
+    for log_s in logs:
+        odd = two_n + 1.0
+        term = exp(odd * lrt - lgamma(odd + 1.0) + log_s - at)
+        yield term * (1.0 + exp(next(upper) - log_s)), two_n >= settled_from
+        two_n = odd + 1.0
+
+
+def _row_sums(keys, rate: float, x: float, t: float, a: float, c: float) -> dict:
+    """The probability each distinct key in `keys` sums, by key: e^(-at) times
+    its outer series (`_same_terms`, `_cross_terms`) at rt = rate*t, clamped
+    to [0, 1].
+
+    Each inner sequence S_n(j, x) is stepped once for all the keys: where
+    several sums read it, `itertools.tee` keeps its values for the ones
+    behind, and a sequence with one reader is the bare generator.
+    """
+    sums = dict.fromkeys(keys)
     rt = rate * t
-    if rt == 0.0:  # rate*t underflowed: every term but an even target's e^(-at) S_0(0, x) is exactly 0
-        return math.exp(-a * t) if d == 0 and c is not None else 0.0
-    lrt = math.log(rt)
+    if rt == 0.0:  # rate*t underflowed: every term but a same-parity e^(-at) S_0(0, x) is exactly 0
+        return {key: math.exp(-a * t) if key == (0, True) else 0.0 for key in sums}
+    lrt, at, crt = math.log(rt), a * t, c * rt
+    readers = {}  # how many sums read S(j): (m, same) reads S(m), (m, cross) S(m) and S(m+1)
+    for m, same in sums:
+        readers[m] = readers.get(m, 0) + 1
+        if not same:
+            readers[m + 1] = readers.get(m + 1, 0) + 1
+    copies = {}
+    for j, count in readers.items():
+        logs = _inner_logs(j, x)
+        copies[j] = list(itertools.tee(logs, count)) if count > 1 else [logs]
+    for m, same in sums:
+        if same:
+            v = _sum_series(_same_terms(copies[m].pop(), m, lrt, at, crt), _SAME_PARITY)
+        else:
+            v = _sum_series(_cross_terms(copies[m].pop(), copies[m + 1].pop(), m, lrt, at), _CROSS_PARITY)
+        sums[m, same] = min(max(v, 0.0), 1.0)  # guard against sub-eps excursions outside [0, 1]
+    return sums
 
-    def terms():
-        upper = itertools.chain([-math.inf], _inner_logs(d + 1, x)) if c is None else None
-        for n, log_s in enumerate(_inner_logs(d, x), d):
-            if c is None:
-                term = math.exp((2 * n + 1) * lrt - math.lgamma(2 * n + 2) + log_s - a * t)
-                term *= 1.0 + math.exp(next(upper) - log_s)
-            else:
-                base = math.exp(2 * n * lrt - math.lgamma(2 * n + 1) + log_s - a * t)
-                term = base * (1.0 + c * rt / (2 * n + 1))
-            # settled only past the Poisson-weight peak at 2n ~ at, where
-            # terms decay faster than geometrically
-            yield term, n >= d + 5 and 2 * n >= a * t
 
-    return _sum_series(terms(), "transition series (cross parity)" if c is None else "transition series (same parity)")
+def transition_probs(from_state: int, to_states, t: float, rates: Rates) -> list[float]:
+    """Probabilities of moving from `from_state` to each of `to_states` in time t.
+
+    Odd starts are reduced to even ones first; then each target is reduced
+    to the key of one even-start double series (`_sum_key`), and each
+    distinct key is summed once, all of them over one pass of the inner
+    sequences (`_row_sums`).  A row returns exactly the values of one
+    `transition_prob` call per target, and raises the error the first
+    failing key's call would.
+    """
+    k = _state("from_state", from_state)
+    targets = [_state("to_state", n) for n in to_states]
+    _check_time(t)
+    return _row(k, targets, t, rates)
+
+
+def _row(k: int, targets, t: float, rates: Rates) -> list[float]:
+    """`transition_probs` on checked arguments: the one route of both public functions."""
+    if t == 0.0:
+        return [1.0 if n == k else 0.0 for n in targets]
+    lam, mu = rates.lam, rates.mu
+    if not _is_even(k):
+        # shifting both states by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
+        lam, mu, k = mu, lam, k - 1
+        targets = [n - 1 for n in targets]
+    keys = [_sum_key(n // 2 - k // 2, _is_even(n)) for n in targets]
+    sums = _row_sums(keys, lam, mu / lam, t, rates.total, (mu - lam) / lam)
+    return list(map(sums.__getitem__, keys))
 
 
 def transition_prob(q: TransitionQuery, rates: Rates) -> float:
-    """Probability of moving from q.from_state to q.to_state in time q.t.
-
-    Odd starts are reduced to even ones first; then the parity of the target
-    picks one of the two even-start double-series closed forms, and each
-    call sums exactly one series.  An odd target's two offsets, |d| and
-    |d+1|, are the consecutive pair (m, m+1), summed in one pass.
-    """
-    if q.t == 0.0:
-        return 1.0 if q.from_state == q.to_state else 0.0
-    lam, mu = rates.lam, rates.mu
-    a = rates.total
-    k, n = q.from_state, q.to_state
-    if not _is_even(k):
-        # shifting both states by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
-        lam, mu, k, n = mu, lam, k - 1, n - 1
-    d = n // 2 - k // 2
-    x = mu / lam
-    if _is_even(n):
-        v = _series(lam, x, abs(d), q.t, a, (mu - lam) / lam)
-    else:
-        v = _series(lam, x, min(abs(d), abs(d + 1)), q.t, a, None)
-    # guard against sub-eps excursions outside [0, 1]
-    return min(max(v, 0.0), 1.0)
+    """Probability of moving from q.from_state to q.to_state in time q.t:
+    the one-target case of `transition_probs`, which sums exactly one
+    series for it."""
+    return _row(q.from_state, (q.to_state,), q.t, rates)[0]
 
 
 def mean(k: int, t: float, rates: Rates) -> float:

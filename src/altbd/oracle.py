@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilateral import Rates
-from .specfun import DomainError, _check_time
+from .specfun import DomainError, SeriesOverflowError, _check_time
 
 __all__ = [
     "TruncatedChain",
@@ -314,7 +314,8 @@ def invert_laplace(transform, t: float) -> float:
     Implements the Abate-Whitt Euler scheme: a Bromwich-line trapezoid sum
     at abscissa M ln(10)/3 with alternating signs, binomially averaged over
     the last M partial sums, M = 20.  It evaluates the transform at 2M+1
-    complex points with positive real part.
+    complex points with positive real part.  Raises SeriesOverflowError,
+    with terms the number of points, where the sum is not finite.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
@@ -330,5 +331,11 @@ def invert_laplace(transform, t: float) -> float:
     ks = np.arange(2 * M + 1)
     beta = M * math.log(10.0) / 3.0 + 1j * math.pi * ks
     sgn = np.where(ks % 2 == 0, 1.0, -1.0)
-    vals = np.array([transform(b / t) for b in beta], dtype=complex)
-    return float(10.0 ** (M / 3.0) / t * np.sum(xi * sgn * vals.real))
+    # the nodes are numpy scalars, so a transform that leaves the float range
+    # there warns; a non-finite sum raises below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([transform(b / t) for b in beta], dtype=complex)
+        total = float(10.0 ** (M / 3.0) / t * np.sum(xi * sgn * vals.real))
+    if not math.isfinite(total):
+        raise SeriesOverflowError(f"Laplace inversion overflowed at t={t!r}", total, 2 * M + 1)
+    return total

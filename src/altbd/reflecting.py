@@ -15,7 +15,9 @@ Implemented routes:
   transform by one contour sum, with no reach limit in t.
 
 `q10_integral` integrates with `_quad`, nested Clenshaw-Curtis rules whose
-weights are computed here, so only the standard library is needed.
+weights are computed here, so only the standard library is needed.  The
+paper's 1F2 series for q00 is no production route; it lives in the tests
+(`tests/reference.py`) as the independent reference `q00` is checked against.
 
 Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
 """
@@ -203,8 +205,7 @@ def q00(t: float, rates: Rates) -> float:
 
     One contour sum (1/t) Re sum_j w_j pi_00(z_j/t) of the transform
     `_pi_k0`, the sum the moments take: 16 transform values at every t, no
-    reach limit in t, and about 1e-13 absolute error.  The 1F2 series of
-    `_q00_series` is kept as an independent reference for it.
+    reach limit in t, and about 1e-13 absolute error.
     """
     _check_time(t)
     if rates.lam * t < 1e-17:  # q00 lies in [e^(-lam t), 1], so it rounds to 1
@@ -215,39 +216,10 @@ def q00(t: float, rates: Rates) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _q00_series(t: float, rates: Rates) -> float:
-    """q00 by a single series over k with two 1F2 factors per term, the
-    reference that `q00`'s contour sum is checked against.
-
-    Each term is assembled in log space around its a^(2k+1) scale (with the
-    overall e^(-at) damping folded in), because both the power factors and
-    the 1F2 values grow exponentially with t while the term itself stays
-    bounded.  The factors 1 + r^(2k+1) and 1 - r^(2k+2), r = b/a, are formed
-    as 1 +- |r|^m with 1 - |r|^m = -expm1(m log1p(-2 min(lam, mu)/a)), and
-    the sum is divided by 2 lam, not a + b: nothing cancels when one rate is
-    tiny.  Raises SeriesOverflowError once |b| t passes about 709.
-    """
-    a, b = rates.total, rates.diff
-    xb = (0.5 * b * t) ** 2
-    la = math.log(a)
-    lt2 = math.log(t) - math.log(2.0)  # t/2 underflows at the least subnormal t
-    # log |r|; at r = 0 (log1p(-1) raises) every power |r|^m, m >= 1, is 0
-    log_r = math.log1p(-2.0 * min(rates.lam, rates.mu) / a) if b else -math.inf
-
-    def one_minus(m):  # 1 - |r|^m
-        return -math.expm1(m * log_r)
-
-    def terms():
-        for k in itertools.count():
-            f1 = _hyp_series(-0.5, k + 0.5, k + 1.0, xb, "q00 term")
-            f2 = _hyp_series(-0.5, k + 1.0, k + 1.5, xb, "q00 term")
-            scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
-            c1 = 1.0 + math.exp((2 * k + 1) * log_r) if b > 0 else one_minus(2 * k + 1)
-            c2 = t * a * one_minus(2 * k + 2) / (2.0 * (k + 1))
-            yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
-
-    total = _sum_series(terms(), "q00 series")
-    return min(max(total / (2.0 * rates.lam), 0.0), 1.0)
+def _check_normalizer(rates: Rates) -> None:
+    """DomainError where a + b, the 2 lam that both q10 routes divide by, rounds to 0."""
+    if rates.total + rates.diff == 0.0:
+        raise DomainError(f"q10 divides by a + b = 2 lam, which rounds to 0 at lam={rates.lam!r}, mu={rates.mu!r}")
 
 
 def q10_series(t: float, rates: Rates) -> float:
@@ -267,6 +239,7 @@ def q10_series(t: float, rates: Rates) -> float:
         return 0.0
     lam = rates.lam
     a, b = rates.total, rates.diff
+    _check_normalizer(rates)
     xa = a * a * t * t / 4.0
     xb = b * b * t * t / 4.0
     la = math.log(a)
@@ -336,6 +309,7 @@ def q10_integral(t: float, rates: Rates) -> float:
         return 0.0
     lam = rates.lam
     a, b = rates.total, rates.diff
+    _check_normalizer(rates)
 
     def integrand(s: float) -> float:
         u = t - s

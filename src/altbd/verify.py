@@ -6,6 +6,13 @@ that does not pass through it (uniformization, Laplace inversion,
 quadrature, a Bessel function, or an identity of the chain); a report row
 carries their worst, which is NaN or infinite if any residual is, so a
 closed form that returns NaN fails its row.
+
+Normalization, the first factor of Chapman-Kolmogorov and the pointwise
+comparison with the oracle's row take whole rows from
+`bilateral.transition_probs`, which sums each distinct series of a row once.
+Symmetry, the column factor of Chapman-Kolmogorov and the Bessel reduction
+call `transition_prob` entry by entry, so the one-target path and the
+reduction of states to series stay under test too.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def normalization(rates):
     for k in range(-3, 4):
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
             lo, hi = oracle.default_window("bilateral", rates, k, t)
-            yield abs(sum(_p(k, n, t, rates) for n in range(lo, hi + 1)) - 1.0)
+            yield abs(sum(bilateral.transition_probs(k, range(lo, hi + 1), t, rates)) - 1.0)
 
 
 def symmetry(rates):
@@ -70,7 +77,8 @@ def chapman_kolmogorov(rates):
     for t, s in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7)):
         for k, n in ((0, 0), (0, 1), (-1, 2)):
             lo, hi = oracle.default_window("bilateral", rates, k, t + s)
-            total = sum(_p(k, m, t, rates) * _p(m, n, s, rates) for m in range(lo, hi + 1))
+            row = bilateral.transition_probs(k, range(lo, hi + 1), t, rates)
+            total = sum(p * _p(m, n, s, rates) for m, p in zip(range(lo, hi + 1), row))
             yield abs(total - _p(k, n, t + s, rates))
 
 
@@ -98,8 +106,8 @@ def bilateral_moments_vs_oracle(rates):
             m1, var = _row_moments(states, probs)
             yield abs(bilateral.mean(k, t, rates) - m1)
             yield abs(bilateral.variance(k, t, rates) - var)
-            for n, p in zip(states, probs):
-                yield abs(_p(k, int(n), t, rates) - p)
+            for p, want in zip(bilateral.transition_probs(k, states.tolist(), t, rates), probs):
+                yield abs(p - want)
 
 
 def reflected_moments_vs_oracle(rates):

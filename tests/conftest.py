@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from altbd import Rates, bilateral, transient_distribution
 
@@ -9,6 +11,11 @@ from altbd import Rates, bilateral, transient_distribution
 # a series or oracle evaluation may take longer than hypothesis's default
 settings.register_profile("altbd", deadline=None, derandomize=True)
 settings.load_profile("altbd")
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi], uniform in their logarithm."""
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
 
 
 @pytest.fixture
@@ -46,8 +53,12 @@ def oracle_prob(kind, rates, k, n, t, eps=1e-12):
 def mis_index_cross_parity(monkeypatch):
     """Shift every cross-parity offset up by one (an odd target sums
     S_(m+1) + S_(m+2) in place of S_m + S_(m+1)): a transcription slip in
-    the closed form that the cross checks must catch."""
-    series = bilateral._series
-    monkeypatch.setattr(
-        bilateral, "_series", lambda rate, x, d, t, a, c: series(rate, x, d + (c is None), t, a, c)
-    )
+    the closed form that the cross checks must catch.  It is made where each
+    target is reduced to its series key, which rows and single calls share."""
+    key = bilateral._sum_key
+
+    def shifted(d, same):
+        m, same = key(d, same)
+        return m + (not same), same
+
+    monkeypatch.setattr(bilateral, "_sum_key", shifted)

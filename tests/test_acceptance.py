@@ -13,9 +13,11 @@ from altbd import cli
 from altbd.bilateral import Rates, TransitionQuery, mean, transition_prob, variance
 from altbd.oracle import SimConfig, invert_laplace, simulate, transient_distribution
 from altbd.reflecting import (
-    _q00_series, laplace_roots, p_even, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance,
+    laplace_roots, p_even, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance,
 )
 from altbd.specfun import bessel_i
+
+from reference import _q00_series
 
 GRID_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0), Rates(0.5, 3.0)]
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]

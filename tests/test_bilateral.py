@@ -7,15 +7,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altbd import bilateral
-from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, variance
+from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, transition_probs, variance
 from altbd.oracle import default_window
 from altbd import specfun
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
-from conftest import mis_index_cross_parity, oracle_moments, oracle_prob
+from conftest import log_uniform, mis_index_cross_parity, oracle_moments, oracle_prob
 
 
 def window_for(rates, t, extra=0):
@@ -366,6 +366,69 @@ class TestTransitionProb:
     )
     def test_underflowed_rate_time_product(self, t, k, n, expected):
         assert p(k, n, t, Rates(1e-5, 1.0)) == expected
+
+
+class TestTransitionProbs:
+    @settings(max_examples=25)
+    @given(
+        lam=log_uniform(1e-3, 1e3),
+        mu=log_uniform(1e-3, 1e3),
+        horizon=st.floats(min_value=1e-3, max_value=60.0),
+        k=st.integers(min_value=-5, max_value=5),
+    )
+    @example(lam=1.0, mu=2.0, horizon=0.0, k=1)  # t = 0
+    @example(lam=1e-5, mu=1.0, horizon=2e-320, k=0)  # lam t underflows to 0, mu t does not
+    @example(lam=1e-5, mu=1.0, horizon=2e-320, k=-1)
+    def test_row_equals_single_calls(self, lam, mu, horizon, k):
+        # horizon = 2 max(lam, mu) t, the oracle's Poisson rate, sizes the window
+        rates = Rates(lam, mu)
+        t = horizon / (2.0 * max(lam, mu))
+        lo, hi = default_window("bilateral", rates, k, t)
+        targets = list(range(lo, hi + 1))
+        singles = [p(k, n, t, rates) for n in targets]
+        assert transition_probs(k, targets, t, rates) == singles
+        # order and repeats are the caller's
+        shuffled = targets[::-1] + targets[:3]
+        assert transition_probs(k, shuffled, t, rates) == singles[::-1] + singles[:3]
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_one_series_per_distinct_key(self, k, rates_12, monkeypatch):
+        # extends test_one_series_per_probability to a row: a target's series
+        # is fixed by |n - k|, and n = k +- j share it
+        calls = []
+        sum_series = bilateral._sum_series
+        monkeypatch.setattr(bilateral, "_sum_series", lambda terms, what: calls.append(what) or sum_series(terms, what))
+        targets = range(k - 7, k + 9)
+        transition_probs(k, targets, 2.5, rates_12)
+        distances = {abs(n - k) for n in targets}
+        assert len(distances) == 9
+        want = [f"transition series ({'cross' if j % 2 else 'same'} parity)" for j in distances]
+        assert sorted(calls) == sorted(want)
+
+    @pytest.mark.parametrize("targets", [[0], [1], [0, 1, -3, 4], [5, -5, 0]])
+    def test_term_cap_raises_as_a_single_call(self, targets, rates_12, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError) as single:
+            p(0, targets[0], 5.0, rates_12)
+        with pytest.raises(ConvergenceError) as row:
+            transition_probs(0, targets, 5.0, rates_12)
+        assert type(row.value) is type(single.value) is ConvergenceError
+        assert row.value.terms == single.value.terms == 3
+        assert str(row.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "from_state, to_state, t",
+        [(0, 1.5, 1.0), (0.5, 1, 1.0), (0, None, 1.0), (0, 1, -1.0), (0, 1, float("nan")), (0, 1, float("inf"))],
+    )
+    def test_domain_errors_as_a_single_call(self, from_state, to_state, t, rates_12):
+        with pytest.raises(DomainError) as single:
+            p(from_state, to_state, t, rates_12)
+        with pytest.raises(DomainError) as row:
+            transition_probs(from_state, [0, to_state], t, rates_12)
+        assert str(row.value) == str(single.value)
+
+    def test_empty_row(self, rates_12):
+        assert transition_probs(0, [], 1.0, rates_12) == []
 
 
 class TestMoments:

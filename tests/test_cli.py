@@ -303,12 +303,15 @@ class TestVerify:
 
     def test_nan_closed_form_fails(self, runner, monkeypatch):
         # max(0.0, nan) is 0.0, so a NaN residual must not be dropped on the way
-        # to a row's worst residual
-        exact = bilateral.transition_prob
-        monkeypatch.setattr(
-            bilateral, "transition_prob",
-            lambda q, rates: math.nan if (q.from_state, q.to_state) == (0, 0) else exact(q, rates),
-        )
+        # to a row's worst residual; the NaN is injected in the route that
+        # rows and single transition_prob calls share
+        exact = bilateral._row
+
+        def nan_at_origin(k, targets, t, rates):
+            targets = list(targets)
+            return [math.nan if (k, n) == (0, 0) else p for n, p in zip(targets, exact(k, targets, t, rates))]
+
+        monkeypatch.setattr(bilateral, "_row", nan_at_origin)
         rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
         for name in ("normalization", "symmetry", "chapman_kolmogorov"):
             assert math.isnan(rows[name][3])

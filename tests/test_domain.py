@@ -11,20 +11,19 @@ from hypothesis import assume, example, given, settings, strategies as st
 from altbd import (
     ConvergenceError, DomainError, Rates, TransitionQuery, WindowTooSmallError, invert_laplace, laplace_roots,
     p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance, transient_distribution,
-    transition_prob, variance,
+    transition_prob, transition_probs, variance,
 )
 
+from conftest import log_uniform
+
 TYPED = (ConvergenceError, DomainError, WindowTooSmallError)
-
-
-def log_uniform(lo, hi):
-    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
 
 
 def calls(t, z, n, k, kind):
     """(name, call, lo, hi): every value `call(rates)` returns must be finite and in [lo, hi]."""
     return [
         ("transition_prob", lambda r: transition_prob(TransitionQuery(k, n, t), r), 0.0, 1.0),
+        ("transition_probs", lambda r: transition_probs(k, range(n - 2, n + 3), t, r), 0.0, 1.0),
         ("pgf", lambda r: pgf(n, z, t, r), 0.0, math.inf),
         ("variance", lambda r: variance(n, t, r), 0.0, math.inf),
         ("q00", lambda r: q00(t, r), 0.0, 1.0),
@@ -54,6 +53,9 @@ def calls(t, z, n, k, kind):
 )
 # 2(lam + mu) overflows: Rates raises DomainError, naming both rates, before any series runs
 @example(lam=1e308, mu=1e308, t=1e-305, z=1.0, n=0, k=0, kind="bilateral")
+# a + b = 2 lam, which both q10 routes divide by, rounds to 0: DomainError, not ZeroDivisionError
+@example(lam=1e-300, mu=1.0, t=0.5, z=1.0, n=0, k=1, kind="reflected")
+@example(lam=1.0, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="reflected")
 def test_value_in_range_or_typed_error(lam, mu, t, z, n, k, kind):
     # 2 max(lam, mu) t <= 2e4, formed so that it does not overflow at the explicit example
     assume(max(lam, mu) * t <= 1e4)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from altbd.oracle import (
     uniformize,
 )
 from altbd.reflecting import pi_1n
-from altbd.specfun import DomainError, bessel_i
+from altbd.specfun import DomainError, SeriesOverflowError, bessel_i
 
 
 def _against_twice_wider(kind, rates, k, t, eps):
@@ -298,3 +299,12 @@ class TestInvertLaplace:
     def test_validation(self):
         with pytest.raises(DomainError):
             invert_laplace(lambda s: 1.0 / s, 0.0)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-305])
+    def test_non_finite_sum_raises(self, t):
+        # s + 2(lam + mu) overflows at the Bromwich nodes s ~ 9/t; the sum was
+        # NaN, with only a numpy RuntimeWarning (an error under this suite's
+        # warning filter)
+        big = Rates(sys.float_info.max / 4, sys.float_info.max / 4)
+        with pytest.raises(SeriesOverflowError, match=f"t={t!r}"):
+            invert_laplace(lambda s: pi_1n(s, 0, big), t)

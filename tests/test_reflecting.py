@@ -24,6 +24,7 @@ from altbd.reflecting import (
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
 from conftest import oracle_moments, oracle_prob
+from reference import _q00_series
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
 QUAD_RATES = [Rates(1.0, 2.0), Rates(3.0, 0.5), Rates(0.5, 3.0)]
@@ -56,7 +57,7 @@ def _paper_pi_1n(lam, mu, s, count, dps):
 def _scipy_occupation(k, t, rates):
     """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du by scipy's quad over the series
     (the series of q00, not q00, which sums the same contour as the moments)."""
-    series = reflecting._q00_series if k == 0 else q10_series
+    series = _q00_series if k == 0 else q10_series
     memo = {}
 
     def q(u):
@@ -287,7 +288,7 @@ class TestQ00:
     def test_contour_agrees_with_series(self, rates, at):
         # the contour sum against its 1F2 series, from a t near 0 up to the series' reach
         t = at / rates.total
-        assert abs(q00(t, rates) - reflecting._q00_series(t, rates)) <= 1e-12
+        assert abs(q00(t, rates) - _q00_series(t, rates)) <= 1e-12
 
     @settings(max_examples=25)
     @given(lam=LOG_UNIFORM, mu=LOG_UNIFORM, t=LOG_UNIFORM)
@@ -306,7 +307,7 @@ class TestQ00:
         # 1 - r^m, r = b/a, formed as -expm1(m log1p(-2 lam/a)): subtracted
         # directly it lost about 7 digits here
         rates = Rates(1e-8, 1.0)
-        assert abs(reflecting._q00_series(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-13
+        assert abs(_q00_series(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-13
 
     @pytest.mark.parametrize("t", [1e-5, 0.5, 1.0, 5.0, 100.0])
     def test_one_rate_vanishing(self, t):
@@ -315,7 +316,7 @@ class TestQ00:
         # the series divides by 2 lam, where a + b = 1e-300 + (1e-300 - 1) is 0
         assert q00(t, Rates(1e-300, 1.0)) == pytest.approx(1.0, abs=1e-13)
         assert q00(t, Rates(1.0, 1e-300)) == pytest.approx(math.exp(-t), abs=1e-13)
-        assert reflecting._q00_series(t, Rates(1e-300, 1.0)) == pytest.approx(1.0, abs=1e-13)
+        assert _q00_series(t, Rates(1e-300, 1.0)) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestSeriesOverflow:
@@ -324,11 +325,11 @@ class TestSeriesOverflow:
     @pytest.mark.parametrize(
         "fn, lam, mu, t",
         [
-            (reflecting._q00_series, 1.0, 2.0, 720.0),
-            (reflecting._q00_series, 1.0, 2.0, 792.0),
+            (_q00_series, 1.0, 2.0, 720.0),
+            (_q00_series, 1.0, 2.0, 792.0),
             (q10_series, 1.0, 2.0, 240.0),
             (q10_series, 1.0, 2.0, 426.0),
-            (reflecting._q00_series, 1e-3, 1e3, 1.0),
+            (_q00_series, 1e-3, 1e3, 1.0),
             (q10_series, 1e-3, 1e3, 1.0),
         ],
     )
@@ -476,7 +477,7 @@ class TestPEven:
         h = 1e-4
         for t in (0.5, 1.5):
             dp = (p_even(k, t + h, rates_21) - p_even(k, t - h, rates_21)) / (2 * h)
-            q = reflecting._q00_series(t, rates_21) if k == 0 else q10_series(t, rates_21)
+            q = _q00_series(t, rates_21) if k == 0 else q10_series(t, rates_21)
             residual = dp + 2.0 * (lam + mu) * p_even(k, t, rates_21) - lam * q - 2.0 * mu
             assert abs(residual) < 1e-6
 
