@@ -18,7 +18,13 @@ steps each inner sequence once for all the keys that read it
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
 for large t, so each term carries the overall e^(-a t) damping inside the
-exponent.
+exponent.  Its scales are formed from logarithms too: log(rt) as
+log(rate) + log(t), the inner argument x = mu/lam as log(mu) - log(lam), and
+c rt as (mu - lam) t.  So one path covers every positive rate pair and
+time: no product underflows to a special case, and a rate ratio outside the
+float range is still a finite log.  Where the terms peak past the term cap
+(about a t / 2 terms, so also at mu t >> 1 with lam t tiny), the sum raises
+ConvergenceError.
 
 Each outer term n of the double series multiplies (r t)^(2n)/(2n)! by the
 inner binomial sum S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d).  S_n is a
@@ -131,7 +137,8 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
         raise DomainError(f"z must be strictly positive and finite, got {z}")
     _check_time(t)
     lam, mu = rates.lam, rates.mu
-    h = math.sqrt((mu * z * z + lam) * (lam * z * z + mu))
+    # root by root: the product of the two factors leaves the float range near rates 1e200 and 1e-300
+    h = math.sqrt(mu * z * z + lam) * math.sqrt(lam * z * z + mu)
     theta = t * h / z
     # F and G are z^k e^(theta - at) times these brackets of e^(-theta) cosh and sinh
     ch = 0.5 * (1.0 + math.exp(-2.0 * theta))
@@ -147,8 +154,8 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]))
 
 
-def _inner_logs(d: int, x: float):
-    """Yield log S_n(d, x) for n = d, d+1, ..., one O(1) step each.
+def _inner_logs(d: int, lx: float):
+    """Yield log S_n(d, x) for n = d, d+1, ..., one O(1) step each, from lx = log x.
 
     S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d) is the inner binomial sum,
     x^d (1-x^2)^(n-d) P_(n-d)^(d,d)((1+x^2)/(1-x^2)) with P a Jacobi
@@ -169,12 +176,13 @@ def _inner_logs(d: int, x: float):
     difference carries the 4x^2 that separates the two solutions; for
     x = 1/1000 its log S_n drifts by 1e-10 at n = 6000, against 3e-12 here.
     For x > 1 the recurrence runs on 1/x through S_n(d, x) = x^(2n) S_n(d, 1/x),
-    which keeps w <= 1 for any positive rate pair.
+    so it always sees log(1/x or x) = -|lx| and w <= 1, and x itself may lie
+    outside the float range.
     """
-    shift = 2.0 * math.log(x) if x > 1.0 else 0.0
-    y = min(x, 1.0 / x)
-    w = y * y
-    log_s = d * math.log(y)
+    shift = 2.0 * lx if lx > 0.0 else 0.0
+    log_y = -abs(lx)
+    w = math.exp(2.0 * log_y)
+    log_s = d * log_y
     yield log_s + d * shift
     e = d + (d + 1) * w  # S_(d+1) = (d+1)(1+w) S_d
     # fn is n as a float, exact below 2^51: float-float operations give the
@@ -234,20 +242,18 @@ def _cross_terms(logs, upper, m: int, lrt: float, at: float):
         two_n = odd + 1.0
 
 
-def _row_sums(keys, rate: float, x: float, t: float, a: float, c: float) -> dict:
+def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     """The probability each distinct key in `keys` sums, by key: e^(-at) times
-    its outer series (`_same_terms`, `_cross_terms`) at rt = rate*t, clamped
-    to [0, 1].
+    its outer series (`_same_terms`, `_cross_terms`), clamped to [0, 1].
+
+    The series' scales come in as lrt = log(rt), lx = log x, at = a*t and
+    crt = c*rt, each formed once per row by `_row`.
 
     Each inner sequence S_n(j, x) is stepped once for all the keys: where
     several sums read it, `itertools.tee` keeps its values for the ones
     behind, and a sequence with one reader is the bare generator.
     """
     sums = dict.fromkeys(keys)
-    rt = rate * t
-    if rt == 0.0:  # rate*t underflowed: every term but a same-parity e^(-at) S_0(0, x) is exactly 0
-        return {key: math.exp(-a * t) if key == (0, True) else 0.0 for key in sums}
-    lrt, at, crt = math.log(rt), a * t, c * rt
     readers = {}  # how many sums read S(j): (m, same) reads S(m), (m, cross) S(m) and S(m+1)
     for m, same in sums:
         readers[m] = readers.get(m, 0) + 1
@@ -255,7 +261,7 @@ def _row_sums(keys, rate: float, x: float, t: float, a: float, c: float) -> dict
             readers[m + 1] = readers.get(m + 1, 0) + 1
     copies = {}
     for j, count in readers.items():
-        logs = _inner_logs(j, x)
+        logs = _inner_logs(j, lx)
         copies[j] = list(itertools.tee(logs, count)) if count > 1 else [logs]
     for m, same in sums:
         if same:
@@ -292,7 +298,9 @@ def _row(k: int, targets, t: float, rates: Rates) -> list[float]:
         lam, mu, k = mu, lam, k - 1
         targets = [n - 1 for n in targets]
     keys = [_sum_key(n // 2 - k // 2, _is_even(n)) for n in targets]
-    sums = _row_sums(keys, lam, mu / lam, t, rates.total, (mu - lam) / lam)
+    # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
+    log_lam = math.log(lam)
+    sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, rates.total * t, (mu - lam) * t)
     return list(map(sums.__getitem__, keys))
 
 

@@ -19,7 +19,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import bilateral, oracle, reflecting
 from .bilateral import Rates, TransitionQuery
@@ -46,9 +45,23 @@ class TimeGrid(click.ParamType):
             self.fail("count must be >= 1", param, ctx)
         if count > 1 and not stop > start:
             self.fail("grid must be strictly increasing (stop > start)", param, ctx)
-        if not (start >= 0 and np.isfinite((start, stop)).all()):
+        if not (start >= 0 and math.isfinite(start) and math.isfinite(stop)):
             self.fail("times must be finite and >= 0", param, ctx)
-        return np.linspace(start, stop, count)
+        return _linspace(start, stop, count)
+
+
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """`numpy.linspace(start, stop, count)` as a list of floats, bit for bit."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    step = delta / (count - 1)
+    if step == 0.0:  # numpy's rule for a step that underflows: scale i/(count-1) by delta instead
+        grid = [i / (count - 1) * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    grid[-1] = stop
+    return grid
 
 
 TIME_GRID = TimeGrid()
@@ -94,8 +107,8 @@ def _table(out, name, params, header, grid, row):
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     return format(float(v), ".17g")
 
 
@@ -202,7 +215,7 @@ def simulate(lam, mu, process, from_state, grid, paths, seed, out):
     """Empirical distribution from stochastic simulation (fixed-seed reproducible)."""
     rates = Rates(lam, mu)
     cfg = SimConfig(paths=paths, horizon=float(grid[-1]) if grid[-1] > 0 else 1.0, seed=seed)
-    res = oracle.simulate(process, rates, from_state, cfg, np.asarray(grid, dtype=float))
+    res = oracle.simulate(process, rates, from_state, cfg, grid)
     rows = [(t, state, res.pmf[i][state], res.pmf_se[i][state])
             for i, t in enumerate(res.times) for state in sorted(res.pmf[i])]
     _emit(

@@ -39,6 +39,12 @@ __all__ = [
 KINDS = ("bilateral", "reflected")
 
 
+def _check_kind(kind: str) -> None:
+    """Raise DomainError unless `kind` names one of the two chains."""
+    if kind not in KINDS:
+        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
 class WindowTooSmallError(RuntimeError):
     """Probability mass reached the truncation boundary; widen the window."""
 
@@ -59,8 +65,7 @@ class TruncatedChain:
     rates: Rates
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         if self.lo > self.hi:
             raise DomainError(f"empty window [{self.lo}, {self.hi}]")
         if self.kind == "reflected" and self.lo != 0:
@@ -140,8 +145,9 @@ def default_window(kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12
     walk is that martingale plus a Skorokhod regulator, so it stays below
     k + 2 max_j |S_j - k|.  At most eps/2 of the mass thus leaks past the
     window, and each entry differs from the untruncated row's by at most
-    eps/2.  Raises DomainError unless 0 < eps < 1.
+    eps/2.  Raises DomainError unless 0 < eps < 1 and `kind` is one of KINDS.
     """
+    _check_kind(kind)
     _check_eps(eps)
     _check_time(t)
     left, weights = _poisson_weights(uniformization_rate(rates) * t, eps)
@@ -248,8 +254,7 @@ def simulate(
     those paths, until no path is due; the states then held are that time's
     sample.  The result is a pure function of the arguments.
     """
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     if kind == "reflected" and k < 0:
         raise DomainError("reflected chain starts at a non-negative state")
     times = np.asarray(sample_times, dtype=float)

@@ -216,10 +216,14 @@ def q00(t: float, rates: Rates) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _check_normalizer(rates: Rates) -> None:
-    """DomainError where a + b, the 2 lam that both q10 routes divide by, rounds to 0."""
-    if rates.total + rates.diff == 0.0:
-        raise DomainError(f"q10 divides by a + b = 2 lam, which rounds to 0 at lam={rates.lam!r}, mu={rates.mu!r}")
+def _normalizer(rates: Rates) -> float:
+    """2 lam (a + b), the divisor of both q10 routes; DomainError where it rounds
+    to 0 (a + b = 2 lam cancels, or the product underflows) or overflows."""
+    d = 2.0 * rates.lam * (rates.total + rates.diff)
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"q10 divides by 2 lam (a + b) = {d!r}, out of the float range at lam={rates.lam!r}, "
+                          f"mu={rates.mu!r}")
+    return d
 
 
 def q10_series(t: float, rates: Rates) -> float:
@@ -237,9 +241,8 @@ def q10_series(t: float, rates: Rates) -> float:
     _check_time(t)
     if t == 0.0:
         return 0.0
-    lam = rates.lam
     a, b = rates.total, rates.diff
-    _check_normalizer(rates)
+    norm = _normalizer(rates)
     xa = a * a * t * t / 4.0
     xb = b * b * t * t / 4.0
     la = math.log(a)
@@ -271,7 +274,7 @@ def q10_series(t: float, rates: Rates) -> float:
             f_low = f_high
 
     total = _sum_series(terms(), "q10 series")
-    return min(max(total / (2.0 * lam * (a + b)), 0.0), 1.0)
+    return min(max(total / norm, 0.0), 1.0)
 
 
 def _kernel_m(g: float, u: float) -> float:
@@ -307,15 +310,14 @@ def q10_integral(t: float, rates: Rates) -> float:
     _check_time(t)
     if t == 0.0:
         return 0.0
-    lam = rates.lam
     a, b = rates.total, rates.diff
-    _check_normalizer(rates)
+    norm = _normalizer(rates)
 
     def integrand(s: float) -> float:
         u = t - s
         return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b)
 
-    v = math.exp(-a * t) / (2.0 * lam * (a + b)) * _quad(integrand, t, "q10 quadrature")
+    v = math.exp(-a * t) / norm * _quad(integrand, t, "q10 quadrature")
     return min(max(v, 0.0), 1.0)
 
 

@@ -38,6 +38,8 @@ SERIES_REL_TOL = 1e-14
 # hard cap on summed terms; reaching it raises ConvergenceError
 SERIES_MAX_TERMS = 10_000
 
+_LOG_2 = math.log(2.0)
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain a routine supports."""
@@ -118,9 +120,10 @@ def bessel_i(order: int, x: float) -> float:
 
     half = x / 2.0
     # first term (x/2)^n / n! in log form: n can be large enough to overflow
-    # a naive power even when I_n(x) itself is representable
+    # a naive power even when I_n(x) itself is representable; log(x/2) is
+    # log x - log 2, since x/2 underflows to 0 at the least subnormal x
     try:
-        term = math.exp(order * math.log(half) - math.lgamma(order + 1))
+        term = math.exp(order * (math.log(x) - _LOG_2) - math.lgamma(order + 1))
     except OverflowError:
         raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", math.inf, 1) from None
     total = term

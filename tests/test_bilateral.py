@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from altbd import bilateral
 from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, transition_probs, variance
-from altbd.oracle import default_window
+from altbd.oracle import default_window, transient_distribution
 from altbd import specfun
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
@@ -97,16 +97,17 @@ class TestInnerSum:
     @pytest.mark.parametrize("d", [0, 1, 7, 40])
     def test_recurrence_matches_exact_sum(self, x, d):
         offsets = (0, 1, 2, 3, 10, 100, 500, 1500)
-        logs = list(itertools.islice(bilateral._inner_logs(d, float(x)), offsets[-1] + 1))
+        logs = list(itertools.islice(bilateral._inner_logs(d, math.log(x)), offsets[-1] + 1))
         for i in offsets:
             assert abs(logs[i] - exact_log_inner(d + i, d, x)) <= 1e-10, (x, d, i)
 
     def test_finite_for_extreme_arguments(self):
-        # x^2 over- or underflows a double; the recurrence still runs
-        for x in (1e-200, 1e200):
-            logs = list(itertools.islice(bilateral._inner_logs(2, x), 50))
+        # x^2 over- or underflows a double, and at lx = +-1381.6 x = 1e+-600
+        # itself is outside the float range; the recurrence still runs
+        for lx in (math.log(1e-200), math.log(1e200), -1381.6, 1381.6):
+            logs = list(itertools.islice(bilateral._inner_logs(2, lx), 50))
             assert all(math.isfinite(v) for v in logs)
-            assert logs[0] == pytest.approx(2 * math.log(x), rel=1e-15)
+            assert logs[0] == pytest.approx(2 * lx, rel=1e-15)
 
 
 class TestRates:
@@ -198,6 +199,21 @@ class TestPgf:
         pair = pgf(k, z, t, rates_12)
         assert pair.f == pytest.approx(float(f), rel=1e-11)
         assert pair.g == pytest.approx(float(g), rel=1e-11)
+
+    def test_rates_whose_root_product_leaves_the_float_range(self):
+        # h = sqrt(mu z^2 + lam) sqrt(lam z^2 + mu): the product under one root
+        # overflows at 1e200 and underflows at 1e-300
+        rates, t, z = Rates(1e200, 1e200), 1e-200, 0.99
+        assert pgf(0, 1.0, t, rates).total == pytest.approx(1.0, abs=1e-14)
+        states, probs = transient_distribution("bilateral", rates, 0, t)
+        even = states % 2 == 0
+        pair = pgf(0, z, t, rates)
+        assert pair.f == pytest.approx(float(probs[even] @ z ** states[even].astype(float)), abs=1e-12)
+        assert pair.g == pytest.approx(float(probs[~even] @ z ** states[~even].astype(float)), abs=1e-12)
+        # lam t = 1e-300: F = 1 - O(lam t), G = lam t (z + 1/z) to first order
+        pair = pgf(0, 1.0, 1.0, Rates(1e-300, 1e-300))
+        assert pair.f == 1.0
+        assert pair.g == pytest.approx(2e-300, rel=1e-12)
 
     def test_coefficient_extraction_consistency(self, rates_12):
         # sum_n z^n p_{k,n}(t) over a tail-bounded window reproduces f + g
@@ -361,11 +377,33 @@ class TestTransitionProb:
             (1e-320, 1, 1, 1.0),
             (1e-320, 1, 0, 1e-320),
             (1e-300, 0, 0, 1.0),
-            (1e-300, 0, 1, 9.999999999999578e-306),
         ],
     )
     def test_underflowed_rate_time_product(self, t, k, n, expected):
         assert p(k, n, t, Rates(1e-5, 1.0)) == expected
+
+    def test_first_jump_probability_at_tiny_time(self):
+        # p_01 = lam t (1 - O(t)) rounds to 1e-305; the series' first term is
+        # e^(log(lam) + log(t)), and rounding that log sum near -702 (ulp 1.1e-13)
+        # moves the value by up to about 2e-13 relative
+        assert p(0, 1, 1e-300, Rates(1e-5, 1.0)) == pytest.approx(1e-305, rel=2e-13)
+
+    @pytest.mark.parametrize("lam, mu, t", [(1e-170, 1e170, 1e-169), (1e-300, 1e300, 1e-300)])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rate_time_product_past_the_float_range(self, lam, mu, t, k):
+        # lam t underflows to 0 and mu/lam overflows, but mu t is 10 or 1: the
+        # series runs on the logs of both and matches uniformization
+        rates = Rates(lam, mu)
+        states, probs = transient_distribution("bilateral", rates, k, t)
+        got = transition_probs(k, states.tolist(), t, rates)
+        assert np.max(np.abs(np.asarray(got) - probs)) <= 1e-9
+        assert got[k - states[0]] == pytest.approx(1.0 if k == 0 else math.exp(-2.0 * mu * t), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [1e-250, 1.0])
+    def test_too_many_terms_is_a_typed_error(self, t):
+        # mu t = 1e50 and 1e300: the terms peak far past the term cap
+        with pytest.raises(ConvergenceError):
+            p(0, 0, t, Rates(1e-300, 1e300))
 
 
 class TestTransitionProbs:

@@ -6,7 +6,7 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altbd import (
     ConvergenceError, DomainError, Rates, TransitionQuery, WindowTooSmallError, invert_laplace, laplace_roots,
@@ -56,10 +56,22 @@ def calls(t, z, n, k, kind):
 # a + b = 2 lam, which both q10 routes divide by, rounds to 0: DomainError, not ZeroDivisionError
 @example(lam=1e-300, mu=1.0, t=0.5, z=1.0, n=0, k=1, kind="reflected")
 @example(lam=1.0, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="reflected")
+# lam t underflows and mu/lam overflows; the bilateral series runs on their logs
+@example(lam=1e-170, mu=1e170, t=1e-169, z=1.0, n=1, k=1, kind="bilateral")
+@example(lam=1e-300, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="bilateral")
+@example(lam=1e-300, mu=1e300, t=1e-250, z=1.0, n=1, k=1, kind="bilateral")
+@example(lam=1e-300, mu=1e300, t=1.0, z=1.0, n=0, k=0, kind="bilateral")
+# pgf's root product and q10's divisor 2 lam (a + b) underflow
+@example(lam=1e-300, mu=1e-300, t=1.0, z=1.0, n=0, k=1, kind="reflected")
+# the quadrature's Bessel arguments reach the least subnormal
+@example(lam=1e-3, mu=1e-300, t=1e-320, z=1.0, n=0, k=1, kind="reflected")
 def test_value_in_range_or_typed_error(lam, mu, t, z, n, k, kind):
-    # 2 max(lam, mu) t <= 2e4, formed so that it does not overflow at the explicit example
-    assume(max(lam, mu) * t <= 1e4)
+    # the oracle row takes about 2 max(lam, mu) t steps, so it runs only up to
+    # 2e4 of them, formed so that it does not overflow at the explicit examples
+    affordable_row = max(lam, mu) * t <= 1e4
     for name, call, lo, hi in calls(t, z, n, k, kind):
+        if name == "transient_distribution" and not affordable_row:
+            continue
         try:
             got = call(Rates(lam, mu))
         except TYPED:

@@ -51,6 +51,11 @@ def test_battery_does_not_need_click():
 
 
 def test_closed_forms_do_not_need_numpy():
-    # numpy serves only the oracles and the CLI's grids
+    # numpy serves only the oracles
     for name in ("specfun.py", "bilateral.py", "reflecting.py", "verify.py"):
         assert not any(m.split(".")[0] == "numpy" for m in imported_modules(PACKAGE / name)), name
+
+
+def test_cli_builds_its_grids_without_numpy():
+    # the CLI still loads numpy through `oracle`; this pins only its own source
+    assert not any(m.split(".")[0] == "numpy" for m in imported_modules(PACKAGE / "cli.py"))

@@ -51,6 +51,11 @@ class TestTruncatedChain:
         with pytest.raises(DomainError):
             TruncatedChain("reflected", 1, 10, rates_12)
 
+    def test_window_checks_the_kind(self, rates_12):
+        # as TruncatedChain and simulate do, rather than sizing a bilateral window
+        with pytest.raises(DomainError, match="kind"):
+            default_window("reflect", rates_12, 3, 1.0)
+
 
 class TestUniformize:
     def test_time_zero_indicator(self, rates_12):

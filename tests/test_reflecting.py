@@ -387,6 +387,18 @@ class TestQ10:
             return
         assert abs(got - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-7
 
+    @pytest.mark.parametrize("rates", [Rates(1e-300, 1e-300), Rates(1e-300, 1.0), Rates(1e200, 1e200)])
+    def test_divisor_out_of_the_float_range(self, rates):
+        # 2 lam (a + b) underflows, cancels (a + b = 2 lam rounds to 0) or overflows
+        for route in (q10_series, q10_integral):
+            with pytest.raises(DomainError, match="2 lam"):
+                route(1.0, rates)
+
+    def test_least_subnormal_quadrature_nodes(self):
+        # a s reaches 5e-324 at the nodes; q10 is about mu t = 1e-620, which rounds to 0
+        assert q10_integral(1e-320, Rates(1e-3, 1e-300)) == 0.0
+        assert q10_series(1e-320, Rates(1e-3, 1e-300)) == 0.0
+
     def test_small_time_slope_is_mu(self, rates_12):
         t = 1e-4
         assert q10_series(t, rates_12) == pytest.approx(rates_12.mu * t, rel=1e-3)

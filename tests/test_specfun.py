@@ -38,6 +38,12 @@ class TestBesselI:
         assert bessel_i(1, 0.0) == 0.0
         assert bessel_i(7, 0.0) == 0.0
 
+    def test_least_subnormal_argument(self):
+        # x/2 underflows to 0 at x = 5e-324, so log(x/2) is formed as log x - log 2
+        assert bessel_i(0, 5e-324) == 1.0
+        assert bessel_i(1, 5e-324) in (0.0, 5e-324)
+        assert bessel_i(1, 1e-320) == pytest.approx(5e-321, rel=1e-3)  # subnormal precision
+
     def test_against_bruteforce_series(self):
         got = bessel_i(0, 2.0)
         want = bessel_i0_bruteforce(2.0)
