@@ -39,7 +39,6 @@ from .specfun import (
     _hyp_series,
     _sum_series,
     bessel_i,
-    hyp1f2,
 )
 
 __all__ = [
@@ -54,6 +53,12 @@ __all__ = [
     "r_variance",
 ]
 
+# below this lam/mu both q10 routes lose the 1e-7 reflected tolerance: their
+# brackets sum terms of order (lam + mu)^2 to a value of order lam, so their
+# errors grow like mu/lam.  Against uniformization (mu t up to 45) the worst
+# is about 5e-8 at 3e-8 and 1.3e-7 at 1e-8, both from q10_integral near
+# mu t = 19; q10_series stays below 1.5e-8 at 1e-8
+_Q10_MIN_RATIO = 3e-8
 # absolute and relative tolerance of the quadrature: two successive rules agree within it
 _QUAD_TOL = 1e-10
 # first and last order n of the nested Clenshaw-Curtis rules, each doubling the last
@@ -218,11 +223,16 @@ def q00(t: float, rates: Rates) -> float:
 
 def _normalizer(rates: Rates) -> float:
     """2 lam (a + b), the divisor of both q10 routes; DomainError where it rounds
-    to 0 (a + b = 2 lam cancels, or the product underflows) or overflows."""
+    to 0 (a + b = 2 lam cancels, or the product underflows) or overflows, and
+    where lam/mu < _Q10_MIN_RATIO."""
     d = 2.0 * rates.lam * (rates.total + rates.diff)
     if not 0.0 < d < math.inf:
         raise DomainError(f"q10 divides by 2 lam (a + b) = {d!r}, out of the float range at lam={rates.lam!r}, "
                           f"mu={rates.mu!r}")
+    if rates.lam < _Q10_MIN_RATIO * rates.mu:
+        raise DomainError(f"q10 at lam/mu = {rates.lam / rates.mu:.3g} < {_Q10_MIN_RATIO:g}: the routes' brackets "
+                          f"cancel terms of order (lam + mu)^2 down to order lam; "
+                          f"transient_distribution('reflected', ...) holds there")
     return d
 
 
@@ -236,7 +246,8 @@ def q10_series(t: float, rates: Rates) -> float:
     H_j = 1F2(1/2; (j+1)/2, (j+2)/2; a^2 t^2/4) at j = 2n, 2n+1, 2n+2; the
     last is carried to term n+1, so each value is computed once.  Terms are
     accumulated in log space with the same two-consecutive-terms stopping
-    rule as the unrestricted chain's series.
+    rule as the unrestricted chain's series.  Like `q10_integral`, it raises
+    DomainError where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
     """
     _check_time(t)
     if t == 0.0:
@@ -250,11 +261,11 @@ def q10_series(t: float, rates: Rates) -> float:
     r = b / a
 
     def terms():
-        f_low = _hyp_series(0.5, 0.5, 1.0, xa, "q10 term")
+        f_low = _hyp_series(0.5, 0.5, 1.0, xa)
         for n in itertools.count():
-            f_mid = _hyp_series(0.5, n + 1.0, n + 1.5, xa, "q10 term")
-            f_high = _hyp_series(0.5, n + 1.5, n + 2.0, xa, "q10 term")
-            f_b = _hyp_series(0.5, n + 1.5, n + 2.0, xb, "q10 term", c=2.0)
+            f_mid = _hyp_series(0.5, n + 1.0, n + 1.5, xa)
+            f_high = _hyp_series(0.5, n + 1.5, n + 2.0, xa)
+            f_b = _hyp_series(0.5, n + 1.5, n + 2.0, xb, c=2.0)
             scale = math.exp(
                 2 * n * lt
                 + (2 * n + 2) * la
@@ -291,11 +302,13 @@ def _companion(s: float, a: float, b: float) -> float:
 
     a(I0+I1)(as) plus b times (one plus the running integral of that term)
     plus the even-in-b primitive of b I1(bs)/s; equals 2*lam at s = 0.
+    Its two 1F2s go to the kernel `_hyp_series` unchecked: their x are
+    squares over 4 and their lower parameters constants off the poles.
     """
     i0 = bessel_i(0, a * s)
     ga = a * (i0 + bessel_i(1, a * s))
-    int_ga = a * s * hyp1f2(0.5, 1.5, 1.0, a * a * s * s / 4.0) + i0 - 1.0
-    mb = 0.5 * b * b * s * hyp1f2(0.5, 1.5, 2.0, b * b * s * s / 4.0)
+    int_ga = a * s * _hyp_series(0.5, 1.5, 1.0, a * a * s * s / 4.0) + i0 - 1.0
+    mb = 0.5 * b * b * s * _hyp_series(0.5, 1.5, 2.0, b * b * s * s / 4.0)
     return ga + b * (1.0 + int_ga) + mb
 
 

@@ -10,6 +10,12 @@ fixed-shape `_hyp_series`, which gives every 1F2 and the one 2F3 of
 took 1.6 times as long per call (orders 0 and 1, x up to 60) and moved
 values by up to 2e-15.  All functions are pure and reentrant.
 
+Production code calls `_hyp_series` directly: every x it passes is a square
+over 4 and every lower parameter positive, so no check could fire.
+`hyp1f2` is the checked public entry for outside input.  The kernel's
+errors name the series by its arguments, as 1F2(a; b1, b2; x), and format
+that name only when they raise.
+
 Every series, here and in the closed forms, truncates by the same fixed
 rule: stop after two consecutive terms below SERIES_REL_TOL relative to the
 partial sum, and give up with ConvergenceError after SERIES_MAX_TERMS terms.
@@ -149,12 +155,14 @@ def bessel_i(order: int, x: float) -> float:
     return total
 
 
-def _hyp_series(a: float, b1: float, b2: float, x: float, name: str, c: float = 1.0) -> float:
+def _hyp_series(a: float, b1: float, b2: float, x: float, c: float = 1.0) -> float:
     """sum_m (a)_m x^m / ((c)_m (b1)_m (b2)_m), each term the last times
     x (a+m) / ((c+m)(b1+m)(b2+m)): 1F2(a; b1, b2; x) at c = 1, and at c = 2
     the 2F3(a, 1; 2, b1, b2; x) of `q10_series`.  Stops on two consecutive
     terms below SERIES_REL_TOL once the term ratio has dropped under 1/2,
-    at which point the omitted tail is below 2|next term|.
+    at which point the omitted tail is below 2|next term|.  Unchecked: the
+    caller keeps x >= 0 and the lower parameters off the poles (`hyp1f2`
+    checks them).  An overflowed sum comes back as +-inf.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     term = total = 1.0
@@ -169,11 +177,19 @@ def _hyp_series(a: float, b1: float, b2: float, x: float, name: str, c: float = 
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{name}({x}) did not converge", total, max_terms)
+    raise ConvergenceError(f"{_hyp_name(a, b1, b2, x, c)} did not converge", total, max_terms)
+
+
+def _hyp_name(a: float, b1: float, b2: float, x: float, c: float = 1.0) -> str:
+    """The series `_hyp_series` sums, by its arguments, for its errors."""
+    if c == 1.0:
+        return f"1F2({a}; {b1}, {b2}; {x})"
+    return f"2F3({a}, 1; {c}, {b1}, {b2}; {x})"
 
 
 def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
-    """Generalized hypergeometric function 1F2(a; b1, b2; x) for x >= 0.
+    """Generalized hypergeometric function 1F2(a; b1, b2; x) for x >= 0:
+    `_hyp_series` with its arguments checked, the entry for outside input.
 
     Negative `a` (the closed forms use a = -1/2 and a = 1/2) needs no
     special casing because the term recurrence carries the sign.  A lower
@@ -188,9 +204,8 @@ def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
             raise DomainError(f"lower parameter {b} is zero or a negative integer")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and >= 0, got {x}")
-    name = f"hyp1f2({a},{b1},{b2})"
-    v = _hyp_series(a, b1, b2, x, name)
+    v = _hyp_series(a, b1, b2, x)
     # checked once, not per term: an overflowed sum comes back as +-inf
     if not math.isfinite(v):
-        raise SeriesOverflowError(f"{name}({x}) overflowed", v, 0)
+        raise SeriesOverflowError(f"{_hyp_name(a, b1, b2, x)} overflowed", v, 0)
     return v

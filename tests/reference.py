@@ -35,8 +35,8 @@ def _q00_series(t: float, rates: Rates) -> float:
 
     def terms():
         for k in itertools.count():
-            f1 = _hyp_series(-0.5, k + 0.5, k + 1.0, xb, "q00 term")
-            f2 = _hyp_series(-0.5, k + 1.0, k + 1.5, xb, "q00 term")
+            f1 = _hyp_series(-0.5, k + 0.5, k + 1.0, xb)
+            f2 = _hyp_series(-0.5, k + 1.0, k + 1.5, xb)
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + math.exp((2 * k + 1) * log_r) if b > 0 else one_minus(2 * k + 1)
             c2 = t * a * one_minus(2 * k + 2) / (2.0 * (k + 1))

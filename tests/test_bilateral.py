@@ -405,6 +405,38 @@ class TestTransitionProb:
         with pytest.raises(ConvergenceError):
             p(0, 0, t, Rates(1e-300, 1e300))
 
+    @pytest.mark.parametrize(
+        "rates, k, t",
+        [(Rates(1e-300, 1e300), 0, 1.0), (Rates(1e-300, 1e300), 1, 1.0), (Rates(1e-300, 1e300), 0, 1e-250),
+         (Rates(1.0, 2.0), 1, 20000.0)],
+    )
+    def test_certain_term_cap_raises_before_summing(self, rates, k, t, monkeypatch):
+        # a t / 2 lies past the cap, so no key can settle in time: the row
+        # raises the cap's error at once, with no term summed
+        sums = []
+        monkeypatch.setattr(bilateral, "_sum_series", lambda *args: sums.append(args))
+        with pytest.raises(ConvergenceError) as exc:
+            transition_probs(k, [k, k + 1], t, rates)
+        assert type(exc.value) is ConvergenceError
+        assert exc.value.terms == specfun.SERIES_MAX_TERMS
+        assert exc.value.partial == 0.0
+        assert str(exc.value).startswith("transition series (same parity) did not converge")
+        assert sums == []
+
+    def test_foreseen_cap_is_exact(self, monkeypatch):
+        # the sum stops at the earliest on terms n = m + cap - 2 and m + cap - 1,
+        # settled once 2n >= a t: at a t = 2 (cap - 2) key (0, same) is summed,
+        # and past it the cap is certain, so nothing is summed
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
+        rates = Rates(1.0, 1.0)
+        with pytest.raises(ConvergenceError) as summed:
+            p(0, 0, 18.0, rates)
+        with pytest.raises(ConvergenceError) as foreseen:
+            p(0, 0, 18.25, rates)
+        assert summed.value.partial > 0.0
+        assert foreseen.value.partial == 0.0
+        assert summed.value.terms == foreseen.value.terms == 20
+
 
 class TestTransitionProbs:
     @settings(max_examples=25)

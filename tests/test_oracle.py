@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from altbd import oracle
-from altbd.bilateral import Rates, TransitionQuery, transition_prob, variance
+from altbd.bilateral import Rates, TransitionQuery, mean, transition_prob, variance
 from altbd.oracle import (
     KINDS,
     SimConfig,
@@ -57,6 +58,22 @@ class TestTruncatedChain:
             default_window("reflect", rates_12, 3, 1.0)
 
 
+def _truncated_row(kind, lo, hi, rates, k, t):
+    """Row k of e^(Qt) for the truncated generator Q, built entry by entry:
+    rate lam (mu) to each neighbour in the window from even (odd) states,
+    except that the reflected zero state only jumps up; boundary rows leak mass."""
+    states = np.arange(lo, hi + 1)
+    q = np.zeros((states.size, states.size))
+    for i, s in enumerate(states):
+        r = rates.lam if s % 2 == 0 else rates.mu
+        q[i, i] = -r if (kind == "reflected" and s == 0) else -2.0 * r
+        if i + 1 < states.size:
+            q[i, i + 1] = r
+        if i > 0:
+            q[i, i - 1] = r
+    return expm(q * t)[k - lo]
+
+
 class TestUniformize:
     def test_time_zero_indicator(self, rates_12):
         chain = TruncatedChain("bilateral", -5, 5, rates_12)
@@ -81,26 +98,33 @@ class TestUniformize:
 
     @pytest.mark.parametrize("kind, lo, hi, k", [("bilateral", -20, 20, 0), ("reflected", 0, 24, 1)])
     def test_matches_matrix_exponential(self, kind, lo, hi, k, rates_12):
-        # the same truncated generator, built entry by entry: rate lam (mu)
-        # to each neighbour in the window from even (odd) states, except that
-        # the reflected zero state only jumps up; boundary rows leak mass
         t = 0.5
-        states = np.arange(lo, hi + 1)
-        q = np.zeros((states.size, states.size))
-        for i, s in enumerate(states):
-            r = rates_12.lam if s % 2 == 0 else rates_12.mu
-            q[i, i] = -r if (kind == "reflected" and s == 0) else -2.0 * r
-            if i + 1 < states.size:
-                q[i, i + 1] = r
-            if i > 0:
-                q[i, i - 1] = r
-        want = expm(q * t)[k - lo]
+        want = _truncated_row(kind, lo, hi, rates_12, k, t)
         got = uniformize(TruncatedChain(kind, lo, hi, rates_12), k, t)
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_window_too_small(self, rates_12):
         with pytest.raises(WindowTooSmallError):
             uniformize(TruncatedChain("bilateral", -2, 2, rates_12), 0, 3.0)
+
+    @pytest.mark.parametrize("kind, lo, hi, k", [("bilateral", -2, 2, 0), ("reflected", 0, 3, 1)])
+    def test_leak_is_the_mass_that_left_the_window(self, kind, lo, hi, k, rates_12):
+        # the reported leak is the mass the truncated generator loses by time t
+        with pytest.raises(WindowTooSmallError) as exc:
+            uniformize(TruncatedChain(kind, lo, hi, rates_12), k, 3.0)
+        leaked = float(re.search(r"leaked mass (\S+)", str(exc.value)).group(1))
+        assert leaked == pytest.approx(1.0 - _truncated_row(kind, lo, hi, rates_12, k, 3.0).sum(), rel=1e-3)
+
+    def test_rounding_is_not_counted_as_leaked(self):
+        # Lambda t = 4e4 steps: the stencil's rounding drifts the total by about
+        # 1e-12, past the default eps, though no mass reaches the window's edges
+        rates = Rates(1e-3, 1e3)
+        t = 20.0
+        states, probs = transient_distribution("bilateral", rates, 0, t)
+        assert 1.0 - probs.sum() > 1e-12
+        m = float(states @ probs)
+        assert abs(m - mean(0, t, rates)) <= 1e-9
+        assert abs(float(states**2 @ probs) - m * m - variance(0, t, rates)) <= 1e-9
 
     def test_high_poisson_rate_keeps_mass(self, rates_12):
         # Poisson rate 4 * 386.25 = 1545: the weights themselves must not

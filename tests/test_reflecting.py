@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from altbd import reflecting, verify
+from altbd import reflecting, specfun, verify
 from altbd.bilateral import Rates
 from altbd.oracle import invert_laplace, transient_distribution
 from altbd.reflecting import (
@@ -23,7 +23,7 @@ from altbd.reflecting import (
 )
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
-from conftest import oracle_moments, oracle_prob
+from conftest import log_uniform, oracle_moments, oracle_prob
 from reference import _q00_series
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
@@ -457,6 +457,46 @@ class TestQ10:
         q10_integral(5.0, rates)
         assert nodes
         assert sorted(x for order, x in bessel_calls if order == 0) == sorted(rates.total * s for s in nodes)
+
+    @pytest.mark.parametrize("route", [q10_series, q10_integral])
+    def test_routes_take_the_kernel_directly(self, route, monkeypatch):
+        # both routes sum the 1F2 kernel itself; the checked public hyp1f2 is
+        # for outside input, so neither route calls it
+        public, kernel = [], []
+        real_kernel = reflecting._hyp_series
+
+        def counted(*args, **kwargs):
+            kernel.append(args)
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "hyp1f2", lambda *args: public.append(args))
+        monkeypatch.setattr(reflecting, "hyp1f2", lambda *args: public.append(args), raising=False)
+        monkeypatch.setattr(reflecting, "_hyp_series", counted)
+        route(5.0, Rates(1.0, 2.0))
+        assert public == []
+        assert kernel
+
+    @settings(max_examples=25)
+    @given(lam=log_uniform(1e-12, 1e3), mu=log_uniform(1e-12, 1e3), t=st.floats(min_value=0.01, max_value=20.0))
+    # lam/mu below the bound, where the cancelling brackets cost about 1e-7 and 1e-4
+    @example(lam=1e-9, mu=1.0, t=0.5)
+    @example(lam=1e-12, mu=1.0, t=0.5)
+    def test_routes_hold_or_refuse_at_any_rate_ratio(self, lam, mu, t):
+        # within the reflected tolerance of the oracle, a ConvergenceError, or,
+        # where lam/mu is below the cancellation bound, a DomainError naming it
+        assume(2.0 * max(lam, mu) * t <= 2e4)  # the oracle row takes about that many steps
+        rates = Rates(lam, mu)
+        want = oracle_prob("reflected", rates, 1, 0, t)
+        for route in (q10_series, q10_integral):
+            if lam < reflecting._Q10_MIN_RATIO * mu:
+                with pytest.raises(DomainError, match="cancel"):
+                    route(t, rates)
+                continue
+            try:
+                got = route(t, rates)
+            except ConvergenceError:
+                continue
+            assert abs(got - want) <= 1e-7
 
 
 class TestLaplaceConsistency:

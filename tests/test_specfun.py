@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -181,9 +182,24 @@ class TestHypSeries:
     def test_c2_is_the_q10_2f3(self, n, x):
         # c = 2 turns the 1F2 kernel into the 2F3 of q10_series; the (1)_m of
         # its upper parameter 1 cancels the m! of the series
-        got = specfun._hyp_series(0.5, n + 1.5, n + 2.0, x, "2F3", c=2.0)
+        got = specfun._hyp_series(0.5, n + 1.5, n + 2.0, x, c=2.0)
         want = hyp2f3_exact(n, x)
         assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize(
+        "c, name", [(1.0, "1F2(0.5; 1.5, 2.0; 500.0)"), (2.0, "2F3(0.5, 1; 2.0, 1.5, 2.0; 500.0)")]
+    )
+    def test_convergence_error_names_its_arguments(self, c, name, monkeypatch):
+        # the error names the series from the kernel's own arguments
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError) as exc:
+            specfun._hyp_series(0.5, 1.5, 2.0, 500.0, c=c)
+        assert str(exc.value).startswith(f"{name} did not converge")
+        assert exc.value.terms == 3
+
+    def test_hyp1f2_overflow_names_its_arguments(self):
+        with pytest.raises(SeriesOverflowError, match=re.escape("1F2(0.5; 1.5, 1.0; 300000.0) overflowed")):
+            hyp1f2(0.5, 1.5, 1.0, 3e5)
 
 
 class TestSumSeries:
