@@ -216,8 +216,10 @@ def simulate(lam, mu, process, from_state, grid, paths, seed, out):
     rates = Rates(lam, mu)
     cfg = SimConfig(paths=paths, horizon=float(grid[-1]) if grid[-1] > 0 else 1.0, seed=seed)
     res = oracle.simulate(process, rates, from_state, cfg, grid)
-    rows = [(t, state, res.pmf[i][state], res.pmf_se[i][state])
-            for i, t in enumerate(res.times) for state in sorted(res.pmf[i])]
+    states = res.states.tolist()
+    rows = [(t, state, p, se)
+            for t, ps, ses in zip(res.times, res.pmf.tolist(), res.pmf_se.tolist())
+            for state, p, se in zip(states, ps, ses) if p > 0.0]
     _emit(
         out,
         ["altbd simulate",

@@ -95,14 +95,16 @@ class SimConfig:
 class SimResult:
     """Empirical summary of a batch of simulated paths.
 
-    `pmf[i]` maps state -> estimated probability at `times[i]`;
-    `pmf_se[i]` holds the matching binomial standard errors.  Mean and
+    `states` holds every state some path visited at a sample time, in
+    increasing order.  `pmf[i, j]` is the estimated probability of
+    `states[j]` at `times[i]`, and `pmf_se[i, j]` its binomial standard error;
+    both are float arrays of shape (len(times), len(states)).  Mean and
     variance arrays line up with `times`, each with its standard error.
     """
 
     times: np.ndarray
-    pmf: list
-    pmf_se: list
+    pmf: np.ndarray
+    pmf_se: np.ndarray
     mean: np.ndarray
     mean_se: np.ndarray
     var: np.ndarray
@@ -302,22 +304,19 @@ def simulate(
     mean_se = np.sqrt(var / n)
     var_se = np.sqrt(np.maximum(m4 - m2 * m2, 0.0) / n)
 
-    pmf = []
-    pmf_se = []
-    for j in range(times.size):
-        vals, counts = np.unique(samples[:, j], return_counts=True)
-        p = counts / n
-        pmf.append(dict(zip(vals.tolist(), p.tolist())))
-        pmf_se.append(dict(zip(vals.tolist(), np.sqrt(p * (1.0 - p) / n).tolist())))
+    states = np.unique(samples)
+    counts = np.stack([np.bincount(np.searchsorted(states, samples[:, j]), minlength=states.size)
+                       for j in range(times.size)])
+    pmf = counts / n
     return SimResult(
         times=times,
         pmf=pmf,
-        pmf_se=pmf_se,
+        pmf_se=np.sqrt(pmf * (1.0 - pmf) / n),
         mean=mean,
         mean_se=mean_se,
         var=var,
         var_se=var_se,
-        states=np.unique(samples),
+        states=states,
     )
 
 

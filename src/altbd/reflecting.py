@@ -236,36 +236,64 @@ def _normalizer(rates: Rates) -> float:
     return d
 
 
+def _h_sequence(z: float, top: int) -> list[float]:
+    """H_j(z) = 1F2(1/2; (j+1)/2, (j+2)/2; z^2/4) for j = 0..top+2, top > z.
+
+    H_0 = I_0(z), H_top, H_top+1 and H_top+2 come from the kernel; every other
+    H_j from z^2 (H_{j+1}/(j+1) - H_{j+2}/(j+2)) = j (H_{j-1} - H_j), j >= 2,
+    which follows from H_j = j z^(-j) int_0^z (z-u)^(j-1) I_0(u) du and
+    (u I_1)' = u I_0.  It is stepped downward: upward, the bracket is a
+    difference of nearly equal terms wherever j < z (Gautschi, "Computational
+    aspects of three-term recurrence relations", SIAM Review 9, 1967).
+    H_0 comes first, so that past z of about 1.4e4 its term cap raises
+    before the list is built.  Overflowed values come back as inf or nan.
+    """
+    x = z * z / 4.0
+    h0 = _hyp_series(0.5, 0.5, 1.0, x)
+    h = [h0] + [0.0] * (top + 2)
+    for j in (top, top + 1, top + 2):
+        h[j] = _hyp_series(0.5, 0.5 * (j + 1), 0.5 * (j + 2), x)
+    zsq = z * z
+    for j in range(top, 1, -1):
+        h[j - 1] = h[j] + zsq / j * (h[j + 1] / (j + 1) - h[j + 2] / (j + 2))
+    return h
+
+
 def q10_series(t: float, rates: Rates) -> float:
     """Probability of sitting at the origin at time t, started at state 1.
 
     Series form of the convolution in `q10_integral`, obtained by
-    integrating the kernel expansion term by term: four hypergeometric
-    families per index n, three of flavour 1F2(1/2; n+u, n+v; a^2 t^2/4)
-    and one 2F3 carrying the b-dependent part.  The 1F2s are one sequence
-    H_j = 1F2(1/2; (j+1)/2, (j+2)/2; a^2 t^2/4) at j = 2n, 2n+1, 2n+2; the
-    last is carried to term n+1, so each value is computed once.  Terms are
-    accumulated in log space with the same two-consecutive-terms stopping
-    rule as the unrestricted chain's series.  Like `q10_integral`, it raises
-    DomainError where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
+    integrating the kernel expansion term by term.  Term n reads
+    H_j = 1F2(1/2; (j+1)/2, (j+2)/2; a^2 t^2/4) at j = 2n, 2n+1, 2n+2 and
+    carries its b-dependent part in half of b^2 t^2/((2n+1)(2n+2)) times
+    2F3(1/2, 1; 2, n+3/2, n+2; b^2 t^2/4), which equals, exactly,
+    b^2 t^2/((2n+1)(2n+2)) H'_{2n+2} - (H'_{2n} - 1) for the same sequence
+    H' at |b| t.  Both sequences come whole from `_h_sequence`, sized past
+    the peak of the terms and rebuilt twice as long should the sum need
+    more, so one call costs O(a t) and eight kernel sums.  Terms are
+    accumulated with the same two-consecutive-terms stopping rule as the
+    unrestricted chain's series.  Like `q10_integral`, it raises DomainError
+    where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
     """
     _check_time(t)
     if t == 0.0:
         return 0.0
     a, b = rates.total, rates.diff
     norm = _normalizer(rates)
-    xa = a * a * t * t / 4.0
-    xb = b * b * t * t / 4.0
+    z, y = a * t, abs(b) * t
+    if math.isinf(z):
+        raise SeriesOverflowError(f"q10 series overflowed: (lam + mu) t = {z!r}", z, 0)
     la = math.log(a)
     lt = math.log(t)
     r = b / a
 
     def terms():
-        f_low = _hyp_series(0.5, 0.5, 1.0, xa)
+        top = int(z + 12.0 * math.sqrt(z)) + 40  # the terms peak near 2n = z, with width about sqrt(z)
+        ha = hb = []
         for n in itertools.count():
-            f_mid = _hyp_series(0.5, n + 1.0, n + 1.5, xa)
-            f_high = _hyp_series(0.5, n + 1.5, n + 2.0, xa)
-            f_b = _hyp_series(0.5, n + 1.5, n + 2.0, xb, c=2.0)
+            if 2 * n + 2 >= len(ha):
+                ha, hb = _h_sequence(z, top), _h_sequence(y, top)
+                top *= 2
             scale = math.exp(
                 2 * n * lt
                 + (2 * n + 2) * la
@@ -276,13 +304,12 @@ def q10_series(t: float, rates: Rates) -> float:
             ) * (1.0 - r ** (2 * n + 2))
             tsq = t * t / ((2 * n + 1) * (2 * n + 2))
             term = scale * (
-                (a + b) * t / (2 * n + 1) * f_mid
-                + (f_low - 1.0)
-                + a * b * tsq * f_high
-                + 0.5 * b * b * tsq * f_b
+                (a + b) * t / (2 * n + 1) * ha[2 * n + 1]
+                + (ha[2 * n] - 1.0)
+                + a * b * tsq * ha[2 * n + 2]
+                + (b * b * tsq * hb[2 * n + 2] - (hb[2 * n] - 1.0))
             )
             yield term, 2 * n >= a * t
-            f_low = f_high
 
     total = _sum_series(terms(), "q10 series")
     return min(max(total / norm, 0.0), 1.0)
@@ -318,19 +345,21 @@ def q10_integral(t: float, rates: Rates) -> float:
     convolution of the Bessel-difference kernel
     a^2 I1(a u)/(a u) - b^2 I1(b u)/(b u) with its companion function over
     [0, t].  The I1(z)/z factors are even in z and continue through zero
-    with value 1/2.
+    with value 1/2.  The integrand carries the factor e^(-at)/(2 lam (a + b)),
+    so the quadrature's tolerance applies to the probability itself.
     """
     _check_time(t)
     if t == 0.0:
         return 0.0
     a, b = rates.total, rates.diff
-    norm = _normalizer(rates)
+    scale = math.exp(-a * t) / _normalizer(rates)
 
     def integrand(s: float) -> float:
+        # an overflowed product stays inf, or turns nan against a scale underflowed to 0
         u = t - s
-        return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b)
+        return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b) * scale
 
-    v = math.exp(-a * t) / norm * _quad(integrand, t, "q10 quadrature")
+    v = _quad(integrand, t, "q10 quadrature")
     return min(max(v, 0.0), 1.0)
 
 

@@ -5,8 +5,9 @@ term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
 Three loops sum everything: `_sum_series`, the accumulator of the outer
 series of the closed forms (the bilateral series, q00 and q10); the
-fixed-shape `_hyp_series`, which gives every 1F2 and the one 2F3 of
-`q10_series`; and `bessel_i`'s own, kept because `_hyp_series` as a 0F1
+fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series` reads
+whole sequences of them, stepped by a contiguous relation from a few kernel
+values); and `bessel_i`'s own, kept because `_hyp_series` as a 0F1
 took 1.6 times as long per call (orders 0 and 1, x up to 60) and moved
 values by up to 2e-15.  All functions are pure and reentrant.
 
@@ -155,20 +156,19 @@ def bessel_i(order: int, x: float) -> float:
     return total
 
 
-def _hyp_series(a: float, b1: float, b2: float, x: float, c: float = 1.0) -> float:
-    """sum_m (a)_m x^m / ((c)_m (b1)_m (b2)_m), each term the last times
-    x (a+m) / ((c+m)(b1+m)(b2+m)): 1F2(a; b1, b2; x) at c = 1, and at c = 2
-    the 2F3(a, 1; 2, b1, b2; x) of `q10_series`.  Stops on two consecutive
-    terms below SERIES_REL_TOL once the term ratio has dropped under 1/2,
-    at which point the omitted tail is below 2|next term|.  Unchecked: the
-    caller keeps x >= 0 and the lower parameters off the poles (`hyp1f2`
-    checks them).  An overflowed sum comes back as +-inf.
+def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:
+    """1F2(a; b1, b2; x) = sum_m (a)_m x^m / (m! (b1)_m (b2)_m), each term the
+    last times x (a+m) / ((1+m)(b1+m)(b2+m)).  Stops on two consecutive terms
+    below SERIES_REL_TOL once the term ratio has dropped under 1/2, at which
+    point the omitted tail is below 2|next term|.  Unchecked: the caller keeps
+    x >= 0 and the lower parameters off the poles (`hyp1f2` checks them).  An
+    overflowed sum comes back as +-inf.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     term = total = 1.0
     small = 0
     for m in range(max_terms):
-        ratio = x * (a + m) / ((c + m) * (b1 + m) * (b2 + m))
+        ratio = x * (a + m) / ((1.0 + m) * (b1 + m) * (b2 + m))
         term *= ratio
         total += term
         if abs(term) <= rel_tol * abs(total) and abs(ratio) < 0.5:
@@ -177,14 +177,12 @@ def _hyp_series(a: float, b1: float, b2: float, x: float, c: float = 1.0) -> flo
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{_hyp_name(a, b1, b2, x, c)} did not converge", total, max_terms)
+    raise ConvergenceError(f"{_hyp_name(a, b1, b2, x)} did not converge", total, max_terms)
 
 
-def _hyp_name(a: float, b1: float, b2: float, x: float, c: float = 1.0) -> str:
+def _hyp_name(a: float, b1: float, b2: float, x: float) -> str:
     """The series `_hyp_series` sums, by its arguments, for its errors."""
-    if c == 1.0:
-        return f"1F2({a}; {b1}, {b2}; {x})"
-    return f"2F3({a}, 1; {c}, {b1}, {b2}; {x})"
+    return f"1F2({a}; {b1}, {b2}; {x})"
 
 
 def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:

@@ -252,7 +252,9 @@ class TestSimulate:
         b = simulate("bilateral", rates_12, 0, cfg, [0.5, 1.0])
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.var, b.var)
-        assert a.pmf == b.pmf
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.pmf, b.pmf)
+        assert np.array_equal(a.pmf_se, b.pmf_se)
 
     def test_seed_changes_result(self, rates_12):
         a = simulate("bilateral", rates_12, 0, SimConfig(500, 1.0, seed=1), [1.0])
@@ -277,11 +279,11 @@ class TestSimulate:
         t = 1.0
         res = simulate(kind, rates_12, 0, SimConfig(20_000, t, seed=5), [t])
         states, probs = transient_distribution(kind, rates_12, 0, t)
-        for state, phat in res.pmf[0].items():
+        assert res.pmf.shape == res.pmf_se.shape == (1, res.states.size)
+        for state, phat, se in zip(res.states, res.pmf[0], res.pmf_se[0]):
             if phat <= 1e-3:
                 continue
             exact = probs[np.searchsorted(states, state)]
-            se = res.pmf_se[0][state]
             assert abs(phat - exact) <= 4.0 * se
 
     def test_pmf_matches_closed_form(self, rates_12):
@@ -289,13 +291,14 @@ class TestSimulate:
         res = simulate("bilateral", rates_12, 1, SimConfig(20_000, t, seed=17), [t])
         for state in (-1, 0, 1, 2, 3):
             exact = transition_prob(TransitionQuery(1, state, t), rates_12)
-            se = res.pmf_se[0][state]
-            assert abs(res.pmf[0][state] - exact) <= 4.0 * se
+            j = np.searchsorted(res.states, state)
+            assert res.states[j] == state
+            assert abs(res.pmf[0, j] - exact) <= 4.0 * res.pmf_se[0, j]
 
     def test_empirical_pmf_sums_to_one(self, rates_12):
         res = simulate("reflected", rates_12, 1, SimConfig(1_000, 2.0, seed=9), [0.5, 2.0])
         for row in res.pmf:
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_config_validation(self, rates_12):
         with pytest.raises(DomainError):

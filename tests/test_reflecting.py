@@ -24,7 +24,7 @@ from altbd.reflecting import (
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
 
 from conftest import log_uniform, oracle_moments, oracle_prob
-from reference import _q00_series
+from reference import _q00_series, _q10_series_direct
 
 FIG3_PAIRS = [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(2.0, 1.0)]
 QUAD_RATES = [Rates(1.0, 2.0), Rates(3.0, 0.5), Rates(0.5, 3.0)]
@@ -409,16 +409,15 @@ class TestQ10:
             assert q10_series(100.0, rates) < 0.1
             assert q10_series(100.0, rates) < q10_series(40.0, rates) < q10_series(10.0, rates)
 
-    @pytest.mark.parametrize("t", [0.3, 5.0, 17.0])
-    def test_series_computes_each_value_once(self, monkeypatch, t):
-        # the H_{2n+2} of term n is reused as the H_{2n} of term n+1, so each
-        # outer term costs three kernel sums, plus one for H_0
+    @pytest.mark.parametrize("t", [0.3, 5.0, 17.0, 200.0])
+    def test_series_sums_eight_kernel_values(self, monkeypatch, t):
+        # two sequences of four kernel sums each, whatever the number of outer terms
         kernel_calls, outer_terms = [], []
         real_kernel, real_sum = reflecting._hyp_series, reflecting._sum_series
 
-        def kernel(*args, **kwargs):
+        def kernel(*args):
             kernel_calls.append(args)
-            return real_kernel(*args, **kwargs)
+            return real_kernel(*args)
 
         def sum_series(terms, what):
             def counted():
@@ -430,9 +429,77 @@ class TestQ10:
 
         monkeypatch.setattr(reflecting, "_hyp_series", kernel)
         monkeypatch.setattr(reflecting, "_sum_series", sum_series)
-        q10_series(t, Rates(3.0, 0.5))
+        q10_series(t, Rates(1.0, 2.0))
         assert len(outer_terms) > 2
-        assert len(kernel_calls) == 3 * len(outer_terms) + 1
+        assert len(kernel_calls) <= 8
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 5.0, 50.0, 300.0, 690.0])
+    def test_h_sequence_matches_one_kernel_sum_per_value(self, z):
+        top = int(z + 12.0 * math.sqrt(z)) + 40
+        h = reflecting._h_sequence(z, top)
+        assert len(h) == top + 3
+        for j, got in enumerate(h):
+            want = specfun._hyp_series(0.5, 0.5 * (j + 1), 0.5 * (j + 2), z * z / 4.0)
+            assert abs(got - want) <= 1e-13 * want, j
+
+    @pytest.mark.parametrize("z", [2.0, 100.0, 690.0])
+    def test_h_sequence_against_mpmath(self, z):
+        top = int(z + 12.0 * math.sqrt(z)) + 40
+        h = reflecting._h_sequence(z, top)
+        with mpmath.workdps(40):
+            for j in (0, 1, 2, 3, top // 4, top // 2, top - 1, top + 2):
+                want = float(mpmath.hyper([0.5], [mpmath.mpf(j + 1) / 2, mpmath.mpf(j + 2) / 2], mpmath.mpf(z) ** 2 / 4))
+                assert abs(h[j] - want) <= 1e-14 * want, j
+
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(3.0, 0.5), Rates(2.0, 2.0), Rates(1e-3, 1.0),
+                                       Rates(1.0, 1e-3), Rates(40.0, 0.1)])
+    def test_series_matches_one_kernel_sum_per_value(self, rates):
+        # the sequences and the 2F3 identity against the paper's per-term loop; both
+        # brackets cancel terms of order (lam + mu)^2 down to order lam, so the two
+        # roundings part like mu/lam (each within 1e-13 of a 40-digit sum at 1e-3)
+        tol = 5e-16 * (1.0 + rates.mu / rates.lam)
+        for at in (1e-4, 0.3, 2.0, 10.0, 40.0, 100.0):
+            t = at / rates.total
+            assert abs(q10_series(t, rates) - _q10_series_direct(t, rates)) <= tol, t
+
+    def test_series_rebuilds_a_sequence_the_sum_outruns(self, monkeypatch):
+        # sequences 16 times too short: each rebuild doubles them until the sum's last index fits
+        real, tops = reflecting._h_sequence, []
+
+        def short(z, top):
+            tops.append(top)
+            return real(z, top // 16)
+
+        monkeypatch.setattr(reflecting, "_h_sequence", short)
+        t, rates = 20.0, Rates(1.0, 2.0)
+        got = q10_series(t, rates)
+        monkeypatch.undo()
+        assert len(set(tops)) > 1
+        assert got == pytest.approx(q10_series(t, rates), abs=1e-14)
+
+    def test_series_reach(self, rates_12):
+        # H_0 = I_0((lam + mu) t) leaves the float range between a t = 711 and 714
+        assert 0.0 < q10_series(237.0, rates_12) < 1.0
+        with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
+            q10_series(238.0, rates_12)
+
+    def test_series_overflowed_argument(self):
+        # (lam + mu) t itself overflows: typed, before any list is sized from it
+        with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
+            q10_series(1e308, Rates(1.0, 1.0))
+
+    def test_integral_tolerance_applies_to_the_probability(self):
+        # the raw integral is 2 lam (a + b) e^(at) times the probability, about 2e-9
+        # times it here, so only a tolerance on the probability holds it to the oracle
+        rates, t = Rates(1e-9, 1e-3), 2e4
+        assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-9
+
+    @pytest.mark.parametrize("t", [237.5, 237.8, 250.0])
+    def test_integral_overflow_is_typed(self, rates_12, t):
+        # an integrand past the float range meets the scale e^(-at)/(2 lam (a + b)),
+        # subnormal or 0 there, as inf or nan, never as a silent 0
+        with pytest.raises(SeriesOverflowError, match="overflowed"):
+            q10_integral(t, rates_12)
 
     def test_integrand_computes_i0_once(self, monkeypatch):
         # the companion's I_0(a s) serves both of its uses, so each node
