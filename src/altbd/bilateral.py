@@ -24,7 +24,7 @@ c rt as (mu - lam) t.  So one path covers every positive rate pair and
 time: no product underflows to a special case, and a rate ratio outside the
 float range is still a finite log.  Where the terms peak past the term cap
 (about a t / 2 terms, so also at mu t >> 1 with lam t tiny), the sum raises
-ConvergenceError, before its first term, since a t foresees it.
+ConvergenceError before its first term, as `_sum_series` foresees it.
 
 Each outer term n of the double series multiplies (r t)^(2n)/(2n)! by the
 inner binomial sum S_n(d, x) = sum_k C(n,k) C(n,k+d) x^(2k+d).  S_n is a
@@ -41,15 +41,12 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from . import specfun
-from .specfun import ConvergenceError, DomainError, SeriesOverflowError, _check_time, _sum_series
+from .specfun import DomainError, SeriesOverflowError, _check_time, _sum_series
 
 __all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "mean", "variance"]
 
 # the largest x with e^x in the float range
 _LOG_MAX = math.log(sys.float_info.max)
-# what a transition series' errors name it by
-_SAME_PARITY, _CROSS_PARITY = "transition series (same parity)", "transition series (cross parity)"
 
 
 @dataclass(frozen=True)
@@ -209,25 +206,24 @@ def _sum_key(d: int, same: bool) -> tuple[int, bool]:
     return (abs(d), True) if same else (min(abs(d), abs(d + 1)), False)
 
 
-def _same_terms(logs, m: int, lrt: float, at: float, crt: float, settled_from: float):
-    """(term, settled) pairs of a same-parity key (m, True), from its S_n(m, x) in `logs`:
+def _same_terms(logs, m: int, lrt: float, at: float, crt: float):
+    """Terms n = m, m+1, ... of a same-parity key (m, True), from its S_n(m, x) in `logs`:
         e^(-at) [ (rt)^{2n}/(2n)! + c (rt)^{2n+1}/(2n+1)! ] S_n(m, x),  n >= m,
     whose even and odd parts share S_n, so the odd part is the even one times
     c*rt/(2n+1); lrt = log(rt), at = a*t, crt = c*rt.
 
-    two_n is 2n as a float, exact like the counter of `_inner_logs`.  A term
-    is settled once 2n reaches `settled_from` (see `_row_sums`).
+    two_n is 2n as a float, exact like the counter of `_inner_logs`.
     """
     exp, lgamma = math.exp, math.lgamma
     two_n = 2.0 * m
     for log_s in logs:
         odd = two_n + 1.0
-        yield exp(two_n * lrt - lgamma(odd) + log_s - at) * (1.0 + crt / odd), two_n >= settled_from
+        yield exp(two_n * lrt - lgamma(odd) + log_s - at) * (1.0 + crt / odd)
         two_n = odd + 1.0
 
 
-def _cross_terms(logs, upper, m: int, lrt: float, at: float, settled_from: float):
-    """(term, settled) pairs of a cross-parity key (m, False), from S_n(m, x) in
+def _cross_terms(logs, upper, m: int, lrt: float, at: float):
+    """Terms n = m, m+1, ... of a cross-parity key (m, False), from S_n(m, x) in
     `logs` and S_n(m+1, x) in `upper`, as in `_same_terms`:
         e^(-at) (rt)^{2n+1}/(2n+1)! [ S_n(m, x) + S_n(m+1, x) ],  n >= m,
     both offsets in one pass: S_(m+1) joins at n = m+1 (S_m(m+1, x) = 0).
@@ -238,7 +234,7 @@ def _cross_terms(logs, upper, m: int, lrt: float, at: float, settled_from: float
     for log_s in logs:
         odd = two_n + 1.0
         term = exp(odd * lrt - lgamma(odd + 1.0) + log_s - at)
-        yield term * (1.0 + exp(next(upper) - log_s)), two_n >= settled_from
+        yield term * (1.0 + exp(next(upper) - log_s))
         two_n = odd + 1.0
 
 
@@ -253,12 +249,9 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     several sums read it, `itertools.tee` keeps its values for the ones
     behind, and a sequence with one reader is the bare generator.
 
-    Term n of key m is settled once 2n reaches max(2m + 10, at): from
-    n = m + 5 and past the Poisson-weight peak at 2n ~ at, where terms decay
-    faster than geometrically.  `_sum_series` stops at the earliest on the
-    second of two settled terms, so where term n = m + SERIES_MAX_TERMS - 2
-    is not yet settled the cap is certain, and the key raises its
-    ConvergenceError before summing a term (partial sum 0).
+    A key's sum may stop only from term index max(5, at/2 - m) on (see
+    `_sum_series`): from n = m + 5 and past the Poisson-weight peak at
+    2n ~ at, where terms decay faster than geometrically.
     """
     sums = dict.fromkeys(keys)
     readers = {}  # how many sums read S(j): (m, same) reads S(m), (m, cross) S(m) and S(m+1)
@@ -270,15 +263,10 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     for j, count in readers.items():
         logs = _inner_logs(j, lx)
         copies[j] = list(itertools.tee(logs, count)) if count > 1 else [logs]
-    max_terms = specfun.SERIES_MAX_TERMS
     for m, same in sums:
-        settled_from = max(2.0 * m + 10.0, at)
-        if settled_from > 2.0 * (m + max_terms - 2):
-            raise ConvergenceError(f"{_SAME_PARITY if same else _CROSS_PARITY} did not converge", 0.0, max_terms)
-        if same:
-            v = _sum_series(_same_terms(copies[m].pop(), m, lrt, at, crt, settled_from), _SAME_PARITY)
-        else:
-            v = _sum_series(_cross_terms(copies[m].pop(), copies[m + 1].pop(), m, lrt, at, settled_from), _CROSS_PARITY)
+        logs = copies[m].pop()
+        terms = _same_terms(logs, m, lrt, at, crt) if same else _cross_terms(logs, copies[m + 1].pop(), m, lrt, at)
+        v = _sum_series(terms, f"transition series ({'same' if same else 'cross'} parity)", max(5.0, 0.5 * at - m))
         sums[m, same] = min(max(v, 0.0), 1.0)  # guard against sub-eps excursions outside [0, 1]
     return sums
 

@@ -185,15 +185,19 @@ def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     standard deviations plus 30 either side, which bounds the tails far
     below eps, then trimmed and renormalized to sum to one (Fox & Glynn,
     CACM 31, 1988).  No term is formed as exp(m log rate - rate - log m!),
-    whose rounding at high rates leaks more mass than eps allows.
+    whose rounding at high rates leaks more mass than eps allows.  Raises
+    DomainError where the range cannot be built.
     """
     if rate == 0.0:
         return 0, np.ones(1)
-    mode = int(rate)
-    reach = int(math.ceil(12.0 * math.sqrt(rate) + 30.0))
-    lo = max(mode - reach, 0)
-    down = np.cumprod(np.arange(mode, lo, -1) / rate)[::-1]
-    up = np.cumprod(rate / np.arange(mode + 1, mode + reach + 1))
+    try:
+        mode = int(rate)
+        reach = int(math.ceil(12.0 * math.sqrt(rate) + 30.0))
+        lo = max(mode - reach, 0)
+        down = np.cumprod(np.arange(mode, lo, -1) / rate)[::-1]
+        up = np.cumprod(rate / np.arange(mode + 1, mode + reach + 1))
+    except (OverflowError, ValueError, MemoryError):
+        raise DomainError(f"Poisson weights at Lambda t = {rate!r} are too many to build") from None
     w = np.concatenate((down, [1.0], up))
     cum = np.cumsum(w / w.sum())
     left = int(np.searchsorted(cum, eps / 4.0))

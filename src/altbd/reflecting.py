@@ -245,8 +245,9 @@ def _h_sequence(z: float, top: int) -> list[float]:
     (u I_1)' = u I_0.  It is stepped downward: upward, the bracket is a
     difference of nearly equal terms wherever j < z (Gautschi, "Computational
     aspects of three-term recurrence relations", SIAM Review 9, 1967).
-    H_0 comes first, so that past z of about 1.4e4 its term cap raises
-    before the list is built.  Overflowed values come back as inf or nan.
+    H_0 comes first, so that past z of about 1.4e4 its overflow, seen at the
+    term cap, raises before the list is built.  Other overflowed values come
+    back as inf or nan.
     """
     x = z * z / 4.0
     h0 = _hyp_series(0.5, 0.5, 1.0, x)
@@ -270,10 +271,10 @@ def q10_series(t: float, rates: Rates) -> float:
     b^2 t^2/((2n+1)(2n+2)) H'_{2n+2} - (H'_{2n} - 1) for the same sequence
     H' at |b| t.  Both sequences come whole from `_h_sequence`, sized past
     the peak of the terms and rebuilt twice as long should the sum need
-    more, so one call costs O(a t) and eight kernel sums.  Terms are
-    accumulated with the same two-consecutive-terms stopping rule as the
-    unrestricted chain's series.  Like `q10_integral`, it raises DomainError
-    where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
+    more, so one call costs O(a t) and eight kernel sums.  The sum may stop
+    from the peak of the terms at n = a t/2 on, so past a t of about 2e4
+    `_sum_series` raises before a sequence is built.  Like `q10_integral`,
+    it raises DomainError where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
     """
     _check_time(t)
     if t == 0.0:
@@ -309,9 +310,9 @@ def q10_series(t: float, rates: Rates) -> float:
                 + a * b * tsq * ha[2 * n + 2]
                 + (b * b * tsq * hb[2 * n + 2] - (hb[2 * n] - 1.0))
             )
-            yield term, 2 * n >= a * t
+            yield term
 
-    total = _sum_series(terms(), "q10 series")
+    total = _sum_series(terms(), "q10 series", 0.5 * a * t)
     return min(max(total / norm, 0.0), 1.0)
 
 

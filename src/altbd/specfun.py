@@ -19,7 +19,9 @@ that name only when they raise.
 
 Every series, here and in the closed forms, truncates by the same fixed
 rule: stop after two consecutive terms below SERIES_REL_TOL relative to the
-partial sum, and give up with ConvergenceError after SERIES_MAX_TERMS terms.
+partial sum, counting only terms from the peak of the terms on, and give
+up with ConvergenceError after SERIES_MAX_TERMS terms.  For the closed forms
+`_sum_series` owns the rule, given their terms and the index of the peak.
 """
 
 from __future__ import annotations
@@ -83,24 +85,26 @@ def _check_time(t: float) -> None:
         raise DomainError(f"t must be finite and >= 0, got {t}")
 
 
-def _sum_series(terms, what: str) -> float:
-    """Sum an iterable of (term, settled) pairs in order.
+def _sum_series(terms, what: str, settled: float) -> float:
+    """Sum an iterable of terms in order, by the rule of every series.
 
-    Stops after two consecutive settled terms with |term| <= SERIES_REL_TOL
-    * |total|; `settled` carries each series' own guard (typically "past the
-    peak of the terms"), so a small term on the rising side cannot end the
-    sum.  Raises
-    SeriesOverflowError at the first non-finite partial sum and
-    ConvergenceError once SERIES_MAX_TERMS terms are summed without stopping.
+    Stops after two consecutive terms with |term| <= SERIES_REL_TOL * |total|
+    from the 0-based index `settled` on (typically the peak of the terms), so
+    a small term on the rising side cannot end the sum.  Raises
+    SeriesOverflowError at the first non-finite partial sum, and
+    ConvergenceError after SERIES_MAX_TERMS terms, or before the first (partial
+    sum 0) where settled > SERIES_MAX_TERMS - 2 leaves no stop under the cap.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
+    if settled > max_terms - 2:
+        raise ConvergenceError(f"{what} did not converge", 0.0, max_terms)
     total = 0.0
     small = 0
-    for count, (term, settled) in enumerate(itertools.islice(terms, max_terms), 1):
+    for index, term in enumerate(itertools.islice(terms, max_terms)):
         total += term
         if not math.isfinite(total):
-            raise SeriesOverflowError(f"{what} overflowed", total, count)
-        if settled and abs(term) <= rel_tol * abs(total):
+            raise SeriesOverflowError(f"{what} overflowed", total, index + 1)
+        if index >= settled and abs(term) <= rel_tol * abs(total):
             small += 1
             if small >= 2:
                 return total
@@ -162,7 +166,8 @@ def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:
     below SERIES_REL_TOL once the term ratio has dropped under 1/2, at which
     point the omitted tail is below 2|next term|.  Unchecked: the caller keeps
     x >= 0 and the lower parameters off the poles (`hyp1f2` checks them).  An
-    overflowed sum comes back as +-inf.
+    overflowed sum comes back as +-inf, or raises SeriesOverflowError if it
+    reaches the term cap (x past about 5e7 for b1, b2 near 1).
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     term = total = 1.0
@@ -177,6 +182,8 @@ def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:
                 return total
         else:
             small = 0
+    if not math.isfinite(total):
+        raise SeriesOverflowError(f"{_hyp_name(a, b1, b2, x)} overflowed", total, max_terms)
     raise ConvergenceError(f"{_hyp_name(a, b1, b2, x)} did not converge", total, max_terms)
 
 

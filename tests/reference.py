@@ -41,9 +41,9 @@ def _q00_series(t: float, rates: Rates) -> float:
             scale = math.exp(2 * k * lt2 - 2.0 * math.lgamma(k + 1.0) + (2 * k + 1) * la - a * t)
             c1 = 1.0 + math.exp((2 * k + 1) * log_r) if b > 0 else one_minus(2 * k + 1)
             c2 = t * a * one_minus(2 * k + 2) / (2.0 * (k + 1))
-            yield scale * (c1 * f1 + c2 * f2), 2 * k >= a * t
+            yield scale * (c1 * f1 + c2 * f2)
 
-    total = _sum_series(terms(), "q00 series")
+    total = _sum_series(terms(), "q00 series", 0.5 * a * t)
     return min(max(total / (2.0 * rates.lam), 0.0), 1.0)
 
 
@@ -101,8 +101,8 @@ def _q10_series_direct(t: float, rates: Rates) -> float:
                 + a * b * tsq * f_high
                 + 0.5 * b * b * tsq * f_b
             )
-            yield term, 2 * n >= a * t
+            yield term
             f_low = f_high
 
-    total = _sum_series(terms(), "q10 series")
+    total = _sum_series(terms(), "q10 series", 0.5 * a * t)
     return min(max(total / norm, 0.0), 1.0)

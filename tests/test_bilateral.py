@@ -300,7 +300,9 @@ class TestTransitionProb:
         # an odd target sums both of its offsets in one pass
         calls = []
         sum_series = bilateral._sum_series
-        monkeypatch.setattr(bilateral, "_sum_series", lambda terms, what: calls.append(what) or sum_series(terms, what))
+        monkeypatch.setattr(
+            bilateral, "_sum_series", lambda terms, what, settled: calls.append(what) or sum_series(terms, what, settled)
+        )
         p(k, n, 2.5, rates_12)
         parity = "same" if (n - k) % 2 == 0 else "cross"
         assert calls == [f"transition series ({parity} parity)"]
@@ -411,21 +413,26 @@ class TestTransitionProb:
          (Rates(1.0, 2.0), 1, 20000.0)],
     )
     def test_certain_term_cap_raises_before_summing(self, rates, k, t, monkeypatch):
-        # a t / 2 lies past the cap, so no key can settle in time: the row
-        # raises the cap's error at once, with no term summed
-        sums = []
-        monkeypatch.setattr(bilateral, "_sum_series", lambda *args: sums.append(args))
+        # a t / 2 lies past the cap, so no key can stop in time: the row
+        # raises the cap's error at once, with no term read
+        read = []
+        sum_series = bilateral._sum_series
+
+        def counted(terms, what, settled):
+            return sum_series((read.append(term) or term for term in terms), what, settled)
+
+        monkeypatch.setattr(bilateral, "_sum_series", counted)
         with pytest.raises(ConvergenceError) as exc:
             transition_probs(k, [k, k + 1], t, rates)
         assert type(exc.value) is ConvergenceError
         assert exc.value.terms == specfun.SERIES_MAX_TERMS
         assert exc.value.partial == 0.0
         assert str(exc.value).startswith("transition series (same parity) did not converge")
-        assert sums == []
+        assert read == []
 
     def test_foreseen_cap_is_exact(self, monkeypatch):
         # the sum stops at the earliest on terms n = m + cap - 2 and m + cap - 1,
-        # settled once 2n >= a t: at a t = 2 (cap - 2) key (0, same) is summed,
+        # counted once 2n >= a t: at a t = 2 (cap - 2) key (0, same) is summed,
         # and past it the cap is certain, so nothing is summed
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
         rates = Rates(1.0, 1.0)
@@ -467,7 +474,9 @@ class TestTransitionProbs:
         # is fixed by |n - k|, and n = k +- j share it
         calls = []
         sum_series = bilateral._sum_series
-        monkeypatch.setattr(bilateral, "_sum_series", lambda terms, what: calls.append(what) or sum_series(terms, what))
+        monkeypatch.setattr(
+            bilateral, "_sum_series", lambda terms, what, settled: calls.append(what) or sum_series(terms, what, settled)
+        )
         targets = range(k - 7, k + 9)
         transition_probs(k, targets, 2.5, rates_12)
         distances = {abs(n - k) for n in targets}

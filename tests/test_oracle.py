@@ -189,6 +189,20 @@ class TestUniformize:
         states, _ = transient_distribution("bilateral", rates_12, 0, 1000.0, 1e-10)
         assert states.size <= 1000
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rates, lt", [(Rates(1.0, 1.0), "2e+300"), (Rates(1e10, 1.0), "inf")])
+    def test_weights_past_any_array_are_a_domain_error(self, kind, rates, lt):
+        # Lambda t = 2e300 asks for about 1e151 Poisson weights, past numpy's size
+        # limit, and Lambda t = inf for infinitely many; no size numpy might try
+        # to allocate is asked for here
+        t = 1e300
+        with pytest.raises(DomainError, match=re.escape(f"Lambda t = {lt} ")):
+            default_window(kind, rates, 0, t)
+        with pytest.raises(DomainError, match=re.escape(f"Lambda t = {lt} ")):
+            transient_distribution(kind, rates, 0, t)
+        with pytest.raises(DomainError, match=re.escape(f"Lambda t = {lt} ")):
+            uniformize(TruncatedChain(kind, 0, 2, rates), 0, t)
+
     @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 5.0, math.nan, math.inf])
     def test_eps_outside_the_unit_interval(self, eps, rates_12):
         with pytest.raises(DomainError, match="eps"):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 
 import mpmath
@@ -419,13 +420,13 @@ class TestQ10:
             kernel_calls.append(args)
             return real_kernel(*args)
 
-        def sum_series(terms, what):
+        def sum_series(terms, what, settled):
             def counted():
                 for item in terms:
                     outer_terms.append(item)
                     yield item
 
-            return real_sum(counted(), what)
+            return real_sum(counted(), what, settled)
 
         monkeypatch.setattr(reflecting, "_hyp_series", kernel)
         monkeypatch.setattr(reflecting, "_sum_series", sum_series)
@@ -482,6 +483,37 @@ class TestQ10:
         assert 0.0 < q10_series(237.0, rates_12) < 1.0
         with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
             q10_series(238.0, rates_12)
+
+    def test_series_kernel_overflow_at_its_cap(self, rates_12):
+        # a t = 1.5e4: H_0's kernel sum reaches the term cap overflowed, and says so
+        with pytest.raises(SeriesOverflowError, match=re.escape("1F2(0.5; 0.5, 1.0; 56250000.0) overflowed")):
+            q10_series(5000.0, rates_12)
+
+    def test_series_foresees_its_cap(self, monkeypatch):
+        # the sum may stop from n = a t / 2 on, so with a cap of 20 the last a t
+        # it can sum is 36 (where the kernel's own cap of 20 then raises); past
+        # it the cap is certain and no sequence is built
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
+        built = []
+        real = reflecting._h_sequence
+
+        def counted(z, top):
+            built.append(z)
+            return real(z, top)
+
+        monkeypatch.setattr(reflecting, "_h_sequence", counted)
+        rates = Rates(1.0, 2.0)
+        with pytest.raises(ConvergenceError):
+            q10_series(36.0 / rates.total, rates)
+        assert built
+        built.clear()
+        with pytest.raises(ConvergenceError) as foreseen:
+            q10_series(36.5 / rates.total, rates)
+        assert type(foreseen.value) is ConvergenceError
+        assert str(foreseen.value).startswith("q10 series did not converge")
+        assert foreseen.value.partial == 0.0
+        assert foreseen.value.terms == 20
+        assert built == []
 
     def test_series_overflowed_argument(self):
         # (lam + mu) t itself overflows: typed, before any list is sized from it

@@ -183,6 +183,13 @@ class TestHypSeries:
         assert str(exc.value).startswith("1F2(0.5; 1.5, 2.0; 500.0) did not converge")
         assert exc.value.terms == 3
 
+    def test_overflow_at_the_cap_is_named(self):
+        # the terms still rise at the cap with the sum long overflowed: an
+        # overflow, not a sum that failed to converge
+        with pytest.raises(SeriesOverflowError, match=re.escape("1F2(0.5; 0.5, 1.0; 56000000.0) overflowed")) as exc:
+            hyp1f2(0.5, 0.5, 1.0, 5.6e7)
+        assert exc.value.terms == specfun.SERIES_MAX_TERMS
+
     def test_hyp1f2_overflow_names_its_arguments(self):
         with pytest.raises(SeriesOverflowError, match=re.escape("1F2(0.5; 1.5, 1.0; 300000.0) overflowed")):
             hyp1f2(0.5, 1.5, 1.0, 3e5)
@@ -192,31 +199,56 @@ class TestSumSeries:
     def test_stops_after_two_settled_small_terms(self, monkeypatch):
         # 1 + 1/2 + 1/4 + ...: stops once two terms in a row are below tol
         monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
-        terms = ((0.5**m, True) for m in itertools.count())
-        got = _sum_series(terms, "geometric")
+        terms = (0.5**m for m in itertools.count())
+        got = _sum_series(terms, "geometric", 0.0)
         assert got == 2.0 - 0.5**10
 
     def test_unsettled_terms_never_stop(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
-        terms = ((0.5**m, m >= 20) for m in itertools.count())
-        got = _sum_series(terms, "geometric")
+        terms = (0.5**m for m in itertools.count())
+        got = _sum_series(terms, "geometric", 20.0)
         assert got == 2.0 - 0.5**21
+
+    def test_fractional_settled_counts_from_the_next_index(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
+        terms = (0.5**m for m in itertools.count())
+        assert _sum_series(terms, "geometric", 19.5) == 2.0 - 0.5**21
 
     def test_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 7)
         with pytest.raises(ConvergenceError) as exc:
-            _sum_series(((1.0, True) for _ in itertools.count()), "ones")
+            _sum_series((1.0 for _ in itertools.count()), "ones", 0.0)
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == 7
         assert exc.value.partial == 7.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_term_raises_overflow(self, bad):
-        terms = iter([(1.0, False), (bad, True), (0.0, True), (0.0, True)])
+        terms = iter([1.0, bad, 0.0, 0.0])
         with pytest.raises(SeriesOverflowError) as exc:
-            _sum_series(terms, "bad")
+            _sum_series(terms, "bad", 1.0)
         assert exc.value.terms == 2
         assert "bad overflowed" in str(exc.value)
+
+    def test_certain_cap_raises_before_reading_a_term(self, monkeypatch):
+        # settled = cap - 1: the earliest stop would be index cap, past the cap
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
+        read = []
+        terms = (read.append(m) or 0.0 for m in itertools.count())
+        with pytest.raises(ConvergenceError) as exc:
+            _sum_series(terms, "foreseen", 19.0)
+        assert type(exc.value) is ConvergenceError
+        assert str(exc.value).startswith("foreseen did not converge")
+        assert exc.value.partial == 0.0
+        assert exc.value.terms == 20
+        assert read == []
+
+    def test_last_possible_stop_is_summed(self, monkeypatch):
+        # settled = cap - 2: the sum may still stop on indices cap - 2 and cap - 1
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
+        terms = (0.5**m for m in itertools.count())
+        assert _sum_series(terms, "geometric", 18.0) == 2.0 - 0.5**19
 
 
 _RATES = bilateral.Rates(1.0, 2.0)
