@@ -19,14 +19,15 @@ weights are computed here, so only the standard library is needed.  The
 paper's 1F2 series for q00 is no production route; it lives in the tests
 (`tests/reference.py`) as the independent reference `q00` is checked against.
 
-Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).
+Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).  The
+q10 routes compute in the chain's own time unit 1/a, on tau = a t and
+r = b/a (`_q10_units`), since q10 depends on the rates only through them.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,11 +55,13 @@ __all__ = [
 ]
 
 # below this lam/mu both q10 routes lose the 1e-7 reflected tolerance: their
-# brackets sum terms of order (lam + mu)^2 to a value of order lam, so their
+# brackets sum terms of order 1 to a value of order lam/(lam + mu), so their
 # errors grow like mu/lam.  Against uniformization (mu t up to 45) the worst
 # is about 5e-8 at 3e-8 and 1.3e-7 at 1e-8, both from q10_integral near
 # mu t = 19; q10_series stays below 1.5e-8 at 1e-8
 _Q10_MIN_RATIO = 3e-8
+# past this (lam + mu) t both q10 routes refuse: I_0 leaves the float range at 713.9869
+_Q10_REACH = 713.98
 # absolute and relative tolerance of the quadrature: two successive rules agree within it
 _QUAD_TOL = 1e-10
 # first and last order n of the nested Clenshaw-Curtis rules, each doubling the last
@@ -221,19 +224,27 @@ def q00(t: float, rates: Rates) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _normalizer(rates: Rates) -> float:
-    """2 lam (a + b), the divisor of both q10 routes; DomainError where it rounds
-    to 0 (a + b = 2 lam cancels, or the product underflows) or overflows, and
-    where lam/mu < _Q10_MIN_RATIO."""
-    d = 2.0 * rates.lam * (rates.total + rates.diff)
-    if not 0.0 < d < math.inf:
-        raise DomainError(f"q10 divides by 2 lam (a + b) = {d!r}, out of the float range at lam={rates.lam!r}, "
-                          f"mu={rates.mu!r}")
-    if rates.lam < _Q10_MIN_RATIO * rates.mu:
-        raise DomainError(f"q10 at lam/mu = {rates.lam / rates.mu:.3g} < {_Q10_MIN_RATIO:g}: the routes' brackets "
-                          f"cancel terms of order (lam + mu)^2 down to order lam; "
-                          f"transient_distribution('reflected', ...) holds there")
-    return d
+def _q10_units(t: float, rates: Rates, what: str) -> tuple[float, float, float]:
+    """(tau, r, 1 + r) of both q10 routes, which compute in the chain's time unit
+    1/(lam + mu): tau = (lam + mu) t, r = (lam - mu)/(lam + mu) and
+    1 + r = 2 lam/(lam + mu), each formed directly so that nothing cancels; the
+    routes divide by (1 + r)^2.  Where tau underflows to 0 the routes return 0,
+    as q10 <= 1 - e^(-mu t) <= tau.  Otherwise raises DomainError where
+    lam/mu < _Q10_MIN_RATIO, and SeriesOverflowError, naming tau, past
+    _Q10_REACH, before any kernel sum.
+    """
+    _check_time(t)
+    lam, a = rates.lam, rates.total
+    tau = a * t
+    if tau > 0.0:
+        if lam < _Q10_MIN_RATIO * rates.mu:
+            raise DomainError(f"q10 at lam/mu = {lam / rates.mu:.3g} < {_Q10_MIN_RATIO:g}: the routes' brackets "
+                              f"cancel terms of order 1 down to order lam/(lam + mu); "
+                              f"transient_distribution('reflected', ...) holds there")
+        if tau > _Q10_REACH:
+            raise SeriesOverflowError(f"{what} overflowed: (lam + mu) t = {tau!r} is past {_Q10_REACH}, where "
+                                      f"I_0((lam + mu) t) leaves the float range", math.inf, 0)
+    return tau, rates.diff / a, 2.0 * lam / a
 
 
 def _h_sequence(z: float, top: int) -> list[float]:
@@ -245,14 +256,10 @@ def _h_sequence(z: float, top: int) -> list[float]:
     (u I_1)' = u I_0.  It is stepped downward: upward, the bracket is a
     difference of nearly equal terms wherever j < z (Gautschi, "Computational
     aspects of three-term recurrence relations", SIAM Review 9, 1967).
-    H_0 comes first, so that past z of about 1.4e4 its overflow, seen at the
-    term cap, raises before the list is built.  Other overflowed values come
-    back as inf or nan.
     """
     x = z * z / 4.0
-    h0 = _hyp_series(0.5, 0.5, 1.0, x)
-    h = [h0] + [0.0] * (top + 2)
-    for j in (top, top + 1, top + 2):
+    h = [0.0] * (top + 3)
+    for j in (0, top, top + 1, top + 2):
         h[j] = _hyp_series(0.5, 0.5 * (j + 1), 0.5 * (j + 2), x)
     zsq = z * z
     for j in range(top, 1, -1):
@@ -264,56 +271,39 @@ def q10_series(t: float, rates: Rates) -> float:
     """Probability of sitting at the origin at time t, started at state 1.
 
     Series form of the convolution in `q10_integral`, obtained by
-    integrating the kernel expansion term by term.  Term n reads
-    H_j = 1F2(1/2; (j+1)/2, (j+2)/2; a^2 t^2/4) at j = 2n, 2n+1, 2n+2 and
-    carries its b-dependent part in half of b^2 t^2/((2n+1)(2n+2)) times
-    2F3(1/2, 1; 2, n+3/2, n+2; b^2 t^2/4), which equals, exactly,
-    b^2 t^2/((2n+1)(2n+2)) H'_{2n+2} - (H'_{2n} - 1) for the same sequence
-    H' at |b| t.  Both sequences come whole from `_h_sequence`, sized past
-    the peak of the terms and rebuilt twice as long should the sum need
-    more, so one call costs O(a t) and eight kernel sums.  The sum may stop
-    from the peak of the terms at n = a t/2 on, so past a t of about 2e4
-    `_sum_series` raises before a sequence is built.  Like `q10_integral`,
-    it raises DomainError where lam/mu < _Q10_MIN_RATIO (`_normalizer`).
+    integrating the kernel expansion term by term, in the units of
+    `_q10_units`.  Term n reads H_j = 1F2(1/2; (j+1)/2, (j+2)/2; tau^2/4) at
+    j = 2n, 2n+1, 2n+2 and carries its r-dependent part in half of
+    r^2 tau^2/((2n+1)(2n+2)) times 2F3(1/2, 1; 2, n+3/2, n+2; r^2 tau^2/4),
+    which equals, exactly, r^2 tau^2/((2n+1)(2n+2)) H'_{2n+2} - (H'_{2n} - 1)
+    for the same sequence H' at |r| tau.  Both sequences come whole from
+    `_h_sequence`, sized once past the last index the sum reads (measured at
+    most tau + 8 sqrt(tau) + 12 up to the reach), so one call costs O(tau) and
+    eight kernel sums.  Within about 1.4 below the reach a bracket may still
+    overflow, which `_sum_series` names.
     """
-    _check_time(t)
-    if t == 0.0:
+    tau, r, rp = _q10_units(t, rates, "q10 series")
+    if tau == 0.0:
         return 0.0
-    a, b = rates.total, rates.diff
-    norm = _normalizer(rates)
-    z, y = a * t, abs(b) * t
-    if math.isinf(z):
-        raise SeriesOverflowError(f"q10 series overflowed: (lam + mu) t = {z!r}", z, 0)
-    la = math.log(a)
-    lt = math.log(t)
-    r = b / a
+    lt = math.log(tau)
 
     def terms():
-        top = int(z + 12.0 * math.sqrt(z)) + 40  # the terms peak near 2n = z, with width about sqrt(z)
-        ha = hb = []
-        for n in itertools.count():
-            if 2 * n + 2 >= len(ha):
-                ha, hb = _h_sequence(z, top), _h_sequence(y, top)
-                top *= 2
+        top = int(tau + 10.0 * math.sqrt(tau)) + 20  # the terms peak near 2n = tau, with width about sqrt(tau)
+        ha, hb = _h_sequence(tau, top), _h_sequence(abs(r) * tau, top)
+        for n in range(top // 2 + 1):
             scale = math.exp(
-                2 * n * lt
-                + (2 * n + 2) * la
-                - (2 * n + 1) * math.log(2.0)
-                - math.lgamma(n + 1.0)
-                - math.lgamma(n + 2.0)
-                - a * t
+                2 * n * lt - (2 * n + 1) * math.log(2.0) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0) - tau
             ) * (1.0 - r ** (2 * n + 2))
-            tsq = t * t / ((2 * n + 1) * (2 * n + 2))
-            term = scale * (
-                (a + b) * t / (2 * n + 1) * ha[2 * n + 1]
+            tsq = tau * tau / ((2 * n + 1) * (2 * n + 2))
+            yield scale * (
+                rp * tau / (2 * n + 1) * ha[2 * n + 1]
                 + (ha[2 * n] - 1.0)
-                + a * b * tsq * ha[2 * n + 2]
-                + (b * b * tsq * hb[2 * n + 2] - (hb[2 * n] - 1.0))
+                + r * tsq * ha[2 * n + 2]
+                + (r * r * tsq * hb[2 * n + 2] - (hb[2 * n] - 1.0))
             )
-            yield term
 
-    total = _sum_series(terms(), "q10 series", 0.5 * a * t)
-    return min(max(total / norm, 0.0), 1.0)
+    total = _sum_series(terms(), "q10 series", 0.5 * tau)
+    return min(max(total / (rp * rp), 0.0), 1.0)
 
 
 def _kernel_m(g: float, u: float) -> float:
@@ -325,42 +315,42 @@ def _kernel_m(g: float, u: float) -> float:
     return g * g * (bessel_i(1, z) / z)
 
 
-def _companion(s: float, a: float, b: float) -> float:
-    """The function convolved against the Bessel-difference kernel in q10.
+def _companion(s: float, r: float) -> float:
+    """The function convolved against the Bessel-difference kernel in q10,
+    in the units of `_q10_units`.
 
-    a(I0+I1)(as) plus b times (one plus the running integral of that term)
-    plus the even-in-b primitive of b I1(bs)/s; equals 2*lam at s = 0.
+    (I0+I1)(s) plus r times (one plus the running integral of that term)
+    plus the even-in-r primitive of r I1(rs)/s; equals 1 + r at s = 0.
     Its two 1F2s go to the kernel `_hyp_series` unchecked: their x are
     squares over 4 and their lower parameters constants off the poles.
     """
-    i0 = bessel_i(0, a * s)
-    ga = a * (i0 + bessel_i(1, a * s))
-    int_ga = a * s * _hyp_series(0.5, 1.5, 1.0, a * a * s * s / 4.0) + i0 - 1.0
-    mb = 0.5 * b * b * s * _hyp_series(0.5, 1.5, 2.0, b * b * s * s / 4.0)
-    return ga + b * (1.0 + int_ga) + mb
+    i0 = bessel_i(0, s)
+    g = i0 + bessel_i(1, s)
+    int_g = s * _hyp_series(0.5, 1.5, 1.0, s * s / 4.0) + i0 - 1.0
+    mb = 0.5 * r * r * s * _hyp_series(0.5, 1.5, 2.0, r * r * s * s / 4.0)
+    return g + r * (1.0 + int_g) + mb
 
 
 def q10_integral(t: float, rates: Rates) -> float:
     """Quadrature route to the same origin-occupation probability as
     `q10_series`: nested Clenshaw-Curtis rules (`_quad`) integrate the
-    convolution of the Bessel-difference kernel
-    a^2 I1(a u)/(a u) - b^2 I1(b u)/(b u) with its companion function over
-    [0, t].  The I1(z)/z factors are even in z and continue through zero
-    with value 1/2.  The integrand carries the factor e^(-at)/(2 lam (a + b)),
-    so the quadrature's tolerance applies to the probability itself.
+    convolution of the Bessel-difference kernel I1(u)/u - r^2 I1(r u)/(r u)
+    with its companion function over [0, tau], in the units of `_q10_units`.
+    The I1(z)/z factors are even in z and continue through zero with value
+    1/2.  The integrand carries the factor e^(-tau)/(1 + r)^2, so the
+    quadrature's tolerance applies to the probability itself.
     """
-    _check_time(t)
-    if t == 0.0:
+    tau, r, rp = _q10_units(t, rates, "q10 quadrature")
+    if tau == 0.0:
         return 0.0
-    a, b = rates.total, rates.diff
-    scale = math.exp(-a * t) / _normalizer(rates)
+    scale = math.exp(-tau) / (rp * rp)
 
     def integrand(s: float) -> float:
         # an overflowed product stays inf, or turns nan against a scale underflowed to 0
-        u = t - s
-        return (_kernel_m(a, u) - _kernel_m(b, u)) * _companion(s, a, b) * scale
+        u = tau - s
+        return (_kernel_m(1.0, u) - _kernel_m(r, u)) * _companion(s, r) * scale
 
-    v = _quad(integrand, t, "q10 quadrature")
+    v = _quad(integrand, tau, "q10 quadrature")
     return min(max(v, 0.0), 1.0)
 
 

@@ -92,14 +92,16 @@ def _sum_series(terms, what: str, settled: float) -> float:
     from the 0-based index `settled` on (typically the peak of the terms), so
     a small term on the rising side cannot end the sum.  Raises
     SeriesOverflowError at the first non-finite partial sum, and
-    ConvergenceError after SERIES_MAX_TERMS terms, or before the first (partial
-    sum 0) where settled > SERIES_MAX_TERMS - 2 leaves no stop under the cap.
+    ConvergenceError after SERIES_MAX_TERMS terms or once a finite iterable
+    ends unsettled (terms the number read), or before the first (partial sum
+    0) where settled > SERIES_MAX_TERMS - 2 leaves no stop under the cap.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     if settled > max_terms - 2:
         raise ConvergenceError(f"{what} did not converge", 0.0, max_terms)
     total = 0.0
     small = 0
+    index = -1
     for index, term in enumerate(itertools.islice(terms, max_terms)):
         total += term
         if not math.isfinite(total):
@@ -110,7 +112,7 @@ def _sum_series(terms, what: str, settled: float) -> float:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{what} did not converge", total, max_terms)
+    raise ConvergenceError(f"{what} did not converge", total, index + 1)
 
 
 def bessel_i(order: int, x: float) -> float:

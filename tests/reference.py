@@ -8,7 +8,6 @@ import itertools
 import math
 
 from altbd.bilateral import Rates
-from altbd.reflecting import _normalizer
 from altbd.specfun import SERIES_REL_TOL, _hyp_series, _sum_series
 
 
@@ -69,11 +68,13 @@ def _q10_series_direct(t: float, rates: Rates) -> float:
     """q10 by the paper's series with one kernel sum per value, the reference
     that `q10_series`'s sequences are checked against: three 1F2 and one 2F3
     per outer term, the 2F3 summed as written rather than through the
-    contiguous identity `q10_series` uses, so O((a t)^2) work per call."""
+    contiguous identity `q10_series` uses, so O((a t)^2) work per call.  It
+    keeps absolute units and the paper's divisor 2 lam (a + b), which
+    `q10_series` rescales."""
     if t == 0.0:
         return 0.0
     a, b = rates.total, rates.diff
-    norm = _normalizer(rates)
+    norm = 2.0 * rates.lam * (a + b)
     xa = a * a * t * t / 4.0
     xb = b * b * t * t / 4.0
     la = math.log(a)

@@ -205,7 +205,7 @@ class TestReflect:
         assert float(rows[0][1]) == 1.0
 
     def test_overflow_exit_code(self, runner):
-        # q10_series overflows once (lam+mu) t passes about 709; q00 has no such reach
+        # q10_series refuses past (lam+mu) t = 713.98, where I_0 overflows; q00 has no such reach
         result = runner.invoke(
             cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "1", "--t", "240:240:1"]
         )

@@ -53,7 +53,7 @@ def calls(t, z, n, k, kind):
 )
 # 2(lam + mu) overflows: Rates raises DomainError, naming both rates, before any series runs
 @example(lam=1e308, mu=1e308, t=1e-305, z=1.0, n=0, k=0, kind="bilateral")
-# a + b = 2 lam, which both q10 routes divide by, rounds to 0: DomainError, not ZeroDivisionError
+# a + b = 2 lam rounds to 0: the q10 routes form 2 lam/(lam + mu) directly and refuse lam/mu by DomainError
 @example(lam=1e-300, mu=1.0, t=0.5, z=1.0, n=0, k=1, kind="reflected")
 @example(lam=1.0, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="reflected")
 # lam t underflows and mu/lam overflows; the bilateral series runs on their logs
@@ -61,7 +61,7 @@ def calls(t, z, n, k, kind):
 @example(lam=1e-300, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="bilateral")
 @example(lam=1e-300, mu=1e300, t=1e-250, z=1.0, n=1, k=1, kind="bilateral")
 @example(lam=1e-300, mu=1e300, t=1.0, z=1.0, n=0, k=0, kind="bilateral")
-# pgf's root product and q10's divisor 2 lam (a + b) underflow
+# pgf's root product underflows, as would q10's divisor 2 lam (a + b) in absolute units
 @example(lam=1e-300, mu=1e-300, t=1.0, z=1.0, n=0, k=1, kind="reflected")
 # the quadrature's Bessel arguments reach the least subnormal
 @example(lam=1e-3, mu=1e-300, t=1e-320, z=1.0, n=0, k=1, kind="reflected")

@@ -321,8 +321,9 @@ class TestQ00:
 
 
 class TestSeriesOverflow:
-    # past (lam+mu)t or |lam-mu|t ~ 709 a 1F2 factor overflows to inf while
-    # its e^(-at) scale underflows to 0, so the very first term is NaN
+    # past |lam-mu|t ~ 709 a 1F2 factor of the q00 series overflows to inf while
+    # its e^(-at) scale underflows to 0, so the very first term is NaN; q10_series
+    # refuses past (lam+mu)t = 713.98 before its first term
     @pytest.mark.parametrize(
         "fn, lam, mu, t",
         [
@@ -390,10 +391,36 @@ class TestQ10:
 
     @pytest.mark.parametrize("rates", [Rates(1e-300, 1e-300), Rates(1e-300, 1.0), Rates(1e200, 1e200)])
     def test_divisor_out_of_the_float_range(self, rates):
-        # 2 lam (a + b) underflows, cancels (a + b = 2 lam rounds to 0) or overflows
+        # the paper's divisor 2 lam (a + b) underflows at (1e-300, 1e-300) and overflows at
+        # (1e200, 1e200); in the chain's time unit it is (2 lam/a)^2 = 1, and the values are
+        # those of Rates(1, 1) at the same (lam + mu) t = 2.  At (1e-300, 1) lam/mu is refused
+        t = 2.0 / rates.total
         for route in (q10_series, q10_integral):
-            with pytest.raises(DomainError, match="2 lam"):
-                route(1.0, rates)
+            if rates.lam < reflecting._Q10_MIN_RATIO * rates.mu:
+                with pytest.raises(DomainError, match="lam/mu"):
+                    route(t, rates)
+            else:
+                assert abs(route(t, rates) - route(1.0, Rates(1.0, 1.0))) <= 1e-14
+
+    @settings(max_examples=30)
+    @given(
+        lam=log_uniform(1e-3, 1e3),
+        mu=log_uniform(1e-3, 1e3),
+        c=log_uniform(1e-300, 1e300),
+        tau=st.floats(min_value=0.0, max_value=700.0, exclude_min=True),
+    )
+    # the chain (1, 2) at t = 20 in the time unit 1/(3e-150), where absolute-unit kernels leave the float range
+    @example(lam=1.0, mu=2.0, c=1e-150, tau=60.0)
+    def test_routes_are_scale_invariant(self, lam, mu, c, tau):
+        # q10 depends on the rates only through lam/mu and (lam + mu) t; every scaled
+        # pair here lies in the range Rates accepts
+        base, scaled = Rates(lam, mu), Rates(c * lam, c * mu)
+        t = tau / scaled.total
+        want = oracle_prob("reflected", scaled, 1, 0, t)
+        for route in (q10_series, q10_integral):
+            got = route(t, scaled)
+            assert abs(got - route(tau / base.total, base)) <= 1e-14 * (1.0 + mu / lam)
+            assert abs(got - want) <= 1e-7
 
     def test_least_subnormal_quadrature_nodes(self):
         # a s reaches 5e-324 at the nodes; q10 is about mu t = 1e-620, which rounds to 0
@@ -463,31 +490,48 @@ class TestQ10:
             t = at / rates.total
             assert abs(q10_series(t, rates) - _q10_series_direct(t, rates)) <= tol, t
 
-    def test_series_rebuilds_a_sequence_the_sum_outruns(self, monkeypatch):
-        # sequences 16 times too short: each rebuild doubles them until the sum's last index fits
-        real, tops = reflecting._h_sequence, []
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 1.0), Rates(1e-3, 1.0)])
+    def test_series_sequences_cover_the_last_index_read(self, monkeypatch, rates):
+        # the sequences are built once, so the sum must stop before it reads their end:
+        # on a dense grid up to the reach, the last index read leaves a whole term to spare
+        real = reflecting._h_sequence
+        built, read = [], []
 
-        def short(z, top):
-            tops.append(top)
-            return real(z, top // 16)
+        class Recorded(list):
+            def __getitem__(self, j):
+                read.append(j)
+                return super().__getitem__(j)
 
-        monkeypatch.setattr(reflecting, "_h_sequence", short)
-        t, rates = 20.0, Rates(1.0, 2.0)
-        got = q10_series(t, rates)
-        monkeypatch.undo()
-        assert len(set(tops)) > 1
-        assert got == pytest.approx(q10_series(t, rates), abs=1e-14)
+        def recorded(z, top):
+            built.append(top + 3)
+            return Recorded(real(z, top))
+
+        monkeypatch.setattr(reflecting, "_h_sequence", recorded)
+        taus = [10.0**e for e in range(-8, 1)] + [0.5 * k for k in range(3, 1427, 7)]
+        for tau in taus:
+            built.clear()
+            read.clear()
+            q10_series(tau / rates.total, rates)
+            assert max(read) + 2 < min(built), tau
 
     def test_series_reach(self, rates_12):
-        # H_0 = I_0((lam + mu) t) leaves the float range between a t = 711 and 714
+        # H_0 = I_0((lam + mu) t) leaves the float range at 713.99; past 713.98 the series refuses
         assert 0.0 < q10_series(237.0, rates_12) < 1.0
         with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
             q10_series(238.0, rates_12)
 
-    def test_series_kernel_overflow_at_its_cap(self, rates_12):
-        # a t = 1.5e4: H_0's kernel sum reaches the term cap overflowed, and says so
-        with pytest.raises(SeriesOverflowError, match=re.escape("1F2(0.5; 0.5, 1.0; 56250000.0) overflowed")):
-            q10_series(5000.0, rates_12)
+    def test_series_kernel_overflow_at_its_cap(self, monkeypatch, rates_12):
+        # past the reach, up to where (lam + mu) t itself overflows, the series refuses
+        # by naming (lam + mu) t before any kernel sum: at 1.5e4 and 2e4 H_0's own sum
+        # would reach its term cap overflowed
+        built = []
+        monkeypatch.setattr(reflecting, "_h_sequence", lambda z, top: built.append(z))
+        monkeypatch.setattr(reflecting, "_hyp_series", lambda *args: built.append(args))
+        for tau in (714.0, 1.5e4, 2e4, 1e308):
+            with pytest.raises(SeriesOverflowError, match=re.escape("q10 series overflowed: (lam + mu) t =")) as exc:
+                q10_series(tau / rates_12.total, rates_12)
+            assert exc.value.partial == math.inf
+        assert built == []
 
     def test_series_foresees_its_cap(self, monkeypatch):
         # the sum may stop from n = a t / 2 on, so with a cap of 20 the last a t
@@ -528,8 +572,12 @@ class TestQ10:
 
     @pytest.mark.parametrize("t", [237.5, 237.8, 250.0])
     def test_integral_overflow_is_typed(self, rates_12, t):
-        # an integrand past the float range meets the scale e^(-at)/(2 lam (a + b)),
-        # subnormal or 0 there, as inf or nan, never as a silent 0
+        # at (lam + mu) t = 712.5 the integrand stays in the float range; at 713.4 it
+        # overflows against the subnormal scale e^(-(lam + mu) t)/(1 + r)^2, and past the
+        # reach the route refuses: inf or nan is named, never returned as a silent 0
+        if t == 237.5:
+            assert abs(q10_integral(t, rates_12) - oracle_prob("reflected", rates_12, 1, 0, t)) <= 1e-7
+            return
         with pytest.raises(SeriesOverflowError, match="overflowed"):
             q10_integral(t, rates_12)
 
@@ -555,7 +603,8 @@ class TestQ10:
         monkeypatch.setattr(reflecting, "_quad", quad)
         q10_integral(5.0, rates)
         assert nodes
-        assert sorted(x for order, x in bessel_calls if order == 0) == sorted(rates.total * s for s in nodes)
+        # the nodes are in the chain's time unit, so they are the companion's arguments
+        assert sorted(x for order, x in bessel_calls if order == 0) == sorted(nodes)
 
     @pytest.mark.parametrize("route", [q10_series, q10_integral])
     def test_routes_take_the_kernel_directly(self, route, monkeypatch):

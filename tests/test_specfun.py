@@ -222,6 +222,14 @@ class TestSumSeries:
         assert exc.value.terms == 7
         assert exc.value.partial == 7.0
 
+    def test_finite_iterable_reports_the_terms_read(self):
+        # a finite iterable that ends before the stop: the error counts its terms, not the cap
+        with pytest.raises(ConvergenceError) as exc:
+            _sum_series(iter([1.0, 1.0, 1.0]), "ones", 0.0)
+        assert type(exc.value) is ConvergenceError
+        assert exc.value.terms == 3
+        assert exc.value.partial == 3.0
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_term_raises_overflow(self, bad):
         terms = iter([1.0, bad, 0.0, 0.0])
