@@ -93,7 +93,9 @@ def _emit(out, comments, header, rows):
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        # every echo names its stream: click's cache of a wrapper per sys.stdout, a WeakKeyDictionary
+        # whose value holds its key, would keep each in-process run's captured streams alive
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -119,7 +121,7 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except (ConvergenceError, DomainError, oracle.WindowTooSmallError) as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
+            click.echo(f"numeric failure: {exc}", file=sys.stderr)
             sys.exit(EXIT_NUMERIC)
 
 
@@ -247,12 +249,12 @@ def verify(out):
         click.echo(
             f"{status.upper():4s} {check:28s} ({_fmt(lam)},{_fmt(mu)}) "
             f"max residual {residual:.3e} (tolerance {tolerance:.1e})",
-            err=True,
+            file=sys.stderr,
         )
     if failures:
-        click.echo(f"{len(failures)} check(s) failed", err=True)
+        click.echo(f"{len(failures)} check(s) failed", file=sys.stderr)
         sys.exit(EXIT_VERIFY)
-    click.echo("all checks passed", err=True)
+    click.echo("all checks passed", file=sys.stderr)
 
 
 if __name__ == "__main__":

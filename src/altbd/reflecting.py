@@ -14,10 +14,13 @@ Implemented routes:
   integrals of the return probability that `_occupation` takes from the
   transform by one contour sum, with no reach limit in t.
 
-`q10_integral` integrates with `_quad`, nested Clenshaw-Curtis rules whose
-weights are computed here, so only the standard library is needed.  The
-paper's 1F2 series for q00 is no production route; it lives in the tests
-(`tests/reference.py`) as the independent reference `q00` is checked against.
+`q10_integral` is a convolution, which `_quad` integrates by nested
+Clenshaw-Curtis rules whose weights are computed here, so only the standard
+library is needed.  Their node set is symmetric, so both factors of the
+integrand come from one evaluation per node, and each such evaluation is
+two fused Bessel sums (`specfun._bessel_sums`).  The paper's 1F2 series for
+q00 is no production route; it lives in the tests (`tests/reference.py`) as
+the independent reference `q00` is checked against.
 
 Throughout, a = lam + mu and b = lam - mu (b may be negative or zero).  The
 q10 routes compute in the chain's own time unit 1/a, on tau = a t and
@@ -36,10 +39,10 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     SeriesOverflowError,
+    _bessel_sums,
     _check_time,
     _hyp_series,
     _sum_series,
-    bessel_i,
 )
 
 __all__ = [
@@ -87,23 +90,25 @@ def _clenshaw_curtis_weights(n: int) -> tuple[float, ...]:
 
 
 def _quad(f, t: float, what: str) -> float:
-    """Integral of f over [0, t] by nested Clenshaw-Curtis rules.
+    """Convolution int_0^t k(t - s) c(s) ds by nested Clenshaw-Curtis rules; f(x) -> (k(x), c(x)).
 
-    The rule of order n takes f at the images t sin^2(j pi/(2n)) of the
-    nodes cos(j pi/n), j = 0..n; doubling n keeps every node, so each order
-    evaluates f only at its n/2 new ones.  Starts at _QUAD_MIN_ORDER and
-    returns once two successive rules agree within _QUAD_TOL, absolute or
-    relative.  Raises SeriesOverflowError at the first non-finite rule, and
-    ConvergenceError, with terms the number of nodes, when the rule of order
-    _QUAD_MAX_ORDER still disagrees with the one before it.  Every integrand
-    here is entire, where Clenshaw-Curtis converges as fast as Gauss
-    (Trefethen, SIAM Review 50, 2008).
+    The rule of order n takes f at the images x_j = t sin^2(j pi/(2n)) of the
+    nodes cos(j pi/n), j = 0..n, and sums w_j k(x_{n-j}) c(x_j), since t - x_j
+    is x_{n-j}; doubling n keeps every node, so each order evaluates f only at
+    its n/2 new ones.  Starts at _QUAD_MIN_ORDER and returns once two
+    successive rules agree within _QUAD_TOL, absolute or relative.  Raises
+    SeriesOverflowError at the first non-finite rule, and ConvergenceError,
+    with terms the number of nodes, when the rule of order _QUAD_MAX_ORDER
+    still disagrees with the one before it.  Every integrand here is entire,
+    where Clenshaw-Curtis converges as fast as Gauss (Trefethen, SIAM Review
+    50, 2008).
     """
     n = _QUAD_MIN_ORDER
     values = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
     previous = None
     while True:
-        total = 0.5 * t * sum(w * v for w, v in zip(_clenshaw_curtis_weights(n), values))
+        weights = _clenshaw_curtis_weights(n)
+        total = 0.5 * t * sum(w * k * c for w, (_, c), (k, _) in zip(weights, values, reversed(values)))
         if not math.isfinite(total):
             raise SeriesOverflowError(f"{what} overflowed", total, len(values))
         if previous is not None and abs(total - previous) <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
@@ -235,7 +240,7 @@ def _q10_units(t: float, rates: Rates, what: str) -> tuple[float, float, float]:
     """
     _check_time(t)
     lam, a = rates.lam, rates.total
-    tau = a * t
+    tau = a * float(t)
     if tau > 0.0:
         if lam < _Q10_MIN_RATIO * rates.mu:
             raise DomainError(f"q10 at lam/mu = {lam / rates.mu:.3g} < {_Q10_MIN_RATIO:g}: the routes' brackets "
@@ -306,51 +311,33 @@ def q10_series(t: float, rates: Rates) -> float:
     return min(max(total / (rp * rp), 0.0), 1.0)
 
 
-def _kernel_m(g: float, u: float) -> float:
-    """g^2 I_1(gu)/(gu) for u >= 0; even in g, zero for g = 0, and I_1(z)/z
-    is continued through its removable point z = 0 by its series."""
-    z = abs(g) * u
-    if z < 1e-6:
-        return g * g * (0.5 + z * z / 16.0)
-    return g * g * (bessel_i(1, z) / z)
-
-
-def _companion(s: float, r: float) -> float:
-    """The function convolved against the Bessel-difference kernel in q10,
-    in the units of `_q10_units`.
-
-    (I0+I1)(s) plus r times (one plus the running integral of that term)
-    plus the even-in-r primitive of r I1(rs)/s; equals 1 + r at s = 0.
-    Its two 1F2s go to the kernel `_hyp_series` unchecked: their x are
-    squares over 4 and their lower parameters constants off the poles.
-    """
-    i0 = bessel_i(0, s)
-    g = i0 + bessel_i(1, s)
-    int_g = s * _hyp_series(0.5, 1.5, 1.0, s * s / 4.0) + i0 - 1.0
-    mb = 0.5 * r * r * s * _hyp_series(0.5, 1.5, 2.0, r * r * s * s / 4.0)
-    return g + r * (1.0 + int_g) + mb
-
-
 def q10_integral(t: float, rates: Rates) -> float:
     """Quadrature route to the same origin-occupation probability as
-    `q10_series`: nested Clenshaw-Curtis rules (`_quad`) integrate the
-    convolution of the Bessel-difference kernel I1(u)/u - r^2 I1(r u)/(r u)
-    with its companion function over [0, tau], in the units of `_q10_units`.
-    The I1(z)/z factors are even in z and continue through zero with value
-    1/2.  The integrand carries the factor e^(-tau)/(1 + r)^2, so the
-    quadrature's tolerance applies to the probability itself.
+    `q10_series`: `_quad`'s convolution over [0, tau] of the Bessel-difference
+    kernel I1(u)/u - r^2 I1(|r| u)/(|r| u) with its companion function
+    (1 + r) I0(s) + I1(s) + r s 1F2(1/2; 3/2, 1; s^2/4) + r^2 s/2 1F2(1/2; 3/2, 2; r^2 s^2/4),
+    in the units of `_q10_units`, both read at a node from two `_bessel_sums`.
+    The integrand carries the factor e^(-tau)/(1 + r)^2, so the quadrature's
+    tolerance applies to the probability itself; each factor takes its own
+    share e^(-x)/(1 + r) on every sum, so none overflows below the reach.
     """
     tau, r, rp = _q10_units(t, rates, "q10 quadrature")
     if tau == 0.0:
         return 0.0
-    scale = math.exp(-tau) / (rp * rp)
+    g, rsq = abs(r), r * r
 
-    def integrand(s: float) -> float:
-        # an overflowed product stays inf, or turns nan against a scale underflowed to 0
-        u = tau - s
-        return (_kernel_m(1.0, u) - _kernel_m(r, u)) * _companion(s, r) * scale
+    def node(x: float) -> tuple[float, float]:
+        s0, s1, s2, _ = _bessel_sums(x)
+        _, s1g, _, s3g = _bessel_sums(g * x)
+        share = math.exp(-x)
+        scale = share / rp
+        s1 *= scale
+        kernel = 0.5 * (s1 - rsq * (s1g * scale))
+        # (1 + r) S0 times the scale is S0 e^(-x)
+        companion = s0 * share + x * (0.5 * s1 + r * (s2 * scale) + 0.5 * rsq * (s3g * scale))
+        return kernel, companion
 
-    v = _quad(integrand, tau, "q10 quadrature")
+    v = _quad(node, tau, "q10 quadrature")
     return min(max(v, 0.0), 1.0)
 
 

@@ -3,13 +3,16 @@
 Everything here is evaluated by direct power series with a running
 term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
-Three loops sum everything: `_sum_series`, the accumulator of the outer
+Four loops sum everything: `_sum_series`, the accumulator of the outer
 series of the closed forms (the bilateral series, q00 and q10); the
 fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series` reads
 whole sequences of them, stepped by a contiguous relation from a few kernel
-values); and `bessel_i`'s own, kept because `_hyp_series` as a 0F1
-took 1.6 times as long per call (orders 0 and 1, x up to 60) and moved
-values by up to 2e-15.  All functions are pure and reentrant.
+values); `bessel_i`'s own, kept because `_hyp_series` as a 0F1 took 1.6
+times as long per call (orders 0 and 1, x up to 60) and moved values by up
+to 2e-15; and `_bessel_sums`, which gives a `q10_integral` node its I_0,
+I_1 and two 1F2s from one pass over shared terms: a node's two such sums
+took 0.43 of the time of the six separate sums they replace (z uniform in
+0..700, 2-vCPU Xeon).  All functions are pure and reentrant.
 
 Production code calls `_hyp_series` directly: every x it passes is a square
 over 4 and every lower parameter positive, so no check could fire.
@@ -160,6 +163,40 @@ def bessel_i(order: int, x: float) -> float:
     if small < 2:
         raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, max_terms)
     return total
+
+
+def _bessel_sums(z: float) -> tuple[float, float, float, float]:
+    """(I_0(z), 2 I_1(z)/z, 1F2(1/2; 3/2, 1; z^2/4), 1F2(1/2; 3/2, 2; z^2/4)), unchecked,
+    for finite z >= 0: with T_m = (z^2/4)^m/(m!)^2 the sums of T_m, T_m/(m+1),
+    T_m/(2m+1) and T_m/((2m+1)(m+1)), in one loop by the stopping rule and cap
+    of `bessel_i`.  All terms are positive, so the stop on I_0's terms bounds
+    the other tails too.  Raises SeriesOverflowError past I_0's float range.
+    """
+    half = z / 2.0
+    term = s0 = s1 = s2 = s3 = 1.0
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
+    small = 0
+    for m in range(1, max_terms + 1):
+        step = half / m  # not (z^2/4)/m^2, whose one rounding compounds to 3e-14 by z = 700
+        ratio = step * step
+        term *= ratio
+        s0 += term
+        s1 += term / (m + 1)
+        odd = term / (2 * m + 1)
+        s2 += odd
+        s3 += odd / (m + 1)
+        if term <= rel_tol * s0 and ratio < 1.0:
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    # checked once, as in bessel_i: an overflowed s0 stays infinite and passes the stop test
+    if not math.isfinite(s0):
+        raise SeriesOverflowError(f"Bessel sums at z={z!r} overflowed", s0, m)
+    if small < 2:
+        raise ConvergenceError(f"Bessel sums at z={z!r} did not converge", s0, max_terms)
+    return s0, s1, s2, s3
 
 
 def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:

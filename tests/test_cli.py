@@ -1,3 +1,5 @@
+import gc
+import io
 import math
 import warnings
 
@@ -365,6 +367,28 @@ def test_numeric_failure_is_exit_3(runner, monkeypatch, args, module, name):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 3
     assert "numeric failure: stub did not converge" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["reflect", *RATES, "--from", "1", "--t", "0:1:2", "--method", "integral"], 0),
+        (["reflect", "--lambda", "1e-12", "--mu", "1", "--from", "1", "--t", "0:1:3"], 3),
+    ],
+    ids=["stdout", "stderr"],
+)
+def test_in_process_runs_keep_no_streams(runner, args, code):
+    # a caller that runs the commands in process, as CliRunner does, must get back every
+    # stream a run captured its output in, or memory grows with each run
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    assert runner.invoke(cli.main, args).exit_code == code
+    before = live_streams()
+    for _ in range(5):
+        assert runner.invoke(cli.main, args).exit_code == code
+    assert live_streams() == before
 
 
 class TestOutputFormat:

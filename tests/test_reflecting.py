@@ -4,6 +4,7 @@ import re
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
@@ -96,14 +97,14 @@ class TestQuad:
     )
     def test_matches_scipy_quad(self, monkeypatch, route, rates, t):
         # every integral a route takes must agree with scipy's quad: each
-        # integrand of _quad, and both integrals of the contour sum in
+        # convolution k(t - s) c(s) of _quad, and both integrals of the contour sum in
         # _occupation with quad over the series
         real_quad, real_occupation = reflecting._quad, reflecting._occupation
         results = []
 
         def both(f, upper, what):
             tol = reflecting._QUAD_TOL
-            want, _ = quad(f, 0.0, upper, epsabs=tol, epsrel=tol, limit=200)
+            want, _ = quad(lambda s: f(upper - s)[0] * f(s)[1], 0.0, upper, epsabs=tol, epsrel=tol, limit=200)
             got = real_quad(f, upper, what)
             results.append((got, want, 1e-12))
             return got
@@ -122,7 +123,7 @@ class TestQuad:
 
     def test_cap_raises_convergence_error(self):
         with pytest.raises(ConvergenceError) as exc:
-            reflecting._quad(_unresolvable, 1.0, "square wave")
+            reflecting._quad(lambda x: (1.0, _unresolvable(x)), 1.0, "square wave")
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == reflecting._QUAD_MAX_ORDER + 1
 
@@ -132,7 +133,7 @@ class TestQuad:
 
         def f(u):
             calls.append(u)
-            return bad if u > 0.5 else 1.0
+            return 1.0, (bad if u > 0.5 else 1.0)
 
         with pytest.raises(SeriesOverflowError):
             reflecting._quad(f, 1.0, "bad")
@@ -570,59 +571,85 @@ class TestQ10:
         rates, t = Rates(1e-9, 1e-3), 2e4
         assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-9
 
-    @pytest.mark.parametrize("t", [237.5, 237.8, 250.0])
-    def test_integral_overflow_is_typed(self, rates_12, t):
-        # at (lam + mu) t = 712.5 the integrand stays in the float range; at 713.4 it
-        # overflows against the subnormal scale e^(-(lam + mu) t)/(1 + r)^2, and past the
-        # reach the route refuses: inf or nan is named, never returned as a silent 0
-        if t == 237.5:
-            assert abs(q10_integral(t, rates_12) - oracle_prob("reflected", rates_12, 1, 0, t)) <= 1e-7
+    @pytest.mark.parametrize(
+        "rates, t",
+        [
+            pytest.param(Rates(1.0, 2.0), 237.5, id="237.5"),
+            pytest.param(Rates(1.0, 2.0), 237.8, id="237.8"),
+            pytest.param(Rates(1.0, 2.0), 250.0, id="250.0"),
+            pytest.param(Rates(1e3, 1e-3), 712.6 / (1e3 + 1e-3), id="1e3,1e-3-712.6"),
+            pytest.param(Rates(1e3, 1e-3), 713.5 / (1e3 + 1e-3), id="1e3,1e-3-713.5"),
+        ],
+    )
+    def test_integral_overflow_is_typed(self, rates, t):
+        # up to the reach each node's factors carry their share of e^(-(lam + mu) t), so none
+        # overflows; past the reach the route refuses: inf or nan is named, never returned as a
+        # silent 0
+        if rates.total * t > reflecting._Q10_REACH:
+            with pytest.raises(SeriesOverflowError, match="overflowed"):
+                q10_integral(t, rates)
             return
-        with pytest.raises(SeriesOverflowError, match="overflowed"):
-            q10_integral(t, rates_12)
+        assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-7
 
-    def test_integrand_computes_i0_once(self, monkeypatch):
-        # the companion's I_0(a s) serves both of its uses, so each node
-        # costs one order-0 call
+    def test_integral_sums_each_node_once(self, monkeypatch):
+        # each node takes both of its factors from two fused kernel sums, at x and |r| x,
+        # since the mirrored node t - x is itself a node
         rates = Rates(1.0, 2.0)
-        bessel_calls, nodes = [], []
-        real_bessel, real_quad = reflecting.bessel_i, reflecting._quad
+        sums, nodes = [], []
+        real_sums, real_quad = reflecting._bessel_sums, reflecting._quad
 
-        def bessel(order, x):
-            bessel_calls.append((order, x))
-            return real_bessel(order, x)
+        def counted_sums(z):
+            sums.append(z)
+            return real_sums(z)
 
         def quad(f, upper, what):
-            def counted(u):
-                nodes.append(u)
-                return f(u)
+            def counted(x):
+                nodes.append(x)
+                return f(x)
 
             return real_quad(counted, upper, what)
 
-        monkeypatch.setattr(reflecting, "bessel_i", bessel)
+        monkeypatch.setattr(reflecting, "_bessel_sums", counted_sums)
         monkeypatch.setattr(reflecting, "_quad", quad)
         q10_integral(5.0, rates)
-        assert nodes
-        # the nodes are in the chain's time unit, so they are the companion's arguments
-        assert sorted(x for order, x in bessel_calls if order == 0) == sorted(nodes)
+        assert nodes and len(set(nodes)) == len(nodes)
+        assert len(sums) == 2 * len(nodes)
+        g = abs(rates.diff) / rates.total
+        assert sorted(sums) == sorted(nodes + [g * x for x in nodes])
 
     @pytest.mark.parametrize("route", [q10_series, q10_integral])
     def test_routes_take_the_kernel_directly(self, route, monkeypatch):
-        # both routes sum the 1F2 kernel itself; the checked public hyp1f2 is
-        # for outside input, so neither route calls it
-        public, kernel = [], []
+        # the series sums the 1F2 kernel itself and the quadrature the fused Bessel
+        # sums alone; the checked public hyp1f2 is for outside input, so neither calls it
+        public, kernel, bessel = [], [], []
         real_kernel = reflecting._hyp_series
 
         def counted(*args, **kwargs):
             kernel.append(args)
             return real_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(specfun, "hyp1f2", lambda *args: public.append(args))
-        monkeypatch.setattr(reflecting, "hyp1f2", lambda *args: public.append(args), raising=False)
-        monkeypatch.setattr(reflecting, "_hyp_series", counted)
+        for module in (specfun, reflecting):
+            monkeypatch.setattr(module, "hyp1f2", lambda *args: public.append(args), raising=False)
+            monkeypatch.setattr(module, "bessel_i", lambda *args: bessel.append(args), raising=False)
+            monkeypatch.setattr(module, "_hyp_series", counted)
         route(5.0, Rates(1.0, 2.0))
         assert public == []
-        assert kernel
+        if route is q10_series:
+            assert kernel
+        else:
+            assert kernel == [] and bessel == []
+
+    @pytest.mark.parametrize("route", [q10_series, q10_integral])
+    def test_numpy_time_computes_in_python_floats(self, route):
+        got = route(np.float64(1.0), Rates(1.0, 2.0))
+        assert type(got) is float
+        assert got == route(1.0, Rates(1.0, 2.0))
+
+    def test_numpy_time_overflow_is_typed(self):
+        # tier-1 turns warnings into errors: a numpy scalar's overflow warning would
+        # come out in place of the typed error
+        with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
+            q10_series(np.float64(713.4) / 3, Rates(2.0, 1.0))
 
     @settings(max_examples=25)
     @given(lam=log_uniform(1e-12, 1e3), mu=log_uniform(1e-12, 1e3), t=st.floats(min_value=0.01, max_value=20.0))

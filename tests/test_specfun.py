@@ -195,6 +195,38 @@ class TestHypSeries:
             hyp1f2(0.5, 1.5, 1.0, 3e5)
 
 
+class TestBesselSums:
+    @pytest.mark.parametrize("z", [0.0, 5e-324, 1e-3, 0.5, 5.0, 50.0, 300.0, 713.9])
+    def test_against_mpmath(self, z):
+        # I_0(z), 2 I_1(z)/z, 1F2(1/2; 3/2, 1; z^2/4) and 1F2(1/2; 3/2, 2; z^2/4), each a
+        # positive sum, so one relative tolerance holds them all
+        got = specfun._bessel_sums(z)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(z)
+            half_x2 = x * x / 4
+            want = (
+                mpmath.besseli(0, x),
+                2 * mpmath.besseli(1, x) / x if z else mpmath.mpf(1),
+                mpmath.hyp1f2(0.5, 1.5, 1, half_x2),
+                mpmath.hyp1f2(0.5, 1.5, 2, half_x2),
+            )
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * w
+
+    def test_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError) as exc:
+            specfun._bessel_sums(30.0)
+        assert not isinstance(exc.value, SeriesOverflowError)
+        assert exc.value.partial > 0.0
+        assert exc.value.terms == 3
+
+    @pytest.mark.parametrize("z", [714.0, 1e5])
+    def test_non_finite_sum_raises_overflow(self, z):
+        with pytest.raises(SeriesOverflowError, match="overflowed"):
+            specfun._bessel_sums(z)
+
+
 class TestSumSeries:
     def test_stops_after_two_settled_small_terms(self, monkeypatch):
         # 1 + 1/2 + 1/4 + ...: stops once two terms in a row are below tol
