@@ -18,7 +18,8 @@ Implemented routes:
 Clenshaw-Curtis rules whose weights are computed here, so only the standard
 library is needed.  Their node set is symmetric, so both factors of the
 integrand come from one evaluation per node, and each such evaluation is
-two fused Bessel sums (`specfun._bessel_sums`).  The paper's 1F2 series for
+one fused loop over the Bessel terms at x (`specfun._bessel_sums`), which
+also gives those at |r| x.  The paper's 1F2 series for
 q00 is no production route; it lives in the tests (`tests/reference.py`) as
 the independent reference `q00` is checked against.
 
@@ -65,7 +66,8 @@ __all__ = [
 _Q10_MIN_RATIO = 3e-8
 # past this (lam + mu) t both q10 routes refuse: I_0 leaves the float range at 713.9869
 _Q10_REACH = 713.98
-# absolute and relative tolerance of the quadrature: two successive rules agree within it
+# absolute and relative tolerance of the quadrature: the returned rule's observed or
+# predicted error is within it
 _QUAD_TOL = 1e-10
 # first and last order n of the nested Clenshaw-Curtis rules, each doubling the last
 _QUAD_MIN_ORDER = 8
@@ -95,24 +97,29 @@ def _quad(f, t: float, what: str) -> float:
     The rule of order n takes f at the images x_j = t sin^2(j pi/(2n)) of the
     nodes cos(j pi/n), j = 0..n, and sums w_j k(x_{n-j}) c(x_j), since t - x_j
     is x_{n-j}; doubling n keeps every node, so each order evaluates f only at
-    its n/2 new ones.  Starts at _QUAD_MIN_ORDER and returns once two
-    successive rules agree within _QUAD_TOL, absolute or relative.  Raises
-    SeriesOverflowError at the first non-finite rule, and ConvergenceError,
-    with terms the number of nodes, when the rule of order _QUAD_MAX_ORDER
-    still disagrees with the one before it.  Every integrand here is entire,
-    where Clenshaw-Curtis converges as fast as Gauss (Trefethen, SIAM Review
-    50, 2008).
+    its n/2 new ones.  Starts at _QUAD_MIN_ORDER; with d_n = |I_n - I_(n/2)|
+    and tol = _QUAD_TOL absolute or relative to I_n, it returns I_n once
+    d_n <= tol, or once d_n <= sqrt(tol) and d_n^2 <= tol d_(n/2): d_n^2/d_(n/2)
+    is the next difference under geometric decay, and every integrand here is
+    entire, where Clenshaw-Curtis converges faster than geometrically, as fast
+    as Gauss (Clenshaw & Curtis, Numer. Math. 2, 1960; Trefethen, SIAM Review
+    50, 2008), so the prediction errs high.  Raises SeriesOverflowError at the
+    first non-finite rule, and ConvergenceError, with terms the number of
+    nodes, when the rule of order _QUAD_MAX_ORDER meets neither test.
     """
     n = _QUAD_MIN_ORDER
     values = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
-    previous = None
+    previous = step = None
     while True:
         weights = _clenshaw_curtis_weights(n)
         total = 0.5 * t * sum(w * k * c for w, (_, c), (k, _) in zip(weights, values, reversed(values)))
         if not math.isfinite(total):
             raise SeriesOverflowError(f"{what} overflowed", total, len(values))
-        if previous is not None and abs(total - previous) <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
-            return total
+        if previous is not None:
+            last, step = step, abs(total - previous)
+            tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
+            if step <= tol or (last is not None and step * step <= tol * last and step <= math.sqrt(tol)):
+                return total
         if n == _QUAD_MAX_ORDER:
             raise ConvergenceError(f"{what} did not converge", total, len(values))
         previous, n = total, 2 * n
@@ -284,27 +291,28 @@ def q10_series(t: float, rates: Rates) -> float:
     for the same sequence H' at |r| tau.  Both sequences come whole from
     `_h_sequence`, sized once past the last index the sum reads (measured at
     most tau + 8 sqrt(tau) + 12 up to the reach), so one call costs O(tau) and
-    eight kernel sums.  Within about 1.4 below the reach a bracket may still
-    overflow, which `_sum_series` names.
+    eight kernel sums.  Each part of a term takes the scale, with e^(-tau),
+    before the parts are added, so none overflows below the reach.
     """
     tau, r, rp = _q10_units(t, rates, "q10 series")
     if tau == 0.0:
         return 0.0
-    lt = math.log(tau)
+    lt, ln2, rsq = math.log(tau), math.log(2.0), r * r
 
     def terms():
         top = int(tau + 10.0 * math.sqrt(tau)) + 20  # the terms peak near 2n = tau, with width about sqrt(tau)
         ha, hb = _h_sequence(tau, top), _h_sequence(abs(r) * tau, top)
         for n in range(top // 2 + 1):
-            scale = math.exp(
-                2 * n * lt - (2 * n + 1) * math.log(2.0) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0) - tau
-            ) * (1.0 - r ** (2 * n + 2))
+            # the scale, with e^(-tau), goes onto each H first, as the parts add up to about 4 I_0(tau),
+            # past the float range near the reach; 1 - r^(2n+2) goes on last, since in the scale it
+            # would cost bits wherever that is subnormal
+            scale = math.exp(2 * n * lt - (2 * n + 1) * ln2 - math.lgamma(n + 1.0) - math.lgamma(n + 2.0) - tau)
             tsq = tau * tau / ((2 * n + 1) * (2 * n + 2))
-            yield scale * (
-                rp * tau / (2 * n + 1) * ha[2 * n + 1]
-                + (ha[2 * n] - 1.0)
-                + r * tsq * ha[2 * n + 2]
-                + (r * r * tsq * hb[2 * n + 2] - (hb[2 * n] - 1.0))
+            yield (1.0 - r ** (2 * n + 2)) * (
+                scale * ha[2 * n + 1] * (rp * tau / (2 * n + 1))
+                + scale * (ha[2 * n] - 1.0)
+                + scale * ha[2 * n + 2] * (r * tsq)
+                + (scale * hb[2 * n + 2] * (rsq * tsq) - scale * (hb[2 * n] - 1.0))
             )
 
     total = _sum_series(terms(), "q10 series", 0.5 * tau)
@@ -316,7 +324,7 @@ def q10_integral(t: float, rates: Rates) -> float:
     `q10_series`: `_quad`'s convolution over [0, tau] of the Bessel-difference
     kernel I1(u)/u - r^2 I1(|r| u)/(|r| u) with its companion function
     (1 + r) I0(s) + I1(s) + r s 1F2(1/2; 3/2, 1; s^2/4) + r^2 s/2 1F2(1/2; 3/2, 2; r^2 s^2/4),
-    in the units of `_q10_units`, both read at a node from two `_bessel_sums`.
+    in the units of `_q10_units`, both read at a node from one `_bessel_sums`.
     The integrand carries the factor e^(-tau)/(1 + r)^2, so the quadrature's
     tolerance applies to the probability itself; each factor takes its own
     share e^(-x)/(1 + r) on every sum, so none overflows below the reach.
@@ -324,18 +332,14 @@ def q10_integral(t: float, rates: Rates) -> float:
     tau, r, rp = _q10_units(t, rates, "q10 quadrature")
     if tau == 0.0:
         return 0.0
-    g, rsq = abs(r), r * r
+    rsq, rsq_gap = r * r, rp * (2.0 - rp)  # 1 - r^2 = (1 + r)(1 - r)
 
     def node(x: float) -> tuple[float, float]:
-        s0, s1, s2, _ = _bessel_sums(x)
-        _, s1g, _, s3g = _bessel_sums(g * x)
+        s0, c1, s2, k, c3 = _bessel_sums(x, rsq, rsq_gap)
         share = math.exp(-x)
         scale = share / rp
-        s1 *= scale
-        kernel = 0.5 * (s1 - rsq * (s1g * scale))
         # (1 + r) S0 times the scale is S0 e^(-x)
-        companion = s0 * share + x * (0.5 * s1 + r * (s2 * scale) + 0.5 * rsq * (s3g * scale))
-        return kernel, companion
+        return 0.5 * (k * scale), s0 * share + x * (0.5 * (c1 * scale) + r * (s2 * scale) + 0.5 * (c3 * scale))
 
     v = _quad(node, tau, "q10 quadrature")
     return min(max(v, 0.0), 1.0)

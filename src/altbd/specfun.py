@@ -9,10 +9,10 @@ fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series` reads
 whole sequences of them, stepped by a contiguous relation from a few kernel
 values); `bessel_i`'s own, kept because `_hyp_series` as a 0F1 took 1.6
 times as long per call (orders 0 and 1, x up to 60) and moved values by up
-to 2e-15; and `_bessel_sums`, which gives a `q10_integral` node its I_0,
-I_1 and two 1F2s from one pass over shared terms: a node's two such sums
-took 0.43 of the time of the six separate sums they replace (z uniform in
-0..700, 2-vCPU Xeon).  All functions are pure and reentrant.
+to 2e-15; and `_bessel_sums`, which gives a `q10_integral` node every sum
+it reads, at x and at |r| x, from one pass over the terms at x: the terms at
+|r| x are those times r^(2m), and past the peak r^(2m) e^x <= e^(|r| x), so
+the stop at x bounds both tails.  All functions are pure and reentrant.
 
 Production code calls `_hyp_series` directly: every x it passes is a square
 over 4 and every lower parameter positive, so no check could fire.
@@ -122,7 +122,7 @@ def bessel_i(order: int, x: float) -> float:
     """Modified Bessel function of the first kind, integer order >= 0.
 
     Sums I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!) with the term recurrence
-    t_{m+1} = t_m * (x/2)^2 / ((m+1)(m+n+1)).  Terms are positive, so the
+    t_{m+1} = t_m * (x/(2(m+1))) * (x/(2(m+n+1))).  Terms are positive, so the
     two-consecutive-small-terms rule plus a past-the-peak guard bounds the
     tail geometrically.  Raises SeriesOverflowError once the sum is past
     the float range (I_0(x) overflows near x = 713).
@@ -143,11 +143,11 @@ def bessel_i(order: int, x: float) -> float:
     except OverflowError:
         raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", math.inf, 1) from None
     total = term
-    q = half * half
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     small = 0
     for m in range(max_terms):
-        ratio = q / ((m + 1) * (m + order + 1))
+        # not (x/2)^2/((m+1)(m+n+1)), whose one rounding compounds to 3e-14 by x = 500
+        ratio = (half / (m + 1)) * (half / (m + order + 1))
         term *= ratio
         total += term
         if term <= rel_tol * total and ratio < 1.0:
@@ -165,26 +165,33 @@ def bessel_i(order: int, x: float) -> float:
     return total
 
 
-def _bessel_sums(z: float) -> tuple[float, float, float, float]:
-    """(I_0(z), 2 I_1(z)/z, 1F2(1/2; 3/2, 1; z^2/4), 1F2(1/2; 3/2, 2; z^2/4)), unchecked,
-    for finite z >= 0: with T_m = (z^2/4)^m/(m!)^2 the sums of T_m, T_m/(m+1),
-    T_m/(2m+1) and T_m/((2m+1)(m+1)), in one loop by the stopping rule and cap
-    of `bessel_i`.  All terms are positive, so the stop on I_0's terms bounds
-    the other tails too.  Raises SeriesOverflowError past I_0's float range.
+def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, float, float, float]:
+    """(S0, C1, S2, K, C3) for finite z >= 0 and rsq = r^2 < 1, unchecked: with
+    T_m = (z^2/4)^m/(m!)^2, the sums of T_m = I_0(z), T_m/(m+1) = 2 I_1(z)/z,
+    T_m/(2m+1) = 1F2(1/2; 3/2, 1; z^2/4), T_m (1 - rsq^(m+1))/(m+1) = 2 I_1(z)/z -
+    rsq 2 I_1(|r| z)/(|r| z) and T_m rsq^(m+1)/((2m+1)(m+1)) = rsq 1F2(1/2; 3/2, 2; rsq z^2/4),
+    in one loop by the stopping rule and cap of `bessel_i` on T_m.  1 - rsq^(m+1) is
+    rsq_gap = 1 - rsq, formed by the caller, times a running sum of rsq^i, so K cancels
+    nothing.  Every term is positive and at most T_m, so the stop bounds every tail.
+    Raises SeriesOverflowError past I_0's float range.
     """
     half = z / 2.0
-    term = s0 = s1 = s2 = s3 = 1.0
+    term = s0 = c1 = s2 = k = c3 = power = powers = 1.0
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     small = 0
     for m in range(1, max_terms + 1):
         step = half / m  # not (z^2/4)/m^2, whose one rounding compounds to 3e-14 by z = 700
         ratio = step * step
         term *= ratio
+        power *= rsq
+        powers += power
         s0 += term
-        s1 += term / (m + 1)
+        even = term / (m + 1)
+        c1 += even
+        k += even * powers
         odd = term / (2 * m + 1)
         s2 += odd
-        s3 += odd / (m + 1)
+        c3 += odd / (m + 1) * power
         if term <= rel_tol * s0 and ratio < 1.0:
             small += 1
             if small >= 2:
@@ -196,7 +203,7 @@ def _bessel_sums(z: float) -> tuple[float, float, float, float]:
         raise SeriesOverflowError(f"Bessel sums at z={z!r} overflowed", s0, m)
     if small < 2:
         raise ConvergenceError(f"Bessel sums at z={z!r} did not converge", s0, max_terms)
-    return s0, s1, s2, s3
+    return s0, c1, s2, rsq_gap * k, rsq * c3
 
 
 def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:

@@ -74,6 +74,38 @@ def _scipy_occupation(k, t, rates):
     )
 
 
+def _rule_totals(f, t):
+    """The totals of `_quad`'s nested rules, orders 8 to 512, each sum formed as `_quad` forms it."""
+    values = {}
+
+    def at(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
+    n = reflecting._QUAD_MIN_ORDER
+    while n <= reflecting._QUAD_MAX_ORDER:
+        pairs = [at(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
+        weights = reflecting._clenshaw_curtis_weights(n)
+        yield n, 0.5 * t * sum(w * k * c for w, (_, c), (k, _) in zip(weights, pairs, reversed(pairs)))
+        n *= 2
+
+
+def _two_rule_order(f, t):
+    """The order at which two successive rules first agree within _QUAD_TOL, absolute or relative."""
+    previous, tol = None, reflecting._QUAD_TOL
+    for n, total in _rule_totals(f, t):
+        if previous is not None and abs(total - previous) <= max(tol, tol * abs(total)):
+            return n
+        previous = total
+    return None
+
+
+def _chebyshev(k, x):
+    """T_k(2x - 1) on [0, 1]."""
+    return math.cos(k * math.acos(min(1.0, max(-1.0, 2.0 * x - 1.0))))
+
+
 class TestQuad:
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_rule_is_exact_to_its_order(self, n):
@@ -126,6 +158,68 @@ class TestQuad:
             reflecting._quad(lambda x: (1.0, _unresolvable(x)), 1.0, "square wave")
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.terms == reflecting._QUAD_MAX_ORDER + 1
+
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 1.0), Rates(1e-3, 1.0), Rates(1e3, 1e-3)],
+                             ids=lambda r: f"{r.lam:g},{r.mu:g}")
+    def test_never_more_nodes_than_two_rules(self, monkeypatch, rates):
+        # the prediction only ever stops the rule earlier than the two-rule test would
+        real_quad = reflecting._quad
+        counts = []
+
+        def counted(f, upper, what):
+            nodes = []
+
+            def g(x):
+                nodes.append(x)
+                return f(x)
+
+            got = real_quad(g, upper, what)
+            counts.append((len(nodes), _two_rule_order(f, upper) + 1))
+            return got
+
+        monkeypatch.setattr(reflecting, "_quad", counted)
+        for tau in (1e-3, 0.1, 1.0, 5.0, 20.0, 60.0, 150.0, 400.0, 713.9):
+            q10_integral(tau / rates.total, rates)
+        assert all(new <= old for new, old in counts), counts
+        assert sum(new for new, _ in counts) < sum(old for _, old in counts)
+
+    def test_prediction_returns_an_order_early(self):
+        # cos(20 x) on [0, 1]: successive differences 9.4e-3, 4.4e-7, 8e-17, so the
+        # two-rule test returns at order 64, and the prediction (4.4e-7)^2/9.4e-3 = 2e-11
+        # at 32, with that rule within 1e-16 of sin(20)/20
+        assert _two_rule_order(lambda x: (1.0, math.cos(20.0 * x)), 1.0) == 64
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return 1.0, math.cos(20.0 * x)
+
+        got = reflecting._quad(f, 1.0, "cos(20 x)")
+        assert len(nodes) == 33
+        assert abs(got - math.sin(20.0) / 20.0) <= 1e-15
+
+    def test_large_difference_is_not_accepted_on_the_prediction(self):
+        # 2000 T_12 + 7.08e-3 T_40 at 2x - 1: order 16 is exact for T_12, so d_32 = 1.0e-4 is
+        # T_40 alone and d_32^2/d_16 = 8.4e-11 lies within tol = 1.4e-9; but d_32 exceeds
+        # sqrt(tol), and the rule of order 32 is 7.9e-6 off.  Order 128 is exact
+        def c(x):
+            return 2000.0 * _chebyshev(12, x) + 7.08e-3 * _chebyshev(40, x)
+
+        exact = -2000.0 / 143 - 7.08e-3 / 1599
+        totals = dict(_rule_totals(lambda x: (1.0, c(x)), 1.0))
+        tol = reflecting._QUAD_TOL * abs(totals[32])
+        d16, d32 = abs(totals[16] - totals[8]), abs(totals[32] - totals[16])
+        assert d32 * d32 <= tol * d16 and d32 > math.sqrt(tol)
+        assert abs(totals[32] - exact) > 1e3 * tol
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return 1.0, c(x)
+
+        got = reflecting._quad(f, 1.0, "Chebyshev sum")
+        assert len(nodes) == 129
+        assert abs(got - exact) <= tol
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_value_raises_at_once(self, bad):
@@ -592,15 +686,15 @@ class TestQ10:
         assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-7
 
     def test_integral_sums_each_node_once(self, monkeypatch):
-        # each node takes both of its factors from two fused kernel sums, at x and |r| x,
-        # since the mirrored node t - x is itself a node
+        # each node takes both of its factors, at x and |r| x, from one fused loop at x,
+        # since the mirrored node t - x is itself a node, and calls no other kernel
         rates = Rates(1.0, 2.0)
-        sums, nodes = [], []
+        sums, nodes, others = [], [], []
         real_sums, real_quad = reflecting._bessel_sums, reflecting._quad
 
-        def counted_sums(z):
+        def counted_sums(z, rsq, rsq_gap):
             sums.append(z)
-            return real_sums(z)
+            return real_sums(z, rsq, rsq_gap)
 
         def quad(f, upper, what):
             def counted(x):
@@ -609,13 +703,15 @@ class TestQ10:
 
             return real_quad(counted, upper, what)
 
+        for module in (specfun, reflecting):
+            for name in ("bessel_i", "_hyp_series", "hyp1f2"):
+                monkeypatch.setattr(module, name, lambda *args, name=name: others.append(name), raising=False)
         monkeypatch.setattr(reflecting, "_bessel_sums", counted_sums)
         monkeypatch.setattr(reflecting, "_quad", quad)
         q10_integral(5.0, rates)
         assert nodes and len(set(nodes)) == len(nodes)
-        assert len(sums) == 2 * len(nodes)
-        g = abs(rates.diff) / rates.total
-        assert sorted(sums) == sorted(nodes + [g * x for x in nodes])
+        assert sums == nodes
+        assert others == []
 
     @pytest.mark.parametrize("route", [q10_series, q10_integral])
     def test_routes_take_the_kernel_directly(self, route, monkeypatch):
@@ -649,7 +745,18 @@ class TestQ10:
         # tier-1 turns warnings into errors: a numpy scalar's overflow warning would
         # come out in place of the typed error
         with pytest.raises(SeriesOverflowError, match="q10 series overflowed"):
-            q10_series(np.float64(713.4) / 3, Rates(2.0, 1.0))
+            q10_series(np.float64(714.0) / 3, Rates(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "rates, tau", [(Rates(1.0, 2.0), 3 * 237.9), (Rates(2.0, 1.0), 713.4), (Rates(1e3, 1e-3), 712.6)]
+    )
+    def test_series_holds_up_to_its_reach(self, rates, tau):
+        # each part of a bracket may come within a factor 4 of the float range, so each
+        # takes the e^(-tau) scale before they are added
+        t = tau / rates.total
+        got = q10_series(t, rates)
+        assert abs(got - q10_integral(t, rates)) <= 1e-9
+        assert abs(got - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-9
 
     @settings(max_examples=25)
     @given(lam=log_uniform(1e-12, 1e3), mu=log_uniform(1e-12, 1e3), t=st.floats(min_value=0.01, max_value=20.0))

@@ -75,6 +75,16 @@ class TestBesselI:
         with pytest.raises(SeriesOverflowError):
             bessel_i(order, x)
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_large_arguments_against_mpmath(self, order):
+        # ~x/2 term ratios compound to the peak, so each is formed as a product of two
+        # rounded halves, not from one rounded (x/2)^2
+        xs = [200.0 + (713.9 - 200.0) * (i + 0.5) / 150 for i in range(150)]
+        with mpmath.workdps(40):
+            for x in xs:
+                want = mpmath.besseli(order, mpmath.mpf(x))
+                assert abs(bessel_i(order, x) - want) <= 1.5e-14 * want, x
+
     @settings(max_examples=40)
     @given(
         n=st.integers(min_value=1, max_value=20),
@@ -195,28 +205,38 @@ class TestHypSeries:
             hyp1f2(0.5, 1.5, 1.0, 3e5)
 
 
+def _bessel_ratio(x):
+    """2 I_1(x)/x at the working precision, 1 at x = 0."""
+    return 2 * mpmath.besseli(1, x) / x if x else mpmath.mpf(1)
+
+
 class TestBesselSums:
     @pytest.mark.parametrize("z", [0.0, 5e-324, 1e-3, 0.5, 5.0, 50.0, 300.0, 713.9])
     def test_against_mpmath(self, z):
-        # I_0(z), 2 I_1(z)/z, 1F2(1/2; 3/2, 1; z^2/4) and 1F2(1/2; 3/2, 2; z^2/4), each a
-        # positive sum, so one relative tolerance holds them all
-        got = specfun._bessel_sums(z)
-        with mpmath.workdps(40):
-            x = mpmath.mpf(z)
-            half_x2 = x * x / 4
-            want = (
-                mpmath.besseli(0, x),
-                2 * mpmath.besseli(1, x) / x if z else mpmath.mpf(1),
-                mpmath.hyp1f2(0.5, 1.5, 1, half_x2),
-                mpmath.hyp1f2(0.5, 1.5, 2, half_x2),
-            )
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-14 * w
+        # S0 = I_0(z), C1 = 2 I_1(z)/z, S2 = 1F2(1/2; 3/2, 1; z^2/4), the kernel difference
+        # K = 2 I_1(z)/z - r^2 2 I_1(|r| z)/(|r| z) and C3 = r^2 1F2(1/2; 3/2, 2; r^2 z^2/4),
+        # each a positive sum, so one relative tolerance holds them all; K is formed from
+        # the two ratios at 40 digits, where a difference of two double sums loses about
+        # 6 digits at r = -(1 - 2e-6)
+        for r in (0.0, 1 / 3, -5 / 7, -(1 - 2e-6)):
+            got = specfun._bessel_sums(z, r * r, (1.0 + r) * (1.0 - r))
+            with mpmath.workdps(40):
+                x, rsq = mpmath.mpf(z), mpmath.mpf(r) ** 2
+                gx = abs(mpmath.mpf(r)) * x
+                want = (
+                    mpmath.besseli(0, x),
+                    _bessel_ratio(x),
+                    mpmath.hyp1f2(0.5, 1.5, 1, x * x / 4),
+                    _bessel_ratio(x) - rsq * _bessel_ratio(gx),
+                    rsq * mpmath.hyp1f2(0.5, 1.5, 2, gx * gx / 4),
+                )
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-14 * w, (r, got, want)
 
     def test_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            specfun._bessel_sums(30.0)
+            specfun._bessel_sums(30.0, 0.25, 0.75)
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
@@ -224,7 +244,7 @@ class TestBesselSums:
     @pytest.mark.parametrize("z", [714.0, 1e5])
     def test_non_finite_sum_raises_overflow(self, z):
         with pytest.raises(SeriesOverflowError, match="overflowed"):
-            specfun._bessel_sums(z)
+            specfun._bessel_sums(z, 0.25, 0.75)
 
 
 class TestSumSeries:
