@@ -3,7 +3,7 @@ birth-death chains whose jump rate alternates with the parity of the state,
 on the full integer lattice and reflected at zero."""
 
 from .specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i, hyp1f2
-from .bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, transition_probs, variance
+from .bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_matrix, transition_prob, transition_probs, variance
 from .reflecting import (
     LaplaceRoots,
     laplace_roots,
@@ -40,6 +40,7 @@ __all__ = [
     "TransitionQuery",
     "mean",
     "pgf",
+    "transition_matrix",
     "transition_prob",
     "transition_probs",
     "variance",

@@ -6,14 +6,17 @@ probability generating functions, the transition-probability double series
 (two even-start parity cases; an odd start is an even one with the rates
 swapped), and the first two moments.
 
-`transition_probs` is the one route of the double series, and
-`transition_prob` its one-target case.  Each target reduces to a key, its
-offset m and whether it has the start's parity (`_sum_key`): targets k + 2j
-and k - 2j share a key, and an odd target's two inner offsets m and m+1 are
-summed in one pass over n.  A row sums each distinct key once, so a window
-around the start sums about half as many series as it has targets, and
-steps each inner sequence once for all the keys that read it
-(`_row_sums`).  Every value is the one a single call returns, bit for bit.
+`transition_matrix`, one block of the transition matrix, is the one route
+of the double series; `transition_probs` is its one-start case and
+`transition_prob` its one-entry case.  Each entry reduces to a key, its
+offset m and whether the target has the start's parity (`_sum_key`), after
+an odd start has been shifted to an even one with the rates swapped:
+targets k + 2j and k - 2j share a key, and so do all the starts of one
+parity at the same distance from their targets.  An odd target's two inner
+offsets m and m+1 are summed in one pass over n.  A block sums each
+distinct key of each start parity once, and steps each inner sequence once
+for all the keys that read it (`_row_sums`).  Every value is the one a
+single call returns, bit for bit.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
@@ -43,7 +46,10 @@ from dataclasses import dataclass
 
 from .specfun import DomainError, SeriesOverflowError, _check_time, _sum_series
 
-__all__ = ["Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "mean", "variance"]
+__all__ = [
+    "Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "transition_matrix", "mean",
+    "variance",
+]
 
 # the largest x with e^x in the float range
 _LOG_MAX = math.log(sys.float_info.max)
@@ -243,7 +249,7 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     its outer series (`_same_terms`, `_cross_terms`), clamped to [0, 1].
 
     The series' scales come in as lrt = log(rt), lx = log x, at = a*t and
-    crt = c*rt, each formed once per row by `_row`.
+    crt = c*rt, each formed once per start parity of a block by `_matrix`.
 
     Each inner sequence S_n(j, x) is stepped once for all the keys: where
     several sums read it, `itertools.tee` keeps its values for the ones
@@ -271,43 +277,64 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     return sums
 
 
-def transition_probs(from_state: int, to_states, t: float, rates: Rates) -> list[float]:
-    """Probabilities of moving from `from_state` to each of `to_states` in time t.
+def transition_matrix(from_states, to_states, t: float, rates: Rates) -> list[list[float]]:
+    """Probabilities of moving from each of `from_states` to each of `to_states` in time t.
 
-    Odd starts are reduced to even ones first; then each target is reduced
-    to the key of one even-start double series (`_sum_key`), and each
-    distinct key is summed once, all of them over one pass of the inner
-    sequences (`_row_sums`).  A row returns exactly the values of one
-    `transition_prob` call per target, and raises the error the first
-    failing key's call would.
+    Returns one row per start, in the caller's order, each with one
+    probability per target, in the caller's order.  Every entry reduces to
+    the key of one even-start double series (`_sum_key`), and each distinct
+    key of a start parity is summed once for the whole block, all of them
+    over one pass of the inner sequences (`_row_sums`).  Every entry is
+    exactly the value of one `transition_prob` call; where a series fails,
+    the block raises the error of the first failing key, the even starts'
+    keys taken before the odd starts'.
     """
-    k = _state("from_state", from_state)
+    starts = [_state("from_state", k) for k in from_states]
     targets = [_state("to_state", n) for n in to_states]
     _check_time(t)
-    return _row(k, targets, t, rates)
+    return _matrix(starts, targets, t, rates)
 
 
-def _row(k: int, targets, t: float, rates: Rates) -> list[float]:
-    """`transition_probs` on checked arguments: the one route of both public functions."""
+def _matrix(starts, targets, t: float, rates: Rates) -> list[list[float]]:
+    """`transition_matrix` on checked arguments: the one route of the double series."""
     if t == 0.0:
-        return [1.0 if n == k else 0.0 for n in targets]
-    lam, mu = rates.lam, rates.mu
-    if not _is_even(k):
-        # shifting both states by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
-        lam, mu, k = mu, lam, k - 1
-        targets = [n - 1 for n in targets]
-    keys = [_sum_key(n // 2 - k // 2, _is_even(n)) for n in targets]
-    # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
-    log_lam = math.log(lam)
-    sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, rates.total * t, (mu - lam) * t)
-    return list(map(sums.__getitem__, keys))
+        return [[1.0 if n == k else 0.0 for n in targets] for k in starts]
+    classes = ([], [])  # indices of the even starts and of the odd ones
+    for i, k in enumerate(starts):
+        classes[k % 2].append(i)
+    width = len(targets)
+    rows = [None] * len(starts)
+    for parity, members in enumerate(classes):
+        if not members:
+            continue
+        # shifting both states of an odd start by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
+        lam, mu = (rates.mu, rates.lam) if parity else (rates.lam, rates.mu)
+        # the inner offset of (k, n) is n // 2 - k // 2 once both are shifted to an even start
+        halves = [((n - parity) // 2, n % 2 == parity) for n in targets]
+        start_halves = [(starts[i] - parity) // 2 for i in members]
+        keys = [_sum_key(h - kh, same) for kh in start_halves for h, same in halves]
+        # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
+        log_lam = math.log(lam)
+        sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, rates.total * t, (mu - lam) * t)
+        values = list(map(sums.__getitem__, keys))
+        for j, i in enumerate(members):
+            rows[i] = values[j * width : (j + 1) * width]
+    return rows
+
+
+def transition_probs(from_state: int, to_states, t: float, rates: Rates) -> list[float]:
+    """Probabilities of moving from `from_state` to each of `to_states` in time t:
+    the one-start case of `transition_matrix`, so a row sums each distinct
+    series once and returns exactly the values of one `transition_prob`
+    call per target."""
+    return transition_matrix((from_state,), to_states, t, rates)[0]
 
 
 def transition_prob(q: TransitionQuery, rates: Rates) -> float:
     """Probability of moving from q.from_state to q.to_state in time q.t:
-    the one-target case of `transition_probs`, which sums exactly one
+    the one-entry case of `transition_matrix`, which sums exactly one
     series for it."""
-    return _row(q.from_state, (q.to_state,), q.t, rates)[0]
+    return _matrix((q.from_state,), (q.to_state,), q.t, rates)[0][0]
 
 
 def mean(k: int, t: float, rates: Rates) -> float:

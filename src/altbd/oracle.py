@@ -177,6 +177,11 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
 
 
+# the widest reach of the Poisson weights, so at most 2^25 + 1 of them: it is
+# passed at Lambda t = 1.95e12, where `uniformize` could never take its steps
+_MAX_WEIGHT_REACH = 2**24
+
+
 def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     """Poisson(rate) pmf on [left, left + len(weights)), each omitted tail below eps/4.
 
@@ -186,18 +191,18 @@ def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     below eps, then trimmed and renormalized to sum to one (Fox & Glynn,
     CACM 31, 1988).  No term is formed as exp(m log rate - rate - log m!),
     whose rounding at high rates leaks more mass than eps allows.  Raises
-    DomainError where the range cannot be built.
+    DomainError, before any array is built, where the reach passes
+    _MAX_WEIGHT_REACH.
     """
     if rate == 0.0:
         return 0, np.ones(1)
-    try:
-        mode = int(rate)
-        reach = int(math.ceil(12.0 * math.sqrt(rate) + 30.0))
-        lo = max(mode - reach, 0)
-        down = np.cumprod(np.arange(mode, lo, -1) / rate)[::-1]
-        up = np.cumprod(rate / np.arange(mode + 1, mode + reach + 1))
-    except (OverflowError, ValueError, MemoryError):
-        raise DomainError(f"Poisson weights at Lambda t = {rate!r} are too many to build") from None
+    reach = 12.0 * math.sqrt(rate) + 30.0
+    if not reach <= _MAX_WEIGHT_REACH:  # also at rate = inf
+        raise DomainError(f"Poisson weights at Lambda t = {rate!r} are too many to build")
+    mode, reach = int(rate), math.ceil(reach)
+    lo = max(mode - reach, 0)
+    down = np.cumprod(np.arange(mode, lo, -1) / rate)[::-1]
+    up = np.cumprod(rate / np.arange(mode + 1, mode + reach + 1))
     w = np.concatenate((down, [1.0], up))
     cum = np.cumsum(w / w.sum())
     left = int(np.searchsorted(cum, eps / 4.0))

@@ -7,12 +7,15 @@ quadrature, a Bessel function, or an identity of the chain); a report row
 carries their worst, which is NaN or infinite if any residual is, so a
 closed form that returns NaN fails its row.
 
-Normalization, the first factor of Chapman-Kolmogorov and the pointwise
-comparison with the oracle's row take whole rows from
-`bilateral.transition_probs`, which sums each distinct series of a row once.
-Symmetry, the column factor of Chapman-Kolmogorov and the Bessel reduction
-call `transition_prob` entry by entry, so the one-target path and the
-reduction of states to series stay under test too.
+Normalization, symmetry and Chapman-Kolmogorov read whole blocks from
+`bilateral.transition_matrix`, which sums each distinct series of a block
+once: one block per time over the seven starts of normalization, one at
+`rates` and one at the swapped rates per time for the five symmetry
+clauses, and one each for the row factor, the column factor and the direct
+value of Chapman-Kolmogorov.  The pointwise comparison with the oracle's
+row takes whole rows from `bilateral.transition_probs`.  Only the Bessel
+reduction calls `transition_prob` entry by entry, so the one-entry path
+stays under test too.
 """
 
 from __future__ import annotations
@@ -47,11 +50,25 @@ def _row_moments(states, probs):
     return m1, m2 - m1 * m1
 
 
+def _reach(rates, t):
+    """The reach r of the bilateral window (k - r, k + r), the same from every start k."""
+    return oracle.default_window("bilateral", rates, 0, t)[1]
+
+
+def _block(starts, targets, t, rates):
+    """p_(k,n)(t) by (k, n) for every start k and target n, from one `transition_matrix` block."""
+    rows = bilateral.transition_matrix(starts, targets, t, rates)
+    return {(k, n): p for k, row in zip(starts, rows) for n, p in zip(targets, row)}
+
+
 def normalization(rates):
-    for k in range(-3, 4):
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            lo, hi = oracle.default_window("bilateral", rates, k, t)
-            yield abs(sum(bilateral.transition_probs(k, range(lo, hi + 1), t, rates)) - 1.0)
+    starts = range(-3, 4)
+    for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+        r = _reach(rates, t)
+        # row i holds start -3 + i over -3 - r .. 3 + r, so its window k - r .. k + r starts at column i
+        rows = bilateral.transition_matrix(starts, range(starts[0] - r, starts[-1] + r + 1), t, rates)
+        for i, row in enumerate(rows):
+            yield abs(sum(row[i : i + 2 * r + 1]) - 1.0)
 
 
 def symmetry(rates):
@@ -62,24 +79,31 @@ def symmetry(rates):
     swapped = rates.swapped()
     span = range(-3, 4)
     for t in (0.5, 2.0):
+        # every state the clauses read: 2 +- k at `rates`, 1 +- k at `swapped`
+        p = _block(range(-3, 6), range(-3, 6), t, rates)
+        q = _block(range(-3, 5), range(-3, 5), t, swapped)
         for k in span:
             for n in span:
-                base = _p(k, n, t, rates)
-                transpose_rates = swapped if (k + n) % 2 != 0 else rates
-                yield abs(_p(2 - k, 2 - n, t, rates) - base)  # even reflection
-                yield abs(_p(1 - k, 1 - n, t, swapped) - base)  # odd reflection
-                yield abs(_p(n, k, t, transpose_rates) - base)  # transpose
-                yield abs(_p(2 + k, 2 + n, t, rates) - base)  # even translation
-                yield abs(_p(1 + k, 1 + n, t, swapped) - base)  # odd translation
+                base = p[k, n]
+                transpose = q[n, k] if (k + n) % 2 != 0 else p[n, k]
+                yield abs(p[2 - k, 2 - n] - base)  # even reflection
+                yield abs(q[1 - k, 1 - n] - base)  # odd reflection
+                yield abs(transpose - base)  # transpose
+                yield abs(p[2 + k, 2 + n] - base)  # even translation
+                yield abs(q[1 + k, 1 + n] - base)  # odd translation
 
 
 def chapman_kolmogorov(rates):
+    pairs = ((0, 0), (0, 1), (-1, 2))
+    starts, ends = (0, -1), (0, 1, 2)
     for t, s in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7)):
-        for k, n in ((0, 0), (0, 1), (-1, 2)):
-            lo, hi = oracle.default_window("bilateral", rates, k, t + s)
-            row = bilateral.transition_probs(k, range(lo, hi + 1), t, rates)
-            total = sum(p * _p(m, n, s, rates) for m, p in zip(range(lo, hi + 1), row))
-            yield abs(total - _p(k, n, t + s, rates))
+        r = _reach(rates, t + s)
+        mids = range(min(starts) - r, max(starts) + r + 1)
+        first, second = _block(starts, mids, t, rates), _block(mids, ends, s, rates)
+        direct = _block(starts, ends, t + s, rates)
+        for k, n in pairs:
+            total = sum(first[k, m] * second[m, n] for m in range(k - r, k + r + 1))
+            yield abs(total - direct[k, n])
 
 
 def q10_triple_agreement(rates):

@@ -54,7 +54,7 @@ def mis_index_cross_parity(monkeypatch):
     """Shift every cross-parity offset up by one (an odd target sums
     S_(m+1) + S_(m+2) in place of S_m + S_(m+1)): a transcription slip in
     the closed form that the cross checks must catch.  It is made where each
-    target is reduced to its series key, which rows and single calls share."""
+    target is reduced to its series key, which blocks, rows and single calls share."""
     key = bilateral._sum_key
 
     def shifted(d, same):

@@ -10,7 +10,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from altbd import bilateral
-from altbd.bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_prob, transition_probs, variance
+from altbd.bilateral import (
+    PgfPair,
+    Rates,
+    TransitionQuery,
+    mean,
+    pgf,
+    transition_matrix,
+    transition_prob,
+    transition_probs,
+    variance,
+)
 from altbd.oracle import default_window, transient_distribution
 from altbd import specfun
 from altbd.specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i
@@ -508,6 +518,77 @@ class TestTransitionProbs:
 
     def test_empty_row(self, rates_12):
         assert transition_probs(0, [], 1.0, rates_12) == []
+
+
+class TestTransitionMatrix:
+    @settings(max_examples=25)
+    @given(
+        lam=log_uniform(1e-3, 1e3),
+        mu=log_uniform(1e-3, 1e3),
+        horizon=st.floats(min_value=1e-3, max_value=60.0),
+        starts=st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6),
+        targets=st.lists(st.integers(min_value=-30, max_value=30), max_size=40),
+    )
+    @example(lam=1.0, mu=2.0, horizon=0.0, starts=[1, 0, -3, 1], targets=[1, 0, 3, 1, -3])  # t = 0
+    # lam t underflows to 0, mu t does not
+    @example(lam=1e-5, mu=1.0, horizon=2e-320, starts=[0, -1, 2, -1, 0], targets=[0, 1, -1, 2, 0, -2])
+    def test_rows_equal_single_rows(self, lam, mu, horizon, starts, targets):
+        # hypothesis draws starts and targets of mixed parity, repeated and in any order
+        rates = Rates(lam, mu)
+        t = horizon / (2.0 * max(lam, mu))
+        rows = [transition_probs(k, targets, t, rates) for k in starts]
+        assert transition_matrix(starts, targets, t, rates) == rows
+
+    def test_one_series_per_distinct_key_and_start_parity(self, rates_12, monkeypatch):
+        # the series of (k, n) is fixed by the parity of k and by |n - k|
+        calls = []
+        sum_series = bilateral._sum_series
+        monkeypatch.setattr(
+            bilateral, "_sum_series", lambda terms, what, settled: calls.append(what) or sum_series(terms, what, settled)
+        )
+        starts, targets = [0, -3, 2, 5, 0, 1], range(-8, 9)
+        transition_matrix(starts, targets, 2.5, rates_12)
+        series = {(k % 2, abs(n - k)) for k in starts for n in targets}
+        want = [f"transition series ({'cross' if j % 2 else 'same'} parity)" for _, j in series]
+        assert sorted(calls) == sorted(want)
+        assert len(calls) < sum(len({abs(n - k) for n in targets}) for k in set(starts))
+
+    @pytest.mark.parametrize(
+        "rates, t", [(Rates(1e-300, 1e300), 1.0), (Rates(1e-300, 1e300), 1e-250), (Rates(1.0, 2.0), 20000.0)]
+    )
+    def test_certain_term_cap_raises_before_summing(self, rates, t, monkeypatch):
+        # as for a row: a t / 2 lies past the cap, so no key of either start
+        # parity can stop in time, and the block raises with no term read
+        read = []
+        sum_series = bilateral._sum_series
+
+        def counted(terms, what, settled):
+            return sum_series((read.append(term) or term for term in terms), what, settled)
+
+        monkeypatch.setattr(bilateral, "_sum_series", counted)
+        with pytest.raises(ConvergenceError) as exc:
+            transition_matrix([1, 0, -2], [0, 1, 3], t, rates)
+        assert type(exc.value) is ConvergenceError
+        assert exc.value.terms == specfun.SERIES_MAX_TERMS
+        assert exc.value.partial == 0.0
+        assert str(exc.value).startswith("transition series (same parity) did not converge")
+        assert read == []
+
+    @pytest.mark.parametrize(
+        "from_states, to_states, t, row_start",
+        [([0, 1.5], [0, 1], 1.0, 1.5), ([0, 1], [1, 0.5], 1.0, 0), ([None], [0], 1.0, None), ([0, 1], [1], -1.0, 0)],
+    )
+    def test_domain_errors_as_a_single_row(self, from_states, to_states, t, row_start, rates_12):
+        # row_start is the start whose row raises the block's error
+        with pytest.raises(DomainError) as block:
+            transition_matrix(from_states, to_states, t, rates_12)
+        with pytest.raises(DomainError) as row:
+            transition_probs(row_start, to_states, t, rates_12)
+        assert str(block.value) == str(row.value)
+
+    def test_empty_blocks(self, rates_12):
+        assert transition_matrix([], [0, 1], 1.0, rates_12) == []
+        assert transition_matrix([0, 1], [], 1.0, rates_12) == [[], []]
 
 
 class TestMoments:

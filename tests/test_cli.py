@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from altbd import bilateral, cli, oracle, reflecting
+from altbd import bilateral, cli, oracle, reflecting, verify
+from altbd.bilateral import Rates, TransitionQuery, transition_prob, transition_probs
 from altbd.specfun import ConvergenceError
-from altbd.verify import PAIR_CHECKS
+from altbd.verify import DEFAULT_VERIFY_PAIRS, PAIR_CHECKS
 
 from conftest import mis_index_cross_parity, oracle_moments
 
@@ -275,6 +276,60 @@ class TestSimulate:
         assert min(int(r[1]) for r in rows) >= 0
 
 
+def _p(k, n, t, rates):
+    return transition_prob(TransitionQuery(k, n, t), rates)
+
+
+def entrywise_normalization(rates):
+    for k in range(-3, 4):
+        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+            lo, hi = oracle.default_window("bilateral", rates, k, t)
+            yield abs(sum(transition_probs(k, range(lo, hi + 1), t, rates)) - 1.0)
+
+
+def entrywise_symmetry(rates):
+    swapped = rates.swapped()
+    span = range(-3, 4)
+    for t in (0.5, 2.0):
+        for k in span:
+            for n in span:
+                base = _p(k, n, t, rates)
+                transpose_rates = swapped if (k + n) % 2 != 0 else rates
+                yield abs(_p(2 - k, 2 - n, t, rates) - base)
+                yield abs(_p(1 - k, 1 - n, t, swapped) - base)
+                yield abs(_p(n, k, t, transpose_rates) - base)
+                yield abs(_p(2 + k, 2 + n, t, rates) - base)
+                yield abs(_p(1 + k, 1 + n, t, swapped) - base)
+
+
+def entrywise_chapman_kolmogorov(rates):
+    for t, s in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7)):
+        for k, n in ((0, 0), (0, 1), (-1, 2)):
+            lo, hi = oracle.default_window("bilateral", rates, k, t + s)
+            row = transition_probs(k, range(lo, hi + 1), t, rates)
+            total = sum(p * _p(m, n, s, rates) for m, p in zip(range(lo, hi + 1), row))
+            yield abs(total - _p(k, n, t + s, rates))
+
+
+@pytest.mark.parametrize("lam, mu", DEFAULT_VERIFY_PAIRS)
+@pytest.mark.parametrize(
+    "check, entrywise",
+    [
+        (verify.normalization, entrywise_normalization),
+        (verify.symmetry, entrywise_symmetry),
+        (verify.chapman_kolmogorov, entrywise_chapman_kolmogorov),
+    ],
+    ids=["normalization", "symmetry", "chapman_kolmogorov"],
+)
+def test_block_checks_equal_entry_by_entry(lam, mu, check, entrywise):
+    # the checks read whole transition_matrix blocks; the same residuals come
+    # from one transition_prob call per entry (and one row per normalization
+    # sum or first factor), in the same summation order.  A block check may
+    # yield them in another order, and the report takes their worst.
+    rates = Rates(lam, mu)
+    assert sorted(check(rates)) == sorted(entrywise(rates))
+
+
 class TestVerify:
     def test_single_pair_battery_passes(self):
         pairs = ((1.0, 2.0),)
@@ -306,14 +361,17 @@ class TestVerify:
     def test_nan_closed_form_fails(self, runner, monkeypatch):
         # max(0.0, nan) is 0.0, so a NaN residual must not be dropped on the way
         # to a row's worst residual; the NaN is injected in the route that
-        # rows and single transition_prob calls share
-        exact = bilateral._row
+        # blocks, rows and single transition_prob calls share
+        exact = bilateral._matrix
 
-        def nan_at_origin(k, targets, t, rates):
-            targets = list(targets)
-            return [math.nan if (k, n) == (0, 0) else p for n, p in zip(targets, exact(k, targets, t, rates))]
+        def nan_at_origin(starts, targets, t, rates):
+            starts, targets = list(starts), list(targets)
+            return [
+                [math.nan if (k, n) == (0, 0) else p for n, p in zip(targets, row)]
+                for k, row in zip(starts, exact(starts, targets, t, rates))
+            ]
 
-        monkeypatch.setattr(bilateral, "_row", nan_at_origin)
+        monkeypatch.setattr(bilateral, "_matrix", nan_at_origin)
         rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
         for name in ("normalization", "symmetry", "chapman_kolmogorov"):
             assert math.isnan(rows[name][3])

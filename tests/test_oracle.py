@@ -203,6 +203,28 @@ class TestUniformize:
         with pytest.raises(DomainError, match=re.escape(f"Lambda t = {lt} ")):
             uniformize(TruncatedChain(kind, 0, 2, rates), 0, t)
 
+    def test_weights_past_the_size_cap_build_no_array(self, monkeypatch):
+        # Rates(1, 1) at t = 1e18 asked numpy for about 1.7e10 weights, 126 GiB;
+        # with every numpy name in the oracle refused, the refusal must come
+        # first.  Lambda t = 1.95e12 is the last rate whose range is built.
+        class Built(Exception):
+            pass
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise Built(name)
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        for kind in KINDS:
+            with pytest.raises(DomainError, match=re.escape("Lambda t = 2e+18 ")):
+                default_window(kind, Rates(1.0, 1.0), 0, 1e18)
+            with pytest.raises(DomainError, match=re.escape("Lambda t = 2e+18 ")):
+                transient_distribution(kind, Rates(1.0, 1.0), 0, 1e18)
+        with pytest.raises(DomainError, match=re.escape("Lambda t = 1955000000000.0 ")):
+            oracle._poisson_weights(1.955e12, 1e-12)
+        with pytest.raises(Built):
+            oracle._poisson_weights(1.954e12, 1e-12)
+
     @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 5.0, math.nan, math.inf])
     def test_eps_outside_the_unit_interval(self, eps, rates_12):
         with pytest.raises(DomainError, match="eps"):
