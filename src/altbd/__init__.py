@@ -1,65 +1,16 @@
 """Transient distributions, moments and cross-checking oracles for
 birth-death chains whose jump rate alternates with the parity of the state,
-on the full integer lattice and reflected at zero."""
+on the full integer lattice and reflected at zero.
 
-from .specfun import ConvergenceError, DomainError, SeriesOverflowError, bessel_i, hyp1f2
-from .bilateral import PgfPair, Rates, TransitionQuery, mean, pgf, transition_matrix, transition_prob, transition_probs, variance
-from .reflecting import (
-    LaplaceRoots,
-    laplace_roots,
-    p_even,
-    pi_1n,
-    q00,
-    q10_integral,
-    q10_series,
-    r_mean,
-    r_variance,
-)
-from .oracle import (
-    SimConfig,
-    SimResult,
-    TruncatedChain,
-    WindowTooSmallError,
-    default_window,
-    invert_laplace,
-    simulate,
-    transient_distribution,
-    uniformize,
-)
+The package republishes the public names of its modules, each module's
+`__all__` in turn."""
+
+from . import bilateral, oracle, reflecting, specfun
+from .specfun import *
+from .bilateral import *
+from .reflecting import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "SeriesOverflowError",
-    "bessel_i",
-    "hyp1f2",
-    "PgfPair",
-    "Rates",
-    "TransitionQuery",
-    "mean",
-    "pgf",
-    "transition_matrix",
-    "transition_prob",
-    "transition_probs",
-    "variance",
-    "LaplaceRoots",
-    "laplace_roots",
-    "p_even",
-    "pi_1n",
-    "q00",
-    "q10_integral",
-    "q10_series",
-    "r_mean",
-    "r_variance",
-    "SimConfig",
-    "SimResult",
-    "TruncatedChain",
-    "WindowTooSmallError",
-    "default_window",
-    "invert_laplace",
-    "simulate",
-    "transient_distribution",
-    "uniformize",
-]
+__all__ = [*specfun.__all__, *bilateral.__all__, *reflecting.__all__, *oracle.__all__]

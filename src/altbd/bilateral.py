@@ -139,6 +139,7 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"z must be strictly positive and finite, got {z}")
+    k = _state("k", k)
     _check_time(t)
     lam, mu = rates.lam, rates.mu
     # root by root: the product of the two factors leaves the float range near rates 1e200 and 1e-300
@@ -343,6 +344,7 @@ def mean(k: int, t: float, rates: Rates) -> float:
     The distribution of the displacement is symmetric about the start for
     every t and every rate pair, so the mean never moves.
     """
+    k = _state("k", k)
     _check_time(t)
     return float(k)
 
@@ -355,6 +357,7 @@ def variance(k: int, t: float, rates: Rates) -> float:
     mu*(mu-lam) from odd ones (each is the other under a rate swap, matching
     the translation symmetry of the chain).
     """
+    k = _state("k", k)
     _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total

@@ -197,7 +197,7 @@ def reflect(lam, mu, from_state, grid, method, out):
                                "a contour sum of its transform")
     rates = Rates(lam, mu)
     if from_state == 0:
-        route = reflecting.q00
+        route, method = reflecting.q00, "contour"
     else:
         route = reflecting.q10_series if method == "series" else reflecting.q10_integral
     _table(out, "reflect", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} method={method}", ["q"],

@@ -11,7 +11,9 @@ ever validated against itself:
 * `simulate` - an exact event-driven simulator stepping all paths together
   as arrays, giving empirical distributions and moments with standard errors;
 * `invert_laplace` - Euler-summation numerical inversion of a Laplace
-  transform along the Bromwich line.
+  transform along the Bromwich line: one fixed table of nodes and weights,
+  built at import and summed in plain Python, sharing no code with the
+  contour sum of `reflecting` that the reflected closed forms use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilateral import Rates
+from .bilateral import Rates, _state
 from .specfun import DomainError, SeriesOverflowError, _check_time
 
 __all__ = [
@@ -160,6 +162,7 @@ def default_window(kind: str, rates: Rates, k: int, t: float, eps: float = 1e-12
     eps/2.  Raises DomainError unless 0 < eps < 1 and `kind` is one of KINDS.
     """
     _check_kind(kind)
+    k = _state("k", k)
     _check_eps(eps)
     _check_time(t)
     left, weights = _poisson_weights(uniformization_rate(rates) * t, eps)
@@ -223,6 +226,7 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     leaked.  Returns the probability vector aligned with `chain.states`,
     the cells excluded.  Raises DomainError unless 0 < eps < 1.
     """
+    k = _state("k", k)
     _check_eps(eps)
     _check_time(t)
     if not (chain.lo <= k <= chain.hi):
@@ -279,6 +283,7 @@ def simulate(
     sample.  The result is a pure function of the arguments.
     """
     _check_kind(kind)
+    k = _state("k", k)
     if kind == "reflected" and k < 0:
         raise DomainError("reflected chain starts at a non-negative state")
     times = np.asarray(sample_times, dtype=float)
@@ -329,9 +334,20 @@ def simulate(
     )
 
 
-# Euler averaging order M of `invert_laplace`: discretization error about
-# 10^(-0.6 M), roundoff amplification near 10^(M/3) machine epsilon
+# Abate & Whitt's Euler rule of order M = 20 (ORSA J. Computing 7, 1995), built once:
+# the 2M + 1 Bromwich nodes M ln(10)/3 + i pi k, k = 0..2M, with weights (-1)^k xi_k,
+# where xi_0 = 1/2, xi_k = 1 up to k = M and xi_(M+j) = 2^-M sum_(i>=j) C(M, i), each
+# exact in floats.  Discretization error about 10^(-0.6 M), roundoff amplification
+# near 10^(M/3) machine epsilon
 _EULER_TERMS = 20
+_EULER_RULE = tuple(
+    (complex(_EULER_TERMS * math.log(10.0) / 3.0, math.pi * k), (-1) ** k * xi)
+    for k, xi in enumerate(
+        [0.5, *[1.0] * _EULER_TERMS]
+        + [sum(math.comb(_EULER_TERMS, i) for i in range(j, _EULER_TERMS + 1)) / 2**_EULER_TERMS
+           for j in range(1, _EULER_TERMS + 1)]
+    )
+)
 
 
 def invert_laplace(transform, t: float) -> float:
@@ -339,29 +355,15 @@ def invert_laplace(transform, t: float) -> float:
 
     Implements the Abate-Whitt Euler scheme: a Bromwich-line trapezoid sum
     at abscissa M ln(10)/3 with alternating signs, binomially averaged over
-    the last M partial sums, M = 20.  It evaluates the transform at 2M+1
-    complex points with positive real part.  Raises SeriesOverflowError,
-    with terms the number of points, where the sum is not finite.
+    the last M partial sums, M = 20: 10^(M/3)/t times the sum over the
+    (node, weight) pairs of `_EULER_RULE` of weight times
+    Re transform(node/t).  The transform is called at 2M+1 Python complex
+    points with positive real part.  Raises SeriesOverflowError, with terms
+    the number of points, where the sum is not finite.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
-    M = _EULER_TERMS
-    # Euler weights xi_k: 1/2, 1, ..., 1, then a decreasing binomial tail
-    xi = np.ones(2 * M + 1)
-    xi[0] = 0.5
-    for j in range(1, M + 1):
-        xi[M + j] = xi[M + j - 1] - math.comb(M, j - 1) * (2.0**-M)
-    # the recurrence above telescopes the binomial cumulative sum; force
-    # exact endpoints to keep the alternating sum balanced
-    xi[2 * M] = 2.0**-M
-    ks = np.arange(2 * M + 1)
-    beta = M * math.log(10.0) / 3.0 + 1j * math.pi * ks
-    sgn = np.where(ks % 2 == 0, 1.0, -1.0)
-    # the nodes are numpy scalars, so a transform that leaves the float range
-    # there warns; a non-finite sum raises below instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([transform(b / t) for b in beta], dtype=complex)
-        total = float(10.0 ** (M / 3.0) / t * np.sum(xi * sgn * vals.real))
+    total = float(10.0 ** (_EULER_TERMS / 3.0) / t * sum(w * transform(z / t).real for z, w in _EULER_RULE))
     if not math.isfinite(total):
-        raise SeriesOverflowError(f"Laplace inversion overflowed at t={t!r}", total, 2 * M + 1)
+        raise SeriesOverflowError(f"Laplace inversion overflowed at t={t!r}", total, len(_EULER_RULE))
     return total

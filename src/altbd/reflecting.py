@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bilateral import Rates, _is_even
+from .bilateral import Rates, _is_even, _state
 from .specfun import (
     ConvergenceError,
     DomainError,
@@ -127,13 +127,15 @@ def _quad(f, t: float, what: str) -> float:
         values = [v for pair in zip(values, new) for v in pair] + values[-1:]
 
 
-# Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007): the N = 32
-# midpoints theta_j of (-pi, pi) on z = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)
+# Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007) as (z_j, w_j) pairs: the
+# N = 32 midpoints theta_j of (-pi, pi) on z = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)
 # give f(t) = (1/t) Re sum_j w_j F(z_j/t), w_j = 2 e^(z_j) z'(theta_j)/(N i), summed
 # over theta_j > 0 only: F is real on the real axis, so the rest are conjugates.
-_CONTOUR_THETA = [math.pi * (2 * j + 1) / 32 for j in range(16)]
-_CONTOUR_NODES = [32 * complex(0.1309 - 0.1194 * th * th, 0.25 * th) for th in _CONTOUR_THETA]
-_CONTOUR_WEIGHTS = [-2j * cmath.exp(z) * complex(-0.2388 * th, 0.25) for z, th in zip(_CONTOUR_NODES, _CONTOUR_THETA)]
+_CONTOUR = tuple(
+    (z, -2j * cmath.exp(z) * complex(-0.2388 * th, 0.25))
+    for th in (math.pi * (2 * j + 1) / 32 for j in range(16))
+    for z in [32 * complex(0.1309 - 0.1194 * th * th, 0.25 * th)]
+)
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,7 @@ def pi_1n(s, n: int, rates: Rates):
     positive real part is accepted so numerical inversion can walk the
     Bromwich line.
     """
+    n = _state("n", n)
     if n < 0:
         raise DomainError(f"state must be >= 0, got {n}")
     if not (s.real > 0.0 and cmath.isfinite(s)):
@@ -230,9 +233,9 @@ def q00(t: float, rates: Rates) -> float:
     _check_time(t)
     if rates.lam * t < 1e-17:  # q00 lies in [e^(-lam t), 1], so it rounds to 1
         return 1.0
-    total = sum((w * _pi_k0(z / t, 0, rates)).real for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS)) / t
+    total = sum((w * _pi_k0(z / t, 0, rates)).real for z, w in _CONTOUR) / t
     if not math.isfinite(total):
-        raise SeriesOverflowError(f"q00 contour sum overflowed at t={t!r}", total, len(_CONTOUR_NODES))
+        raise SeriesOverflowError(f"q00 contour sum overflowed at t={t!r}", total, len(_CONTOUR))
     return min(max(total, 0.0), 1.0)
 
 
@@ -353,6 +356,7 @@ def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
     from 1 (q_{k,0}(u) = [k = 0] + mu u [k = 1] + O((a u)^2)), exact in
     floats; the nodes z/t would leave the float range from t of about 2e-307.
     """
+    k = _state("k", k)
     _check_time(t)
     if k not in (0, 1):
         raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
@@ -361,13 +365,13 @@ def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
         occ = t if k == 0 else 0.5 * rates.mu * t * t
         return occ, occ
     occ = relaxed = 0.0
-    for z, w in zip(_CONTOUR_NODES, _CONTOUR_WEIGHTS):
+    for z, w in _CONTOUR:
         s = z / t
         term = w * _pi_k0(s, k, rates) / z  # (1/t) pi/s
         occ += term.real
         relaxed += (term * (s / (s + 2.0 * a))).real  # (1/t) pi/(s + 2a), forming no 2at to overflow
     if not (math.isfinite(occ) and math.isfinite(relaxed)):
-        raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", occ + relaxed, len(_CONTOUR_NODES))
+        raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", occ + relaxed, len(_CONTOUR))
     return occ, relaxed
 
 

@@ -76,6 +76,17 @@ class TestProb:
         assert result.exit_code == 2
         assert option in result.output and "strictly positive and finite" in result.output
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("0:1", "is not of the form"), ("0:1:1.5", "is not of the form"), ("0:1:0", "count must be >= 1")],
+    )
+    def test_malformed_grid_rejected(self, runner, grid, message):
+        result = runner.invoke(
+            cli.main, ["prob", "--lambda", "1", "--mu", "2", "--from", "0", "--to", "0", "--t", grid]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
     @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:1", "inf:inf:1"])
     def test_non_finite_grid_rejected(self, runner, grid):
         # a usage error before any numerics run, not a numpy warning followed
@@ -111,6 +122,15 @@ class TestProb:
         assert dest.exists()
         header, rows = parse_csv(dest.read_text())
         assert header == ["t", "p"] and len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "start, stop, count",
+    # the last step underflows to 0, where numpy scales i/(count - 1) by the span instead
+    [(0.0, 5.0, 101), (0.5, 2.0, 4), (3.0, 3.0, 1), (0.0, 1e-323, 5)],
+)
+def test_grid_is_numpy_linspace(start, stop, count):
+    assert cli._linspace(start, stop, count) == np.linspace(start, stop, count).tolist()
 
 
 class TestPgf:
@@ -461,8 +481,11 @@ class TestOutputFormat:
              ["# altbd moments", "# process=reflected lambda=1 mu=2 from=1", "t,mean,variance"]),
             (["reflect", *RATES, "--from", "1", "--t", "0:1:2", "--method", "integral"],
              ["# altbd reflect", "# lambda=1 mu=2 from=1 method=integral", "t,q"]),
+            # q00 is a contour sum of its transform, whatever --method says
+            (["reflect", *RATES, "--from", "0", "--t", "0:1:2"],
+             ["# altbd reflect", "# lambda=1 mu=2 from=0 method=contour", "t,q"]),
         ],
-        ids=["prob", "pgf", "moments", "reflect"],
+        ids=["prob", "pgf", "moments", "reflect", "reflect-origin"],
     )
     def test_grid_table_head(self, runner, args, head):
         result = runner.invoke(cli.main, args)

@@ -6,12 +6,13 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from altbd import (
-    ConvergenceError, DomainError, Rates, TransitionQuery, WindowTooSmallError, invert_laplace, laplace_roots,
-    p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean, r_variance, transient_distribution,
-    transition_prob, transition_probs, variance,
+    ConvergenceError, DomainError, Rates, SimConfig, TransitionQuery, TruncatedChain, WindowTooSmallError,
+    default_window, invert_laplace, laplace_roots, mean, p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean,
+    r_variance, simulate, transient_distribution, transition_prob, transition_probs, uniformize, variance,
 )
 
 from conftest import log_uniform
@@ -80,3 +81,32 @@ def test_value_in_range_or_typed_error(lam, mu, t, z, n, k, kind):
             got = dataclasses.astuple(got)
         values = np.atleast_1d(np.asarray(got, dtype=float))
         assert np.isfinite(values).all() and ((lo <= values) & (values <= hi)).all(), (name, got)
+
+
+RATES = Rates(1.0, 2.0)
+# every public entry that takes a state, as a call of that state alone
+STATE_ENTRIES = {
+    "pi_1n": lambda k: pi_1n(1.0, k, RATES),
+    "mean": lambda k: mean(k, 1.0, RATES),
+    "variance": lambda k: variance(k, 1.0, RATES),
+    "pgf": lambda k: pgf(k, 0.5, 1.0, RATES),
+    "p_even": lambda k: p_even(k, 1.0, RATES),
+    "r_mean": lambda k: r_mean(k, 1.0, RATES),
+    "r_variance": lambda k: r_variance(k, 1.0, RATES),
+    "simulate": lambda k: simulate("bilateral", RATES, k, SimConfig(10, 1.0), [1.0]),
+    "default_window": lambda k: default_window("bilateral", RATES, k, 1.0),
+    "transient_distribution": lambda k: transient_distribution("bilateral", RATES, k, 1.0),
+    "uniformize": lambda k: uniformize(TruncatedChain("bilateral", -30, 30, RATES), k, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", STATE_ENTRIES)
+def test_non_integer_state_is_a_domain_error(name):
+    call = STATE_ENTRIES[name]
+    with pytest.raises(DomainError, match="must be an integer, got 2.5"):
+        call(2.5)
+    # a numpy integer is a state, with the value of the same int
+    got, want = call(np.int64(1)), call(1)
+    if dataclasses.is_dataclass(want):
+        got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+    np.testing.assert_equal(got, want)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import altbd
+from altbd import bilateral, oracle, reflecting, specfun
 
 PACKAGE = Path(altbd.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -59,3 +60,15 @@ def test_closed_forms_do_not_need_numpy():
 def test_cli_builds_its_grids_without_numpy():
     # the CLI still loads numpy through `oracle`; this pins only its own source
     assert not any(m.split(".")[0] == "numpy" for m in imported_modules(PACKAGE / "cli.py"))
+
+
+def test_package_surface_is_the_module_lists():
+    modules = (specfun, bilateral, reflecting, oracle)
+    assert altbd.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(altbd.__all__)) == len(altbd.__all__)
+    for m in modules:
+        for name in m.__all__:
+            obj = getattr(m, name)
+            assert getattr(altbd, name) is obj, name
+            # defined in the module that lists it, not imported from another
+            assert getattr(obj, "__module__", m.__name__) == m.__name__, name

@@ -345,6 +345,12 @@ class TestSimulate:
             simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [2.0])
         with pytest.raises(DomainError):
             simulate("nope", rates_12, 0, SimConfig(10, 1.0), [0.5])
+        with pytest.raises(DomainError, match="non-negative state"):
+            simulate("reflected", rates_12, -1, SimConfig(10, 1.0), [0.5])
+        with pytest.raises(DomainError, match="non-empty"):
+            simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [])
+        with pytest.raises(DomainError, match="nondecreasing"):
+            simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [0.5, 0.25])
 
 
 class TestInvertLaplace:

@@ -443,6 +443,17 @@ class TestSeriesOverflow:
         rates = Rates(lam, mu)
         assert abs(q00(t, rates) - oracle_prob("reflected", rates, 0, 0, t)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "fn",
+        [q00, lambda t, r: p_even(0, t, r), lambda t, r: r_mean(1, t, r), lambda t, r: r_variance(0, t, r)],
+        ids=["q00", "p_even", "r_mean", "r_variance"],
+    )
+    def test_contour_sum_overflow_names_t(self, fn):
+        # the contour nodes z/t leave the float range, as does the transform there
+        t = 1e-310
+        with pytest.raises(SeriesOverflowError, match=f"t={t!r}"):
+            fn(t, Rates(1e300, 1e300))
+
     def test_quadrature_route_names_overflow(self):
         # the Bessel factors of the q10 integrand overflow once (lam+mu) t passes about 713
         with pytest.raises(SeriesOverflowError):
