@@ -211,7 +211,7 @@ def reflect(lam, mu, from_state, grid, method, out):
 @click.option("--from", "from_state", type=int, required=True, help="initial state")
 @click.option("--t", "grid", type=TIME_GRID, required=True, help="sample times")
 @click.option("--paths", type=click.IntRange(min=1), default=10_000, show_default=True, help="replicate count")
-@click.option("--seed", type=int, default=0, show_default=True, help="reproducibility seed")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="reproducibility seed")
 @_out_option
 def simulate(lam, mu, process, from_state, grid, paths, seed, out):
     """Empirical distribution from stochastic simulation (fixed-seed reproducible)."""

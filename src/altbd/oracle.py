@@ -68,6 +68,8 @@ class TruncatedChain:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _state(name, getattr(self, name)))
         if self.lo > self.hi:
             raise DomainError(f"empty window [{self.lo}, {self.hi}]")
         if self.kind == "reflected" and self.lo != 0:
@@ -87,8 +89,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("paths", "seed"):
+            object.__setattr__(self, name, _state(name, getattr(self, name)))
         if self.paths < 1:
             raise DomainError(f"paths must be >= 1, got {self.paths}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
 
@@ -289,7 +295,7 @@ def simulate(
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise DomainError("sample_times must be non-empty")
-    if np.any(times < 0.0) or np.any(times > cfg.horizon):
+    if not np.all((times >= 0.0) & (times <= cfg.horizon)):  # NaN fails both
         raise DomainError("sample_times must lie in [0, horizon]")
     if np.any(np.diff(times) < 0.0):
         raise DomainError("sample_times must be nondecreasing")

@@ -3,13 +3,11 @@
 Everything here is evaluated by direct power series with a running
 term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
-Four loops sum everything: `_sum_series`, the accumulator of the outer
-series of the closed forms (the bilateral series, q00 and q10); the
-fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series` reads
-whole sequences of them, stepped by a contiguous relation from a few kernel
-values); `bessel_i`'s own, kept because `_hyp_series` as a 0F1 took 1.6
-times as long per call (orders 0 and 1, x up to 60) and moved values by up
-to 2e-15; and `_bessel_sums`, which gives a `q10_integral` node every sum
+Three loops sum everything: `_sum_series`, the accumulator of `bessel_i`
+and of the outer series of the closed forms (the bilateral series, q00 and
+q10); the fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series`
+reads whole sequences of them, stepped by a contiguous relation from a few
+kernel values); and `_bessel_sums`, which gives a `q10_integral` node every sum
 it reads, at x and at |r| x, from one pass over the terms at x: the terms at
 |r| x are those times r^(2m), and past the peak r^(2m) e^x <= e^(|r| x), so
 the stop at x bounds both tails.  All functions are pure and reentrant.
@@ -23,8 +21,9 @@ that name only when they raise.
 Every series, here and in the closed forms, truncates by the same fixed
 rule: stop after two consecutive terms below SERIES_REL_TOL relative to the
 partial sum, counting only terms from the peak of the terms on, and give
-up with ConvergenceError after SERIES_MAX_TERMS terms.  For the closed forms
-`_sum_series` owns the rule, given their terms and the index of the peak.
+up with ConvergenceError after SERIES_MAX_TERMS terms.  For `bessel_i` and
+the closed forms `_sum_series` owns the rule, given their terms and the index
+of the peak (0 for `bessel_i`, whose rising terms never meet the stop).
 """
 
 from __future__ import annotations
@@ -121,14 +120,16 @@ def _sum_series(terms, what: str, settled: float) -> float:
 def bessel_i(order: int, x: float) -> float:
     """Modified Bessel function of the first kind, integer order >= 0.
 
-    Sums I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!) with the term recurrence
-    t_{m+1} = t_m * (x/(2(m+1))) * (x/(2(m+n+1))).  Terms are positive, so the
-    two-consecutive-small-terms rule plus a past-the-peak guard bounds the
-    tail geometrically.  Raises SeriesOverflowError once the sum is past
-    the float range (I_0(x) overflows near x = 713).
+    Sums I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!) by `_sum_series`, with the
+    term recurrence t_{m+1} = t_m * (x/(2(m+1))) * (x/(2(m+n+1))).  Every term
+    may count toward the stop: the terms are positive and rise to one peak,
+    so a rising term is at least 1/(index + 1) of the partial sum, far above
+    SERIES_REL_TOL.  Raises DomainError for a non-finite or negative order
+    or x, and SeriesOverflowError once the sum is past the float range (I_0(x)
+    overflows near x = 713).
     """
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    if not (order >= 0 and math.isfinite(order)):
+        raise DomainError(f"order must be finite and >= 0, got {order}")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
@@ -139,30 +140,17 @@ def bessel_i(order: int, x: float) -> float:
     # a naive power even when I_n(x) itself is representable; log(x/2) is
     # log x - log 2, since x/2 underflows to 0 at the least subnormal x
     try:
-        term = math.exp(order * (math.log(x) - _LOG_2) - math.lgamma(order + 1))
+        first = math.exp(order * (math.log(x) - _LOG_2) - math.lgamma(order + 1))
     except OverflowError:
         raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", math.inf, 1) from None
-    total = term
-    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
-    small = 0
-    for m in range(max_terms):
-        # not (x/2)^2/((m+1)(m+n+1)), whose one rounding compounds to 3e-14 by x = 500
-        ratio = (half / (m + 1)) * (half / (m + order + 1))
-        term *= ratio
-        total += term
-        if term <= rel_tol * total and ratio < 1.0:
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    # checked once, not per term: an overflowed total stays infinite, and
-    # inf passes the stop test above
-    if not math.isfinite(total):
-        raise SeriesOverflowError(f"bessel_i({order}, {x}) overflowed", total, m + 1)
-    if small < 2:
-        raise ConvergenceError(f"bessel_i({order}, {x}) did not converge", total, max_terms)
-    return total
+
+    def terms(term=first):
+        for m in itertools.count():
+            yield term
+            # not (x/2)^2/((m+1)(m+n+1)), whose one rounding compounds to 3e-14 by x = 500
+            term *= (half / (m + 1)) * (half / (m + order + 1))
+
+    return _sum_series(terms(), f"bessel_i({order}, {x})", 0)
 
 
 def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, float, float, float]:
@@ -170,9 +158,9 @@ def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, fl
     T_m = (z^2/4)^m/(m!)^2, the sums of T_m = I_0(z), T_m/(m+1) = 2 I_1(z)/z,
     T_m/(2m+1) = 1F2(1/2; 3/2, 1; z^2/4), T_m (1 - rsq^(m+1))/(m+1) = 2 I_1(z)/z -
     rsq 2 I_1(|r| z)/(|r| z) and T_m rsq^(m+1)/((2m+1)(m+1)) = rsq 1F2(1/2; 3/2, 2; rsq z^2/4),
-    in one loop by the stopping rule and cap of `bessel_i` on T_m.  1 - rsq^(m+1) is
-    rsq_gap = 1 - rsq, formed by the caller, times a running sum of rsq^i, so K cancels
-    nothing.  Every term is positive and at most T_m, so the stop bounds every tail.
+    in one loop by the stopping rule and term cap of every series on T_m, past its peak.
+    1 - rsq^(m+1) is rsq_gap = 1 - rsq, formed by the caller, times a running sum of rsq^i,
+    so K cancels nothing.  Every term is positive and at most T_m, so the stop bounds every tail.
     Raises SeriesOverflowError past I_0's float range.
     """
     half = z / 2.0
@@ -198,7 +186,7 @@ def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, fl
                 break
         else:
             small = 0
-    # checked once, as in bessel_i: an overflowed s0 stays infinite and passes the stop test
+    # checked once, not per term: an overflowed s0 stays infinite and passes the stop test
     if not math.isfinite(s0):
         raise SeriesOverflowError(f"Bessel sums at z={z!r} overflowed", s0, m)
     if small < 2:
@@ -248,8 +236,11 @@ def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
     DomainError: at x < 0 cancellation ruins the alternating sum, and every
     x of the closed forms is a square over 4.  Raises SeriesOverflowError
     once the sum is past the float range (1F2(1/2; 3/2, 1; x) overflows
-    near x = 1.3e5).
+    near x = 1.3e5).  A non-finite a, b1 or b2 raises DomainError before
+    any term is summed.
     """
+    if not all(map(math.isfinite, (a, b1, b2))):
+        raise DomainError(f"parameters must be finite, got a={a}, b1={b1}, b2={b2}")
     for b in (b1, b2):
         if b == 0.0 or (b < 0.0 and b == int(b)):
             raise DomainError(f"lower parameter {b} is zero or a negative integer")

@@ -285,6 +285,12 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "--paths" in result.output
 
+    def test_negative_seed_is_usage_error(self, runner):
+        # refused by click before numpy sees the seed, as README's exit codes promise
+        result = runner.invoke(cli.main, [*self.ARGS[:-1], "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
     def test_reflected_nonnegative_states(self, runner):
         result = runner.invoke(
             cli.main,

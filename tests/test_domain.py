@@ -97,6 +97,10 @@ STATE_ENTRIES = {
     "default_window": lambda k: default_window("bilateral", RATES, k, 1.0),
     "transient_distribution": lambda k: transient_distribution("bilateral", RATES, k, 1.0),
     "uniformize": lambda k: uniformize(TruncatedChain("bilateral", -30, 30, RATES), k, 1.0),
+    "TruncatedChain.lo": lambda lo: uniformize(TruncatedChain("bilateral", lo, 60, RATES), 30, 1.0),
+    "TruncatedChain.hi": lambda hi: uniformize(TruncatedChain("bilateral", -60, hi, RATES), -30, 1.0),
+    "SimConfig.paths": lambda paths: simulate("bilateral", RATES, 0, SimConfig(paths, 1.0), [1.0]),
+    "SimConfig.seed": lambda seed: simulate("bilateral", RATES, 0, SimConfig(10, 1.0, seed), [1.0]),
 }
 
 

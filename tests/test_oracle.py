@@ -351,6 +351,11 @@ class TestSimulate:
             simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [])
         with pytest.raises(DomainError, match="nondecreasing"):
             simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [0.5, 0.25])
+        # NaN fails both ends of the range check
+        with pytest.raises(DomainError, match=re.escape("lie in [0, horizon]")):
+            simulate("bilateral", rates_12, 0, SimConfig(10, 1.0), [float("nan")])
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            SimConfig(paths=10, horizon=1.0, seed=-1)
 
 
 class TestInvertLaplace:

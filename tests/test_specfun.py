@@ -59,6 +59,10 @@ class TestBesselI:
             bessel_i(0, float("nan"))
         with pytest.raises(DomainError):
             bessel_i(0, float("inf"))
+        # a non-finite order is refused before any term, not summed into an "overflow"
+        for order in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="order must be finite"):
+                bessel_i(order, 1.0)
 
     def test_convergence_error_carries_partial(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
@@ -67,13 +71,27 @@ class TestBesselI:
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
 
-    @pytest.mark.parametrize("order, x", [(0, 720.0), (0, 1e5), (100, 1e5)])
+    @pytest.mark.parametrize("order, x", [(0, 720.0), (0, 1e5), (100, 1e5), (0, 1e4)])
     def test_overflow_is_named(self, order, x):
         # past the float range (I_0 near x = 713, or a first term that
         # overflows) the sum is reported as an overflow, not as a value or
-        # a failure to converge
-        with pytest.raises(SeriesOverflowError):
+        # a failure to converge, at the first non-finite partial sum
+        with pytest.raises(SeriesOverflowError) as exc:
             bessel_i(order, x)
+        assert exc.value.terms < 1000
+
+    @pytest.mark.parametrize("order, x", [(0, 0.5), (1, 20.0), (7, 300.0), (500, 600.0)])
+    def test_one_accumulator_call(self, order, x, monkeypatch):
+        # past its checks each evaluation is one `_sum_series` call, with no loop of its own
+        calls = []
+
+        def counted(terms, what, settled):
+            calls.append((what, settled))
+            return _sum_series(terms, what, settled)
+
+        monkeypatch.setattr(specfun, "_sum_series", counted)
+        bessel_i(order, x)
+        assert calls == [(f"bessel_i({order}, {x})", 0)]
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_large_arguments_against_mpmath(self, order):
@@ -150,6 +168,12 @@ class TestHyp1f2:
             hyp1f2(0.5, 1.0, -2.0, 1.0)
         with pytest.raises(DomainError):
             hyp1f2(0.5, 1.0, 1.0, float("inf"))
+        # refused before any term: a NaN would otherwise run the loop to the cap
+        # and be reported as an overflow
+        nan, inf = math.nan, math.inf
+        for a, b1, b2 in ((nan, 1, 1), (0.5, nan, 1), (0.5, 1, nan), (inf, 1, 1), (0.5, inf, 1), (0.5, 1, -inf)):
+            with pytest.raises(DomainError, match="parameters must be finite"):
+                hyp1f2(a, b1, b2, 1.0)
 
     @pytest.mark.parametrize("x", [-1e-3, -3.0, -1e3])
     def test_negative_x_is_rejected(self, x):
