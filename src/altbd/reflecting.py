@@ -11,8 +11,8 @@ Implemented routes:
   `q10_integral` as two independent evaluations of the same function);
 * occupation of the even states and the first two moments (`p_even`,
   `r_mean`, `r_variance`) from starts 0 and 1, closed formulas in two
-  integrals of the return probability that `_occupation` takes from the
-  transform by one contour sum, with no reach limit in t.
+  integrals of the return probability that `_contour` takes, with `q00`,
+  from one pass over the transform's contour, with no reach limit in t.
 
 `q10_integral` is a convolution, which `_quad` integrates by nested
 Clenshaw-Curtis rules whose weights are computed here, so only the standard
@@ -216,27 +216,17 @@ def _pi1n(s, n: int, rates: Rates):
     return (lam + s) * w / den * psi2 ** ((n - 1) // 2) * (1.0 + psi2)
 
 
-def _pi_k0(s, k: int, rates: Rates):
-    """pi_{k,0}(s) for k in {0, 1}, unchecked: pi_10 is `_pi1n` at n = 0, and the
-    first jump out of 0 gives pi_00 = (1 + lam pi_10)/(lam + s)."""
-    pi = _pi1n(s, 0, rates)
-    return pi if k else (1.0 + rates.lam * pi) / (rates.lam + s)
-
-
 def q00(t: float, rates: Rates) -> float:
     """Probability of being back at the origin at time t, started there.
 
-    One contour sum (1/t) Re sum_j w_j pi_00(z_j/t) of the transform
-    `_pi_k0`, the sum the moments take: 16 transform values at every t, no
-    reach limit in t, and about 1e-13 absolute error.
+    The first of the three sums of `_contour` from start 0, the pass the
+    moments take: 16 transform values at every t, no reach limit in t, and
+    about 1e-13 absolute error.
     """
     _check_time(t)
     if rates.lam * t < 1e-17:  # q00 lies in [e^(-lam t), 1], so it rounds to 1
         return 1.0
-    total = sum((w * _pi_k0(z / t, 0, rates)).real for z, w in _CONTOUR) / t
-    if not math.isfinite(total):
-        raise SeriesOverflowError(f"q00 contour sum overflowed at t={t!r}", total, len(_CONTOUR))
-    return min(max(total, 0.0), 1.0)
+    return min(max(_contour(0, t, rates)[0], 0.0), 1.0)
 
 
 def _q10_units(t: float, rates: Rates, what: str) -> tuple[float, float, float]:
@@ -348,31 +338,36 @@ def q10_integral(t: float, rates: Rates) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _occupation(k: int, t: float, rates: Rates) -> tuple[float, float]:
-    """int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du for k in {0, 1},
-    from their transforms pi_{k,0}(s)/s and pi_{k,0}(s)/(s + 2a) on one contour.
+def _contour(k: int, t: float, rates: Rates) -> tuple[float, float, float]:
+    """q_{k,0}(t), int_0^t q_{k,0} and W(t) = int_0^t e^(-2a(t-u)) q_{k,0}(u) du, k in {0, 1}:
+    one pass over the contour, each node reading pi_10 = `_pi1n`(s, 0) once (the first
+    jump out of 0 gives pi_00 = (1 + lam pi_10)/(lam + s)) and sharing u = w pi among
+    the three sums (1/t) Re u, Re u/z and Re (u/z) s/(s + 2a), 1/t inside each term.
 
-    Below a t = 1e-17 both are their t -> 0 limits, t from 0 and mu t^2/2
-    from 1 (q_{k,0}(u) = [k = 0] + mu u [k = 1] + O((a u)^2)), exact in
-    floats; the nodes z/t would leave the float range from t of about 2e-307.
+    Below a t = 1e-17, where the nodes z/t head out of the float range, all three are
+    their t -> 0 limits by q_{k,0}(u) = [k = 0] + mu u [k = 1] + O((a u)^2), exact in floats.
     """
     k = _state("k", k)
     _check_time(t)
     if k not in (0, 1):
         raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
-    a = rates.total
+    lam, a = rates.lam, rates.total
     if a * t < 1e-17:
         occ = t if k == 0 else 0.5 * rates.mu * t * t
-        return occ, occ
-    occ = relaxed = 0.0
+        return (1.0 if k == 0 else rates.mu * t), occ, occ
+    q = occ = relaxed = 0.0
     for z, w in _CONTOUR:
         s = z / t
-        term = w * _pi_k0(s, k, rates) / z  # (1/t) pi/s
+        pi = _pi1n(s, 0, rates)
+        u = w * (pi if k else (1.0 + lam * pi) / (lam + s))
+        q += u.real
+        term = u / z  # (1/t) pi/s
         occ += term.real
         relaxed += (term * (s / (s + 2.0 * a))).real  # (1/t) pi/(s + 2a), forming no 2at to overflow
-    if not (math.isfinite(occ) and math.isfinite(relaxed)):
-        raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", occ + relaxed, len(_CONTOUR))
-    return occ, relaxed
+    q /= t
+    if not (math.isfinite(q) and math.isfinite(occ) and math.isfinite(relaxed)):
+        raise SeriesOverflowError(f"contour sum overflowed at t={t!r}", q + occ + relaxed, len(_CONTOUR))
+    return q, occ, relaxed
 
 
 def p_even(k: int, t: float, rates: Rates) -> float:
@@ -383,10 +378,10 @@ def p_even(k: int, t: float, rates: Rates) -> float:
 
         P(t) = mu/a + (P(0) - mu/a) e^(-2at) + lam * int_0^t e^(-2a(t-u)) q_{k,0}(u) du,
 
-    the last integral being the W(t) of `_occupation`.
+    the last integral being the W(t) of `_contour`.
     """
     mu, a = rates.mu, rates.total
-    _, relaxed = _occupation(k, t, rates)
+    _, _, relaxed = _contour(k, t, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     return mu / a + c * math.exp(-2.0 * a * t) + rates.lam * relaxed
 
@@ -395,7 +390,7 @@ def r_mean(k: int, t: float, rates: Rates) -> float:
     """Mean of the reflected chain at time t from k in {0, 1}: k plus lam
     times the accumulated occupation of the origin (the boundary is the only
     state where up- and down-drift do not cancel)."""
-    occ, _ = _occupation(k, t, rates)
+    _, occ, _ = _contour(k, t, rates)
     return k + rates.lam * occ
 
 
@@ -421,7 +416,7 @@ def _moments(k: int, t: float, rates: Rates) -> tuple[float, float]:
     """`r_mean` and `r_variance` from one contour sum."""
     lam, mu = rates.lam, rates.mu
     a = rates.total
-    occ, relaxed = _occupation(k, t, rates)
+    _, occ, relaxed = _contour(k, t, rates)
     c = (1.0 if _is_even(k) else 0.0) - mu / a
     h, g = math.sqrt(4.0 * lam * (mu / a)) * math.sqrt(t), lam * occ
     rest = c * -math.expm1(-2.0 * a * t) / (2.0 * a) + lam / (2.0 * a) * (occ - relaxed)

@@ -15,7 +15,11 @@ clauses, and one each for the row factor, the column factor and the direct
 value of Chapman-Kolmogorov.  The pointwise comparison with the oracle's
 row takes whole rows from `bilateral.transition_probs`.  Only the Bessel
 reduction calls `transition_prob` entry by entry, so the one-entry path
-stays under test too.
+stays under test too.  The symmetry row tests the parity reduction of
+`bilateral._matrix` (an odd start without its rate swap reads 0.27 at
+(1, 2)); a slip in the series itself, such as a mis-indexed offset, enters
+both sides of every clause alike, and `bilateral_moments_vs_oracle`
+catches it.
 """
 
 from __future__ import annotations

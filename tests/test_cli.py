@@ -151,6 +151,18 @@ class TestPgf:
         assert "--z" in result.output and "strictly positive and finite" in result.output
 
 
+def _record_contour_calls(monkeypatch):
+    """The list of (k, t) that every later reflecting._contour call appends to."""
+    calls, contour = [], reflecting._contour
+
+    def counted(k, t, rates):
+        calls.append((k, t))
+        return contour(k, t, rates)
+
+    monkeypatch.setattr(reflecting, "_contour", counted)
+    return calls
+
+
 class TestMoments:
     def test_bilateral_mean_constant(self, runner):
         result = runner.invoke(
@@ -189,16 +201,9 @@ class TestMoments:
             assert float(var) == pytest.approx(want_var, abs=1e-6)
 
     def test_reflected_one_contour_sum_per_point(self, runner, monkeypatch):
-        # mean and variance share one _occupation call per grid point, and
+        # mean and variance share one _contour call per grid point, and
         # the rows are exactly those of r_mean and r_variance
-        calls = []
-        occupation = reflecting._occupation
-
-        def counted(k, t, rates):
-            calls.append((k, t))
-            return occupation(k, t, rates)
-
-        monkeypatch.setattr(reflecting, "_occupation", counted)
+        calls = _record_contour_calls(monkeypatch)
         args = ["moments", "--process", "reflected", "--lambda", "1", "--mu", "2", "--from", "1", "--t", "0:20:41"]
         result = runner.invoke(cli.main, args)
         assert result.exit_code == 0
@@ -219,6 +224,20 @@ class TestMoments:
 
 
 class TestReflect:
+    def test_q00_one_contour_sum_per_point(self, runner, monkeypatch):
+        # q00 takes one _contour call per grid point past t = 0, where it returns 1
+        # before the contour, and the rows are exactly those of q00
+        calls = _record_contour_calls(monkeypatch)
+        args = ["reflect", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "0:20:41"]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0
+        assert len(calls) == 40 and len(set(calls)) == 40 and all(k == 0 and t > 0.0 for k, t in calls)
+        rates = bilateral.Rates(1.0, 2.0)
+        _, rows = parse_csv(result.output)
+        assert len(rows) == 41
+        for t, q in rows:
+            assert q == cli._fmt(reflecting.q00(float(t), rates))
+
     def test_q00_initial_row(self, runner):
         result = runner.invoke(
             cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "0:2:5"]
@@ -375,6 +394,26 @@ class TestVerify:
         assert "symmetry" in failing or "chapman_kolmogorov" in failing
         # the pointwise comparison with uniformization catches it too
         assert "bilateral_moments_vs_oracle" in failing
+
+    def test_odd_start_without_rate_swap_fails_symmetry(self, monkeypatch):
+        # the parity reduction without its rate swap: an odd start k reads the row of
+        # start k - 1 over targets n - 1 at the same rates.  The odd clauses compare
+        # that with the swapped-rates block, so the symmetry row fails.  A mis-indexed
+        # offset enters both sides alike and passes it; bilateral_moments_vs_oracle
+        # catches that (test_mutated_offset_detected)
+        exact = bilateral._matrix
+
+        def unswapped(starts, targets, t, rates):
+            starts, targets = list(starts), list(targets)
+            return [
+                exact([k - 1], [n - 1 for n in targets], t, rates)[0] if k % 2 else row
+                for k, row in zip(starts, exact(starts, targets, t, rates))
+            ]
+
+        monkeypatch.setattr(bilateral, "_matrix", unswapped)
+        rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
+        assert rows["symmetry"][-1] == "FAIL"
+        assert rows["symmetry"][3] > 0.1
 
     def test_cli_exit_codes(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_VERIFY_PAIRS", ((1.0, 2.0),))

@@ -130,8 +130,8 @@ class TestQuad:
     def test_matches_scipy_quad(self, monkeypatch, route, rates, t):
         # every integral a route takes must agree with scipy's quad: each
         # convolution k(t - s) c(s) of _quad, and both integrals of the contour sum in
-        # _occupation with quad over the series
-        real_quad, real_occupation = reflecting._quad, reflecting._occupation
+        # _contour with quad over the series
+        real_quad, real_contour = reflecting._quad, reflecting._contour
         results = []
 
         def both(f, upper, what):
@@ -141,13 +141,13 @@ class TestQuad:
             results.append((got, want, 1e-12))
             return got
 
-        def occupation(k, upper, r):
-            got = real_occupation(k, upper, r)
-            results.extend((g, w, 1e-10) for g, w in zip(got, _scipy_occupation(k, upper, r)))
+        def contour(k, upper, r):
+            got = real_contour(k, upper, r)
+            results.extend((g, w, 1e-10) for g, w in zip(got[1:], _scipy_occupation(k, upper, r)))
             return got
 
         monkeypatch.setattr(reflecting, "_quad", both)
-        monkeypatch.setattr(reflecting, "_occupation", occupation)
+        monkeypatch.setattr(reflecting, "_contour", contour)
         route(t, rates)
         assert results
         for got, want, tol in results:
@@ -865,6 +865,65 @@ class TestReflectedMoments:
 
 
 class TestContour:
+    # (rates, t, (q00, p_even(0), p_even(1), r_mean(1), r_variance(0))) pinned to the bit, so that any
+    # change to the contour sums shows; the times straddle a t = 1e-17 and lam t = 1e-17
+    PINNED = [
+        ((1.0, 2.0), 5e-324, (
+            1.0, 1.0, 0.0,
+            1.0, 1e-323,
+        )),
+        ((1.0, 2.0), 3e-18, (
+            1.0, 1.0, 8.999999999999999e-36,
+            1.0, 2.999999999999999e-18,
+        )),
+        ((1.0, 2.0), 4e-18, (
+            1.0, 1.0, 1.5999999999453314e-35,
+            1.0, 4.000000000002886e-18,
+        )),
+        ((1.0, 2.0), 2e-17, (
+            0.9999999999999936, 1.0, 1.1102230246251565e-16,
+            1.0, 2.000000000001444e-17,
+        )),
+        ((1.0, 2.0), 0.5, (
+            0.7111453411636329, 0.8054926874052285, 0.6836819041374921,
+            1.1262060315800444, 0.5428079318509281,
+        )),
+        ((1.0, 2.0), 1000000.0, (
+            0.0006514699751536633, 0.6667752450049071, 0.6667752449506179,
+            1302.2740979780872, 969014.0615162877,
+        )),
+        ((3.0, 0.5), 1.0, (
+            0.15247816366215033, 0.22076411539517554, 0.19145934313525084,
+            1.2755426714376494, 0.6887333124425836,
+        )),
+        ((3.0, 0.5), 1000.0, (
+            0.00550490994961774, 0.14521655846987613, 0.1452161653231163,
+            32.904304224592494, 623.1656205946229,
+        )),
+        ((0.001, 1000.0), 9e-21, (
+            1.0, 1.0, 4.05e-41,
+            1.0, 9.000000001100618e-24,
+        )),
+        ((0.001, 1000.0), 2e-20, (
+            1.0, 1.0, 1.9999999999316644e-40,
+            1.0, 2.0000000002460256e-23,
+        )),
+        ((0.001, 1000.0), 1e-13, (
+            0.9999999999999936, 0.9999999999999999, 2.000000165480742e-10,
+            1.0, 1.0000000002230121e-16,
+        )),
+        ((0.001, 1000.0), 1000000.0, (
+            0.02522815810504896, 0.9999990126150665, 0.999999012608761,
+            49.494162577121415, 1453.8827565634215,
+        )),
+    ]
+
+    @pytest.mark.parametrize("rates, t, want", PINNED, ids=[f"{lam:g},{mu:g}-{t:g}" for (lam, mu), t, _ in PINNED])
+    def test_values_pinned(self, rates, t, want):
+        rates = Rates(*rates)
+        got = (q00(t, rates), p_even(0, t, rates), p_even(1, t, rates), r_mean(1, t, rates), r_variance(0, t, rates))
+        assert got == want
+
     def test_moments_evaluate_neither_series_nor_quadrature(self, monkeypatch, rates_12):
         def forbidden(*args):
             raise AssertionError("the moments take their integrals from the transform")
