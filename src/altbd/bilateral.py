@@ -6,17 +6,19 @@ probability generating functions, the transition-probability double series
 (two even-start parity cases; an odd start is an even one with the rates
 swapped), and the first two moments.
 
-`transition_matrix`, one block of the transition matrix, is the one route
-of the double series; `transition_probs` is its one-start case and
-`transition_prob` its one-entry case.  Each entry reduces to a key, its
-offset m and whether the target has the start's parity (`_sum_key`), after
-an odd start has been shifted to an even one with the rates swapped:
-targets k + 2j and k - 2j share a key, and so do all the starts of one
-parity at the same distance from their targets.  An odd target's two inner
-offsets m and m+1 are summed in one pass over n.  A block sums each
-distinct key of each start parity once, and steps each inner sequence once
-for all the keys that read it (`_row_sums`).  Every value is the one a
-single call returns, bit for bit.
+`_blocks`, several blocks of the transition matrix at one time, is the one
+route of the double series; `transition_matrix` is its one-block case,
+`transition_probs` its one-start case and `transition_prob` its one-entry
+case.  Each entry reduces to a key, its offset m and whether the target has
+the start's parity (`_sum_key`), at its start's effective rate pair: an odd
+start is shifted to an even one with the rates swapped.  Targets k + 2j and
+k - 2j share a key, and so do all the starts of one effective rate pair at
+the same distance from their targets; at lam = mu both parities have the
+same pair.  An odd target's two inner offsets m and m+1 are summed in one
+pass over n.  The starts are grouped by effective rate pair, each distinct
+key of a group is summed once, and each inner sequence is stepped once for
+all the keys of the group that read it (`_row_sums`).  Every value is the
+one a single call returns, bit for bit.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
@@ -250,7 +252,7 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     its outer series (`_same_terms`, `_cross_terms`), clamped to [0, 1].
 
     The series' scales come in as lrt = log(rt), lx = log x, at = a*t and
-    crt = c*rt, each formed once per start parity of a block by `_matrix`.
+    crt = c*rt, each formed once per effective rate pair by `_blocks`.
 
     Each inner sequence S_n(j, x) is stepped once for all the keys: where
     several sums read it, `itertools.tee` keeps its values for the ones
@@ -283,44 +285,60 @@ def transition_matrix(from_states, to_states, t: float, rates: Rates) -> list[li
 
     Returns one row per start, in the caller's order, each with one
     probability per target, in the caller's order.  Every entry reduces to
-    the key of one even-start double series (`_sum_key`), and each distinct
-    key of a start parity is summed once for the whole block, all of them
-    over one pass of the inner sequences (`_row_sums`).  Every entry is
-    exactly the value of one `transition_prob` call; where a series fails,
-    the block raises the error of the first failing key, the even starts'
-    keys taken before the odd starts'.
+    the key of one even-start double series (`_sum_key`) at its start's
+    effective rate pair: `rates` for an even start, the swapped rates for an
+    odd one.  The starts are grouped by that pair, so at lam = mu both
+    parities share one pass, and each distinct key of a group is summed
+    once for the whole block, all of them over one pass of the inner
+    sequences (`_row_sums`).  Every entry is exactly the value of one
+    `transition_prob` call; where a series fails, the block raises the error
+    of the first failing key, the even starts' keys taken before the odd
+    starts'.
     """
     starts = [_state("from_state", k) for k in from_states]
     targets = [_state("to_state", n) for n in to_states]
     _check_time(t)
-    return _matrix(starts, targets, t, rates)
+    return _blocks([(starts, targets, rates)], t)[0]
 
 
-def _matrix(starts, targets, t: float, rates: Rates) -> list[list[float]]:
-    """`transition_matrix` on checked arguments: the one route of the double series."""
+def _blocks(requests, t: float) -> list[list[list[float]]]:
+    """One block of rows per (starts, targets, rates) request, all at time t,
+    on checked arguments: the one route of the double series.
+
+    Every start is grouped by its effective rate pair, `rates` for an even
+    start and `rates.swapped()` for an odd one, the even starts' pairs first,
+    and each group makes one `_row_sums` call over the union of its keys.  So
+    a series that several requests, or both parities at lam = mu, read is
+    summed once, and a failing call raises the error of the first failing
+    key in that group order.  Nothing is kept across calls.
+    """
     if t == 0.0:
-        return [[1.0 if n == k else 0.0 for n in targets] for k in starts]
-    classes = ([], [])  # indices of the even starts and of the odd ones
-    for i, k in enumerate(starts):
-        classes[k % 2].append(i)
-    width = len(targets)
-    rows = [None] * len(starts)
-    for parity, members in enumerate(classes):
-        if not members:
-            continue
-        # shifting both states of an odd start by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
-        lam, mu = (rates.mu, rates.lam) if parity else (rates.lam, rates.mu)
-        # the inner offset of (k, n) is n // 2 - k // 2 once both are shifted to an even start
-        halves = [((n - parity) // 2, n % 2 == parity) for n in targets]
-        start_halves = [(starts[i] - parity) // 2 for i in members]
-        keys = [_sum_key(h - kh, same) for kh in start_halves for h, same in halves]
+        return [[[1.0 if n == k else 0.0 for n in targets] for k in starts] for starts, targets, _ in requests]
+    groups = {}  # effective (lam, mu) -> (keys, one (request index, start index, width) per row of keys)
+    for parity in (0, 1):
+        for r, (starts, targets, rates) in enumerate(requests):
+            members = [i for i, k in enumerate(starts) if k % 2 == parity]
+            if not members:
+                continue
+            # shifting both states of an odd start by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
+            keys, rows = groups.setdefault((rates.mu, rates.lam) if parity else (rates.lam, rates.mu), ([], []))
+            # the inner offset of (k, n) is n // 2 - k // 2 once both are shifted to an even start
+            halves = [((n - parity) // 2, n % 2 == parity) for n in targets]
+            for i in members:
+                start_half = (starts[i] - parity) // 2
+                keys += [_sum_key(h - start_half, same) for h, same in halves]
+                rows.append((r, i, len(halves)))
+    blocks = [[None] * len(starts) for starts, _, _ in requests]
+    for (lam, mu), (keys, rows) in groups.items():
         # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
         log_lam = math.log(lam)
-        sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, rates.total * t, (mu - lam) * t)
+        sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, (lam + mu) * t, (mu - lam) * t)
         values = list(map(sums.__getitem__, keys))
-        for j, i in enumerate(members):
-            rows[i] = values[j * width : (j + 1) * width]
-    return rows
+        offset = 0
+        for r, i, width in rows:
+            blocks[r][i] = values[offset : offset + width]
+            offset += width
+    return blocks
 
 
 def transition_probs(from_state: int, to_states, t: float, rates: Rates) -> list[float]:
@@ -335,7 +353,7 @@ def transition_prob(q: TransitionQuery, rates: Rates) -> float:
     """Probability of moving from q.from_state to q.to_state in time q.t:
     the one-entry case of `transition_matrix`, which sums exactly one
     series for it."""
-    return _matrix((q.from_state,), (q.to_state,), q.t, rates)[0][0]
+    return _blocks([((q.from_state,), (q.to_state,), rates)], q.t)[0][0][0]
 
 
 def mean(k: int, t: float, rates: Rates) -> float:

@@ -276,6 +276,12 @@ def _exit_rates(kind: str, rates: Rates, states: np.ndarray) -> np.ndarray:
     return out
 
 
+# simulate's refusal threshold on its jump bound 2 max(lam, mu) t paths.  On one 2.1 GHz Xeon
+# core the bound advances about 1e5 a second for one path and 4e7 for 1e5 paths together, so a
+# refused call would run for minutes at least
+_MAX_JUMPS = 1e10
+
+
 def simulate(
     kind: str, rates: Rates, k: int, cfg: SimConfig, sample_times
 ) -> SimResult:
@@ -286,7 +292,9 @@ def simulate(
     time in turn, every path whose next jump falls at or before it takes a
     +-1 step and draws its next exponential holding time, as arrays over
     those paths, until no path is due; the states then held are that time's
-    sample.  The result is a pure function of the arguments.
+    sample.  The result is a pure function of the arguments.  A call whose
+    jump bound 2 max(lam, mu) t paths, t the last sample time, passes
+    `_MAX_JUMPS` raises DomainError before any draw.
     """
     _check_kind(kind)
     k = _state("k", k)
@@ -299,6 +307,13 @@ def simulate(
         raise DomainError("sample_times must lie in [0, horizon]")
     if np.any(np.diff(times) < 0.0):
         raise DomainError("sample_times must be nondecreasing")
+    # no exit rate passes 2 max(lam, mu), so this bounds the expected jump count
+    jumps = 2.0 * max(rates.lam, rates.mu) * float(times[-1]) * cfg.paths
+    if jumps > _MAX_JUMPS:
+        raise DomainError(
+            f"simulate expects up to {jumps:.3g} jumps (2 max(lam, mu) t paths at the last sample time "
+            f"t={float(times[-1])!r}), past its cap of {_MAX_JUMPS:.0e}"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     state = np.full(cfg.paths, k, dtype=np.int64)

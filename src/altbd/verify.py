@@ -7,18 +7,19 @@ quadrature, a Bessel function, or an identity of the chain); a report row
 carries their worst, which is NaN or infinite if any residual is, so a
 closed form that returns NaN fails its row.
 
-Normalization, symmetry and Chapman-Kolmogorov read whole blocks from
-`bilateral.transition_matrix`, which sums each distinct series of a block
-once: one block per time over the seven starts of normalization, one at
-`rates` and one at the swapped rates per time for the five symmetry
-clauses, and one each for the row factor, the column factor and the direct
-value of Chapman-Kolmogorov.  The pointwise comparison with the oracle's
-row takes whole rows from `bilateral.transition_probs`.  Only the Bessel
-reduction calls `transition_prob` entry by entry, so the one-entry path
-stays under test too.  The symmetry row tests the parity reduction of
-`bilateral._matrix` (an odd start without its rate swap reads 0.27 at
-(1, 2)); a slip in the series itself, such as a mis-indexed offset, enters
-both sides of every clause alike, and `bilateral_moments_vs_oracle`
+The bilateral checks read whole blocks, and each reads all its values at
+one time through one `bilateral._blocks` call, which sums each distinct
+series of an effective rate pair once (`rates` from an even start, the
+swapped rates from an odd one): normalization one block over its seven
+starts per time, symmetry the `rates` block and the swapped-rates block per
+time for its five clauses, Chapman-Kolmogorov its row factors, column
+factors and direct values by time (0.3, 0.7, 0.6, 1.0 and 1.4), and the
+pointwise comparison with the oracle the rows from starts 0 and 1 per time.
+Only the Bessel reduction calls `transition_prob` entry by entry, so the
+one-entry path stays under test too.  The symmetry row tests the parity
+reduction of `bilateral._blocks` (an odd start without its rate swap reads
+0.27 at (1, 2)); a slip in the series itself, such as a mis-indexed offset,
+enters both sides of every clause alike, and `bilateral_moments_vs_oracle`
 catches it.
 """
 
@@ -59,10 +60,14 @@ def _reach(rates, t):
     return oracle.default_window("bilateral", rates, 0, t)[1]
 
 
-def _block(starts, targets, t, rates):
-    """p_(k,n)(t) by (k, n) for every start k and target n, from one `transition_matrix` block."""
-    rows = bilateral.transition_matrix(starts, targets, t, rates)
-    return {(k, n): p for k, row in zip(starts, rows) for n, p in zip(targets, row)}
+def _values(requests, t):
+    """p_(k,n)(t) by (k, n) for each (starts, targets, rates) request, all read
+    through one `bilateral._blocks` call."""
+    blocks = bilateral._blocks(requests, t)
+    return [
+        {(k, n): p for k, row in zip(starts, rows) for n, p in zip(targets, row)}
+        for (starts, targets, _), rows in zip(requests, blocks)
+    ]
 
 
 def normalization(rates):
@@ -84,8 +89,7 @@ def symmetry(rates):
     span = range(-3, 4)
     for t in (0.5, 2.0):
         # every state the clauses read: 2 +- k at `rates`, 1 +- k at `swapped`
-        p = _block(range(-3, 6), range(-3, 6), t, rates)
-        q = _block(range(-3, 5), range(-3, 5), t, swapped)
+        p, q = _values([(range(-3, 6), range(-3, 6), rates), (range(-3, 5), range(-3, 5), swapped)], t)
         for k in span:
             for n in span:
                 base = p[k, n]
@@ -100,14 +104,22 @@ def symmetry(rates):
 def chapman_kolmogorov(rates):
     pairs = ((0, 0), (0, 1), (-1, 2))
     starts, ends = (0, -1), (0, 1, 2)
-    for t, s in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7)):
-        r = _reach(rates, t + s)
+    steps = tuple((t, s, _reach(rates, t + s)) for t, s in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7)))
+    # the row factor at t, the column factor at s and the direct value at t + s of
+    # every step, read per time: 0.3, 0.7, 0.6, 1.0 and 1.4
+    requests = {}
+    for t, s, r in steps:
         mids = range(min(starts) - r, max(starts) + r + 1)
-        first, second = _block(starts, mids, t, rates), _block(mids, ends, s, rates)
-        direct = _block(starts, ends, t + s, rates)
+        for time, block in ((t, (starts, mids)), (s, (mids, ends)), (t + s, (starts, ends))):
+            requests.setdefault(time, []).append((*block, rates))
+    p = {}
+    for time, blocks in requests.items():
+        for values in _values(blocks, time):
+            p.update({(time, k, n): v for (k, n), v in values.items()})
+    for t, s, r in steps:
         for k, n in pairs:
-            total = sum(first[k, m] * second[m, n] for m in range(k - r, k + r + 1))
-            yield abs(total - direct[k, n])
+            total = sum(p[t, k, m] * p[s, m, n] for m in range(k - r, k + r + 1))
+            yield abs(total - p[t + s, k, n])
 
 
 def q10_triple_agreement(rates):
@@ -128,13 +140,14 @@ def bilateral_moments_vs_oracle(rates):
     # also covers transition_prob pointwise over the oracle's whole row: the
     # moments are closed forms of their own, and a slip that keeps the
     # symmetries leaves them untouched
-    for k in (0, 1):
-        for t in (0.5, 2.0):
-            states, probs = oracle.transient_distribution("bilateral", rates, k, t)
+    for t in (0.5, 2.0):
+        rows = [(k, *oracle.transient_distribution("bilateral", rates, k, t)) for k in (0, 1)]
+        blocks = bilateral._blocks([((k,), states.tolist(), rates) for k, states, _ in rows], t)
+        for (k, states, probs), (closed,) in zip(rows, blocks):
             m1, var = _row_moments(states, probs)
             yield abs(bilateral.mean(k, t, rates) - m1)
             yield abs(bilateral.variance(k, t, rates) - var)
-            for p, want in zip(bilateral.transition_probs(k, states.tolist(), t, rates), probs):
+            for p, want in zip(closed, probs):
                 yield abs(p - want)
 
 

@@ -591,6 +591,49 @@ class TestTransitionMatrix:
         assert transition_matrix([0, 1], [], 1.0, rates_12) == [[], []]
 
 
+class TestBlocks:
+    # bilateral._blocks, several blocks at one time with one `_row_sums` pass per effective rate pair
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 2.0), Rates(1e-3, 1e3)], ids=str)
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 5.0])
+    def test_equal_one_matrix_per_request(self, rates, t):
+        requests = [
+            ([0, 1, -3], [-4, 0, 1, 2, 7], rates),
+            ([2, -1], [3, -2, 0], rates.swapped()),
+            ([5], [4, 5, 6], rates),
+            ([-2, 0, 3, 1], range(-6, 7), rates.swapped()),
+        ]
+        assert bilateral._blocks(requests, t) == [transition_matrix(k, n, t, r) for k, n, r in requests]
+
+    @pytest.mark.parametrize("rates, passes", [(Rates(2.0, 2.0), 1), (Rates(1.0, 2.0), 2)], ids=str)
+    def test_one_pass_per_effective_rate_pair(self, rates, passes, monkeypatch):
+        # at lam = mu the swapped rates are the rates, so both start parities share one pass
+        calls = []
+        row_sums = bilateral._row_sums
+        monkeypatch.setattr(bilateral, "_row_sums", lambda keys, *scales: calls.append(keys) or row_sums(keys, *scales))
+        transition_matrix([0, 1, -3, 2], range(-5, 6), 1.5, rates)
+        assert len(calls) == passes
+        calls.clear()
+        bilateral._blocks([([0, 1], [0, 1, 2], rates), ([3], [2, 4], rates.swapped())], 1.5)
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 2.0)], ids=str)
+    def test_error_of_first_failing_key_in_group_order(self, rates, monkeypatch):
+        # the even starts' effective rate pairs come first, whatever the order of the
+        # starts or of the requests; at lam = mu their keys lead the one shared pass
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
+
+        def error(call):
+            with pytest.raises(ConvergenceError) as exc:
+                call()
+            return type(exc.value), str(exc.value)
+
+        even = error(lambda: p(0, 1, 5.0, rates))  # a cross-parity key
+        odd = error(lambda: p(1, 1, 5.0, rates))  # a same-parity key
+        assert even != odd
+        assert error(lambda: transition_matrix([1, 0], [1], 5.0, rates)) == even
+        assert error(lambda: bilateral._blocks([([1], [1], rates), ([0], [1], rates)], 5.0)) == even
+
+
 class TestMoments:
     def test_mean_is_initial_state(self, rates_21):
         assert mean(3, 5.0, rates_21) == 3.0

@@ -310,6 +310,14 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "--seed" in result.output
 
+    def test_unbounded_run_is_refused(self, runner):
+        # one path over t = 1e300 would never return; the jump bound refuses it (exit 3)
+        result = runner.invoke(
+            cli.main, ["simulate", "--lambda", "1", "--mu", "2", "--from", "0", "--t", "0:1e300:2", "--paths", "1"]
+        )
+        assert result.exit_code == 3
+        assert "jumps" in result.output
+
     def test_reflected_nonnegative_states(self, runner):
         result = runner.invoke(
             cli.main,
@@ -395,22 +403,37 @@ class TestVerify:
         # the pointwise comparison with uniformization catches it too
         assert "bilateral_moments_vs_oracle" in failing
 
+    def test_series_sums_per_run(self, monkeypatch):
+        # each bilateral check reads its values at one time through one bilateral._blocks
+        # call, which sums each distinct series of an effective rate pair once: 1,705 sums
+        # on the default grid, against 2,757 with one pass per block and start parity
+        summed = []
+        row_sums = bilateral._row_sums
+        monkeypatch.setattr(
+            bilateral, "_row_sums", lambda keys, *scales: summed.append(len(set(keys))) or row_sums(keys, *scales)
+        )
+        cli.run_verification()
+        assert sum(summed) <= 1705
+
     def test_odd_start_without_rate_swap_fails_symmetry(self, monkeypatch):
         # the parity reduction without its rate swap: an odd start k reads the row of
         # start k - 1 over targets n - 1 at the same rates.  The odd clauses compare
         # that with the swapped-rates block, so the symmetry row fails.  A mis-indexed
         # offset enters both sides alike and passes it; bilateral_moments_vs_oracle
         # catches that (test_mutated_offset_detected)
-        exact = bilateral._matrix
+        exact = bilateral._blocks
 
-        def unswapped(starts, targets, t, rates):
-            starts, targets = list(starts), list(targets)
+        def unswapped(requests, t):
+            requests = [(list(starts), list(targets), rates) for starts, targets, rates in requests]
             return [
-                exact([k - 1], [n - 1 for n in targets], t, rates)[0] if k % 2 else row
-                for k, row in zip(starts, exact(starts, targets, t, rates))
+                [
+                    exact([([k - 1], [n - 1 for n in targets], rates)], t)[0][0] if k % 2 else row
+                    for k, row in zip(starts, block)
+                ]
+                for (starts, targets, rates), block in zip(requests, exact(requests, t))
             ]
 
-        monkeypatch.setattr(bilateral, "_matrix", unswapped)
+        monkeypatch.setattr(bilateral, "_blocks", unswapped)
         rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
         assert rows["symmetry"][-1] == "FAIL"
         assert rows["symmetry"][3] > 0.1
@@ -427,16 +450,19 @@ class TestVerify:
         # max(0.0, nan) is 0.0, so a NaN residual must not be dropped on the way
         # to a row's worst residual; the NaN is injected in the route that
         # blocks, rows and single transition_prob calls share
-        exact = bilateral._matrix
+        exact = bilateral._blocks
 
-        def nan_at_origin(starts, targets, t, rates):
-            starts, targets = list(starts), list(targets)
+        def nan_at_origin(requests, t):
+            requests = [(list(starts), list(targets), rates) for starts, targets, rates in requests]
             return [
-                [math.nan if (k, n) == (0, 0) else p for n, p in zip(targets, row)]
-                for k, row in zip(starts, exact(starts, targets, t, rates))
+                [
+                    [math.nan if (k, n) == (0, 0) else p for n, p in zip(targets, row)]
+                    for k, row in zip(starts, block)
+                ]
+                for (starts, targets, _), block in zip(requests, exact(requests, t))
             ]
 
-        monkeypatch.setattr(bilateral, "_matrix", nan_at_origin)
+        monkeypatch.setattr(bilateral, "_blocks", nan_at_origin)
         rows = {r[0]: r for r in cli.run_verification(pairs=((1.0, 2.0),))}
         for name in ("normalization", "symmetry", "chapman_kolmogorov"):
             assert math.isnan(rows[name][3])

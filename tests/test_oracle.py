@@ -357,6 +357,23 @@ class TestSimulate:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             SimConfig(paths=10, horizon=1.0, seed=-1)
 
+    def test_jump_bound_refused_before_any_draw(self, rates_12, monkeypatch):
+        # 2 max(lam, mu) t paths bounds the expected jump count; past the cap the
+        # call would run for minutes, so it is refused before a generator exists
+        cfg = SimConfig(paths=1000, horizon=1.0, seed=4)
+        kept = simulate("bilateral", rates_12, 0, cfg, [0.5, 1.0])
+        monkeypatch.setattr(oracle.np.random, "default_rng", lambda seed: pytest.fail("drew past the cap"))
+        with pytest.raises(DomainError, match=re.escape("expects up to 4e+300 jumps")) as exc:
+            simulate("bilateral", rates_12, 0, SimConfig(paths=1, horizon=1e300), [0.0, 1e300])
+        assert f"cap of {oracle._MAX_JUMPS:.0e}" in str(exc.value)
+        monkeypatch.undo()
+        # at the cap itself the call runs, and its draws are the ones below any cap
+        monkeypatch.setattr(oracle, "_MAX_JUMPS", 2.0 * 2.0 * 1.0 * 1000)
+        at_cap = simulate("bilateral", rates_12, 0, cfg, [0.5, 1.0])
+        assert np.array_equal(at_cap.pmf, kept.pmf) and np.array_equal(at_cap.states, kept.states)
+        with pytest.raises(DomainError, match="cap of 4e\\+03"):
+            simulate("bilateral", rates_12, 0, SimConfig(paths=1001, horizon=1.0, seed=4), [0.5, 1.0])
+
 
 class TestInvertLaplace:
     def test_constant_transform(self):
