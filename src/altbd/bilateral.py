@@ -15,17 +15,18 @@ start is shifted to an even one with the rates swapped.  Targets k + 2j and
 k - 2j share a key, and so do all the starts of one effective rate pair at
 the same distance from their targets; at lam = mu both parities have the
 same pair.  An odd target's two inner offsets m and m+1 are summed in one
-pass over n.  The starts are grouped by effective rate pair, each distinct
-key of a group is summed once, and each inner sequence is stepped once for
-all the keys of the group that read it (`_row_sums`).  Every value is the
-one a single call returns, bit for bit.
+pass over n.  The starts are grouped by effective rate pair, each row
+carrying its own keys; each distinct key of a group is summed once, and
+each inner sequence is stepped once for all the keys of the group that read
+it (`_row_sums`).  Every value is the one a single call returns, bit for
+bit.
 
 Every series is accumulated in log space: the raw terms behave like
 (a t)^(2n) / (2n)! with a = lam + mu and overflow long before convergence
 for large t, so each term carries the overall e^(-a t) damping inside the
-exponent.  Its scales are formed from logarithms too: log(rt) as
-log(rate) + log(t), the inner argument x = mu/lam as log(mu) - log(lam), and
-c rt as (mu - lam) t.  So one path covers every positive rate pair and
+exponent.  `_row_sums` forms its scales from (lam, mu, t), and from
+logarithms too: log(rt) as log(rate) + log(t), the inner argument x = mu/lam
+as log(mu) - log(lam), and c rt as (mu - lam) t.  So one path covers every positive rate pair and
 time: no product underflows to a special case, and a rate ratio outside the
 float range is still a finite log.  Where the terms peak past the term cap
 (about a t / 2 terms, so also at mu t >> 1 with lam t tiny), the sum raises
@@ -124,11 +125,6 @@ class PgfPair:
         return self.f + self.g
 
 
-def _is_even(n: int) -> bool:
-    # mathematical parity; states range over all integers, so -3 is odd
-    return n % 2 == 0
-
-
 def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     """Evaluate the pair (F_k(z, t), G_k(z, t)) of generating functions.
 
@@ -150,7 +146,7 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     # F and G are z^k e^(theta - at) times these brackets of e^(-theta) cosh and sinh
     ch = 0.5 * (1.0 + math.exp(-2.0 * theta))
     sh = -0.5 * math.expm1(-2.0 * theta)
-    if _is_even(k):
+    if k % 2 == 0:
         f, g = ch + (mu - lam) * z / h * sh, lam * (z * z + 1.0) / h * sh
     else:
         f, g = mu * (z * z + 1.0) / h * sh, ch + (lam - mu) * z / h * sh
@@ -247,12 +243,13 @@ def _cross_terms(logs, upper, m: int, lrt: float, at: float):
         two_n = odd + 1.0
 
 
-def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
-    """The probability each distinct key in `keys` sums, by key: e^(-at) times
-    its outer series (`_same_terms`, `_cross_terms`), clamped to [0, 1].
+def _row_sums(keys, lam: float, mu: float, t: float) -> dict:
+    """The probability each distinct key in `keys` sums at the rate pair
+    (lam, mu) and time t > 0, by key: e^(-at) times its outer series
+    (`_same_terms`, `_cross_terms`), clamped to [0, 1].
 
-    The series' scales come in as lrt = log(rt), lx = log x, at = a*t and
-    crt = c*rt, each formed once per effective rate pair by `_blocks`.
+    The series' scales are formed here from (lam, mu, t): lrt = log(rt),
+    lx = log x, at = a*t and crt = c*rt.
 
     Each inner sequence S_n(j, x) is stepped once for all the keys: where
     several sums read it, `itertools.tee` keeps its values for the ones
@@ -262,6 +259,9 @@ def _row_sums(keys, lrt: float, lx: float, at: float, crt: float) -> dict:
     `_sum_series`): from n = m + 5 and past the Poisson-weight peak at
     2n ~ at, where terms decay faster than geometrically.
     """
+    # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
+    log_lam = math.log(lam)
+    lrt, lx, at, crt = log_lam + math.log(t), math.log(mu) - log_lam, (lam + mu) * t, (mu - lam) * t
     sums = dict.fromkeys(keys)
     readers = {}  # how many sums read S(j): (m, same) reads S(m), (m, cross) S(m) and S(m+1)
     for m, same in sums:
@@ -314,30 +314,20 @@ def _blocks(requests, t: float) -> list[list[list[float]]]:
     """
     if t == 0.0:
         return [[[1.0 if n == k else 0.0 for n in targets] for k in starts] for starts, targets, _ in requests]
-    groups = {}  # effective (lam, mu) -> (keys, one (request index, start index, width) per row of keys)
+    groups = {}  # effective (lam, mu) -> one (request index, start index, keys) per row
     for parity in (0, 1):
         for r, (starts, targets, rates) in enumerate(requests):
-            members = [i for i, k in enumerate(starts) if k % 2 == parity]
-            if not members:
-                continue
-            # shifting both states of an odd start by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
-            keys, rows = groups.setdefault((rates.mu, rates.lam) if parity else (rates.lam, rates.mu), ([], []))
-            # the inner offset of (k, n) is n // 2 - k // 2 once both are shifted to an even start
-            halves = [((n - parity) // 2, n % 2 == parity) for n in targets]
-            for i in members:
-                start_half = (starts[i] - parity) // 2
-                keys += [_sum_key(h - start_half, same) for h, same in halves]
-                rows.append((r, i, len(halves)))
+            # once both states are shifted to an even start, (k, n) has inner offset (n - k) // 2
+            rows = [(r, i, [_sum_key((n - k) // 2, (n - k) % 2 == 0) for n in targets])
+                    for i, k in enumerate(starts) if k % 2 == parity]
+            if rows:
+                # shifting both states of an odd start by one swaps the rates: p_(k,n)(lam, mu) = p_(k-1,n-1)(mu, lam)
+                groups.setdefault((rates.mu, rates.lam) if parity else (rates.lam, rates.mu), []).extend(rows)
     blocks = [[None] * len(starts) for starts, _, _ in requests]
-    for (lam, mu), (keys, rows) in groups.items():
-        # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
-        log_lam = math.log(lam)
-        sums = _row_sums(keys, log_lam + math.log(t), math.log(mu) - log_lam, (lam + mu) * t, (mu - lam) * t)
-        values = list(map(sums.__getitem__, keys))
-        offset = 0
-        for r, i, width in rows:
-            blocks[r][i] = values[offset : offset + width]
-            offset += width
+    for (lam, mu), rows in groups.items():
+        sums = _row_sums([key for _, _, keys in rows for key in keys], lam, mu, t)
+        for r, i, keys in rows:
+            blocks[r][i] = [sums[key] for key in keys]
     return blocks
 
 
@@ -379,7 +369,7 @@ def variance(k: int, t: float, rates: Rates) -> float:
     _check_time(t)
     lam, mu = rates.lam, rates.mu
     a = rates.total
-    c = lam / a * ((lam - mu) / a) if _is_even(k) else mu / a * ((mu - lam) / a)
+    c = lam / a * ((lam - mu) / a) if k % 2 == 0 else mu / a * ((mu - lam) / a)
     v = 4.0 * lam * (mu / a) * t + c * (1.0 - math.exp(-2.0 * a * t))
     if not math.isfinite(v):
         raise SeriesOverflowError(f"variance at t={t!r} is out of the float range", v, 0)

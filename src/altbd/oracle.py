@@ -93,6 +93,8 @@ class SimConfig:
             object.__setattr__(self, name, _state(name, getattr(self, name)))
         if self.paths < 1:
             raise DomainError(f"paths must be >= 1, got {self.paths}")
+        if self.paths > 2**63 - 1:
+            raise DomainError("paths must be at most 2**63 - 1, the largest count an int64 array can index")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
@@ -276,10 +278,29 @@ def _exit_rates(kind: str, rates: Rates, states: np.ndarray) -> np.ndarray:
     return out
 
 
-# simulate's refusal threshold on its jump bound 2 max(lam, mu) t paths.  On one 2.1 GHz Xeon
-# core the bound advances about 1e5 a second for one path and 4e7 for 1e5 paths together, so a
+# simulate's refusal threshold on its expected jump count.  On one 2.1 GHz Xeon core the
+# count advances about 1e5 a second for one path and 4e7 for 1e5 paths together, so a
 # refused call would run for minutes at least
 _MAX_JUMPS = 1e10
+
+
+def _expected_jumps(rates: Rates, k: int, t: float) -> float:
+    """Expected jump count of one bilateral path from k over [0, t], an upper bound
+    for the reflected chain.
+
+    Every bilateral step is +-1 and independent of the holding times, so the
+    count is the displacement variance: (4 lam mu/a) t + c_k (1 - e^(-2at)),
+    a = lam + mu, with c_k = lam (lam - mu)/a^2 for even k and mu (mu - lam)/a^2
+    for odd k.  The reflected zero state exits at lam < 2 lam, so a reflected
+    path coupled to a bilateral one holds at least as long and jumps at most
+    as often.  Written out here, not taken from `bilateral.variance`, so the
+    simulator shares no code with a closed form it checks.
+    """
+    lam, mu = rates.lam, rates.mu
+    a = rates.total
+    c = lam / a * ((lam - mu) / a) if k % 2 == 0 else mu / a * ((mu - lam) / a)
+    # lam (mu/a) <= min(lam, mu), so no inf * 0 makes the count NaN
+    return 4.0 * (lam * (mu / a)) * t + c * -math.expm1(-2.0 * a * t)
 
 
 def simulate(
@@ -293,8 +314,8 @@ def simulate(
     +-1 step and draws its next exponential holding time, as arrays over
     those paths, until no path is due; the states then held are that time's
     sample.  The result is a pure function of the arguments.  A call whose
-    jump bound 2 max(lam, mu) t paths, t the last sample time, passes
-    `_MAX_JUMPS` raises DomainError before any draw.
+    expected jump count, paths times `_expected_jumps` at the last sample
+    time, passes `_MAX_JUMPS` raises DomainError before any draw.
     """
     _check_kind(kind)
     k = _state("k", k)
@@ -307,12 +328,11 @@ def simulate(
         raise DomainError("sample_times must lie in [0, horizon]")
     if np.any(np.diff(times) < 0.0):
         raise DomainError("sample_times must be nondecreasing")
-    # no exit rate passes 2 max(lam, mu), so this bounds the expected jump count
-    jumps = 2.0 * max(rates.lam, rates.mu) * float(times[-1]) * cfg.paths
+    jumps = _expected_jumps(rates, k, float(times[-1])) * cfg.paths
     if jumps > _MAX_JUMPS:
         raise DomainError(
-            f"simulate expects up to {jumps:.3g} jumps (2 max(lam, mu) t paths at the last sample time "
-            f"t={float(times[-1])!r}), past its cap of {_MAX_JUMPS:.0e}"
+            f"simulate expects up to {jumps:.3g} jumps ((4 lam mu/a) t + c_k (1 - e^(-2at)) per path, "
+            f"times paths, at the last sample time t={float(times[-1])!r}), past its cap of {_MAX_JUMPS:.0e}"
         )
 
     rng = np.random.default_rng(cfg.seed)

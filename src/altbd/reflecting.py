@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bilateral import Rates, _is_even, _state
+from .bilateral import Rates, _state
 from .specfun import (
     ConvergenceError,
     DomainError,
@@ -382,7 +382,7 @@ def p_even(k: int, t: float, rates: Rates) -> float:
     """
     mu, a = rates.mu, rates.total
     _, _, relaxed = _contour(k, t, rates)
-    c = (1.0 if _is_even(k) else 0.0) - mu / a
+    c = (1.0 if k % 2 == 0 else 0.0) - mu / a
     return mu / a + c * math.exp(-2.0 * a * t) + rates.lam * relaxed
 
 
@@ -417,7 +417,7 @@ def _moments(k: int, t: float, rates: Rates) -> tuple[float, float]:
     lam, mu = rates.lam, rates.mu
     a = rates.total
     _, occ, relaxed = _contour(k, t, rates)
-    c = (1.0 if _is_even(k) else 0.0) - mu / a
+    c = (1.0 if k % 2 == 0 else 0.0) - mu / a
     h, g = math.sqrt(4.0 * lam * (mu / a)) * math.sqrt(t), lam * occ
     rest = c * -math.expm1(-2.0 * a * t) / (2.0 * a) + lam / (2.0 * a) * (occ - relaxed)
     v = (h - g) * (h + g) + 2.0 * (lam - mu) * rest - g * (2 * k + 1)

@@ -633,6 +633,42 @@ class TestBlocks:
         assert error(lambda: transition_matrix([1, 0], [1], 5.0, rates)) == even
         assert error(lambda: bilateral._blocks([([1], [1], rates), ([0], [1], rates)], 5.0)) == even
 
+    @pytest.mark.parametrize(
+        "rates, t", [(Rates(1e-300, 1e300), 1e-300), (Rates(1e-170, 1e170), 1e-169)], ids=str
+    )
+    def test_equal_one_matrix_per_request_at_extreme_scales(self, rates, t):
+        # lam t underflows or mu/lam leaves the float range; the log-space scales stay finite
+        requests = [
+            ([0, 1, -3], [-4, 0, 1, 2, 7], rates),
+            ([2, -1], [3, -2, 0], rates.swapped()),
+            ([5], [4, 5, 6], rates),
+            ([-2, 0, 3, 1], range(-6, 7), rates.swapped()),
+        ]
+        blocks = bilateral._blocks(requests, t)
+        assert blocks == [transition_matrix(k, n, t, r) for k, n, r in requests]
+        assert 0.0 < blocks[0][1][2] < 1.0
+
+    def test_foreseen_cap_equals_one_matrix_per_request(self, monkeypatch):
+        # at a t = 36.5 under a cap of 20 terms the key (0, same) cannot stop in time,
+        # and `_row_sums` raises its error before any term, in the group that also
+        # holds the keys of the other requests
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20)
+        rates, t = Rates(1.0, 1.0), 18.25
+
+        def error(call):
+            with pytest.raises(ConvergenceError) as exc:
+                call()
+            return type(exc.value), str(exc.value), exc.value.partial, exc.value.terms
+
+        requests = [([0], [0, 60], rates), ([1], [61, 1], rates.swapped()), ([2], [-40], rates)]
+        foreseen = error(lambda: transition_matrix([0], [0, 60], t, rates))
+        assert foreseen[2] == 0.0
+        assert error(lambda: bilateral._blocks(requests, t)) == foreseen
+        # reversed, the summed key (21, same) of start 2 leads the group and fails first
+        summed = error(lambda: transition_matrix([2], [-40], t, rates))
+        assert summed != foreseen
+        assert error(lambda: bilateral._blocks(requests[::-1], t)) == summed
+
 
 class TestMoments:
     def test_mean_is_initial_state(self, rates_21):

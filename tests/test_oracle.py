@@ -358,21 +358,47 @@ class TestSimulate:
             SimConfig(paths=10, horizon=1.0, seed=-1)
 
     def test_jump_bound_refused_before_any_draw(self, rates_12, monkeypatch):
-        # 2 max(lam, mu) t paths bounds the expected jump count; past the cap the
-        # call would run for minutes, so it is refused before a generator exists
+        # paths times the expected jump count of one path; past the cap the call
+        # would run for minutes, so it is refused before a generator exists
         cfg = SimConfig(paths=1000, horizon=1.0, seed=4)
         kept = simulate("bilateral", rates_12, 0, cfg, [0.5, 1.0])
         monkeypatch.setattr(oracle.np.random, "default_rng", lambda seed: pytest.fail("drew past the cap"))
-        with pytest.raises(DomainError, match=re.escape("expects up to 4e+300 jumps")) as exc:
+        with pytest.raises(DomainError, match=re.escape("expects up to 2.67e+300 jumps")) as exc:
             simulate("bilateral", rates_12, 0, SimConfig(paths=1, horizon=1e300), [0.0, 1e300])
         assert f"cap of {oracle._MAX_JUMPS:.0e}" in str(exc.value)
         monkeypatch.undo()
         # at the cap itself the call runs, and its draws are the ones below any cap
-        monkeypatch.setattr(oracle, "_MAX_JUMPS", 2.0 * 2.0 * 1.0 * 1000)
+        monkeypatch.setattr(oracle, "_MAX_JUMPS", oracle._expected_jumps(rates_12, 0, 1.0) * 1000)
         at_cap = simulate("bilateral", rates_12, 0, cfg, [0.5, 1.0])
         assert np.array_equal(at_cap.pmf, kept.pmf) and np.array_equal(at_cap.states, kept.states)
-        with pytest.raises(DomainError, match="cap of 4e\\+03"):
+        with pytest.raises(DomainError, match="cap of 3e\\+03"):
             simulate("bilateral", rates_12, 0, SimConfig(paths=1001, horizon=1.0, seed=4), [0.5, 1.0])
+
+    @pytest.mark.parametrize("k", [0, 1, -3, 4])
+    @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 1.0), Rates(1e-6, 1e3)], ids=str)
+    def test_expected_jumps_is_the_bilateral_variance(self, rates, k):
+        # every step is +-1 and independent of the holding times
+        for t in (0.0, 0.3, 2.0, 1e7):
+            assert oracle._expected_jumps(rates, k, t) == pytest.approx(variance(k, t, rates), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_long_horizon_at_very_unequal_rates(self, kind):
+        # about 40 jumps expected: the even states hold for 5e5 on average, the odd ones for 5e-4
+        rates = Rates(1e-6, 1e3)
+        assert oracle._expected_jumps(rates, 0, 1e7) == pytest.approx(40.0, rel=1e-3)
+        res = simulate(kind, rates, 0, SimConfig(paths=1, horizon=1e7), [0.0, 1e7])
+        assert res.pmf.shape == (2, res.states.size)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unbounded_run_still_refused(self, kind, rates_12):
+        with pytest.raises(DomainError, match=re.escape("past its cap of 1e+10")):
+            simulate(kind, rates_12, 0, SimConfig(paths=1, horizon=1e300), [0.0, 1e300])
+
+    def test_paths_past_int64_are_a_domain_error(self):
+        assert SimConfig(paths=2**63 - 1, horizon=1.0).paths == 2**63 - 1
+        for paths in (2**63, 10**400):
+            with pytest.raises(DomainError, match=re.escape("paths must be at most 2**63 - 1")):
+                SimConfig(paths=paths, horizon=1.0)
 
 
 class TestInvertLaplace:
