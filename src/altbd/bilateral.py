@@ -43,46 +43,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
-from .specfun import DomainError, SeriesOverflowError, _check_time, _sum_series
+from .specfun import DomainError, Rates, SeriesOverflowError, _check_time, _state, _sum_series
 
 __all__ = [
-    "Rates", "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "transition_matrix", "mean",
+    "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "transition_matrix", "mean",
     "variance",
 ]
 
 # the largest x with e^x in the float range
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class Rates:
-    """Jump rates: `lam` out of even states, `mu` out of odd states."""
-
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        for name, v in (("lam", self.lam), ("mu", self.mu)):
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be strictly positive and finite, got {v}")
-        # every series and oracle scales by lam + mu or by the uniformization rate 2 max(lam, mu)
-        if not math.isfinite(2.0 * (self.lam + self.mu)):
-            raise DomainError(f"2(lam + mu) overflows at lam={self.lam!r}, mu={self.mu!r}")
-
-    @property
-    def total(self) -> float:
-        return self.lam + self.mu
-
-    @property
-    def diff(self) -> float:
-        return self.lam - self.mu
-
-    def swapped(self) -> "Rates":
-        return Rates(self.mu, self.lam)
 
 
 @dataclass(frozen=True)
@@ -100,14 +72,6 @@ class TransitionQuery:
         for name in ("from_state", "to_state"):
             object.__setattr__(self, name, _state(name, getattr(self, name)))
         _check_time(self.t)
-
-
-def _state(name: str, value) -> int:
-    """`value` as an int state; DomainError unless `operator.index` accepts it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

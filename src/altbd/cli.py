@@ -21,9 +21,9 @@ import sys
 import click
 
 from . import bilateral, oracle, reflecting
-from .bilateral import Rates, TransitionQuery
+from .bilateral import TransitionQuery
 from .oracle import SimConfig
-from .specfun import ConvergenceError, DomainError
+from .specfun import ConvergenceError, DomainError, Rates, WindowTooSmallError
 from .verify import DEFAULT_VERIFY_PAIRS, run_verification
 
 EXIT_NUMERIC = 3
@@ -120,7 +120,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConvergenceError, DomainError, oracle.WindowTooSmallError) as exc:
+        except (ConvergenceError, DomainError, WindowTooSmallError) as exc:
             click.echo(f"numeric failure: {exc}", file=sys.stderr)
             sys.exit(EXIT_NUMERIC)
 

@@ -14,6 +14,9 @@ ever validated against itself:
   transform along the Bromwich line: one fixed table of nodes and weights,
   built at import and summed in plain Python, sharing no code with the
   contour sum of `reflecting` that the reflected closed forms use.
+
+The oracles import no closed-form module: the rates, argument checks and
+typed errors they share with the closed forms live in `specfun`.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilateral import Rates, _state
-from .specfun import DomainError, SeriesOverflowError, _check_time
+from .specfun import DomainError, Rates, SeriesOverflowError, WindowTooSmallError, _check_time, _state
 
 __all__ = [
     "TruncatedChain",
     "SimConfig",
     "SimResult",
-    "WindowTooSmallError",
     "uniformize",
     "transient_distribution",
     "default_window",
@@ -45,10 +46,6 @@ def _check_kind(kind: str) -> None:
     """Raise DomainError unless `kind` names one of the two chains."""
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-class WindowTooSmallError(RuntimeError):
-    """Probability mass reached the truncation boundary; widen the window."""
 
 
 @dataclass(frozen=True)
@@ -315,12 +312,17 @@ def simulate(
     those paths, until no path is due; the states then held are that time's
     sample.  The result is a pure function of the arguments.  A call whose
     expected jump count, paths times `_expected_jumps` at the last sample
-    time, passes `_MAX_JUMPS` raises DomainError before any draw.
+    time, passes `_MAX_JUMPS` raises DomainError before any draw, as does
+    a start k with |k| > 2**62, which the int64 state array cannot hold
+    through the walk.
     """
     _check_kind(kind)
     k = _state("k", k)
     if kind == "reflected" and k < 0:
         raise DomainError("reflected chain starts at a non-negative state")
+    # states are int64; a path from 2**62 needs over 4e18 jumps, far past _MAX_JUMPS, to wrap
+    if abs(k) > 2**62:
+        raise DomainError(f"k must lie in [-2**62, 2**62] for the int64 state array of simulate, got {k}")
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise DomainError("sample_times must be non-empty")

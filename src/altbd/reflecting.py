@@ -35,14 +35,16 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bilateral import Rates, _state
 from .specfun import (
+    _CONTOUR,
     ConvergenceError,
     DomainError,
+    Rates,
     SeriesOverflowError,
     _bessel_sums,
     _check_time,
     _hyp_series,
+    _state,
     _sum_series,
 )
 
@@ -125,17 +127,6 @@ def _quad(f, t: float, what: str) -> float:
         previous, n = total, 2 * n
         new = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(1, n, 2)]
         values = [v for pair in zip(values, new) for v in pair] + values[-1:]
-
-
-# Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007) as (z_j, w_j) pairs: the
-# N = 32 midpoints theta_j of (-pi, pi) on z = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)
-# give f(t) = (1/t) Re sum_j w_j F(z_j/t), w_j = 2 e^(z_j) z'(theta_j)/(N i), summed
-# over theta_j > 0 only: F is real on the real axis, so the rest are conjugates.
-_CONTOUR = tuple(
-    (z, -2j * cmath.exp(z) * complex(-0.2388 * th, 0.25))
-    for th in (math.pi * (2 * j + 1) / 32 for j in range(16))
-    for z in [32 * complex(0.1309 - 0.1194 * th * th, 0.25 * th)]
-)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
-"""Scalar special functions used by the closed-form transition probabilities.
+"""The one base module: every other module imports it, and the closed forms
+(`bilateral`, `reflecting`) and the oracles import nothing from one another.
+It holds the rates (`Rates`), the argument checks (`_check_time`, `_state`),
+the typed errors, the series accumulator (`_sum_series`), the scalar special
+functions and kernels below, and the contour table `_CONTOUR` of the
+reflected closed forms.
 
-Everything here is evaluated by direct power series with a running
+Every series here is evaluated by direct power series with a running
 term-ratio recurrence (no factorials are ever materialised), which keeps
 individual terms in range long after naive evaluation would overflow.
 Three loops sum everything: `_sum_series`, the accumulator of `bessel_i`
@@ -28,15 +33,20 @@ of the peak (0 for `bessel_i`, whose rising terms never meet the stop).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import operator
+from dataclasses import dataclass
 
 __all__ = [
     "SERIES_REL_TOL",
     "SERIES_MAX_TERMS",
+    "Rates",
     "DomainError",
     "ConvergenceError",
     "SeriesOverflowError",
+    "WindowTooSmallError",
     "bessel_i",
     "hyp1f2",
 ]
@@ -81,10 +91,49 @@ class SeriesOverflowError(ConvergenceError):
     """
 
 
+class WindowTooSmallError(RuntimeError):
+    """Probability mass reached the truncation boundary; widen the window."""
+
+
+@dataclass(frozen=True)
+class Rates:
+    """Jump rates: `lam` out of even states, `mu` out of odd states."""
+
+    lam: float
+    mu: float
+
+    def __post_init__(self):
+        for name, v in (("lam", self.lam), ("mu", self.mu)):
+            if not (v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{name} must be strictly positive and finite, got {v}")
+        # every series and oracle scales by lam + mu or by the uniformization rate 2 max(lam, mu)
+        if not math.isfinite(2.0 * (self.lam + self.mu)):
+            raise DomainError(f"2(lam + mu) overflows at lam={self.lam!r}, mu={self.mu!r}")
+
+    @property
+    def total(self) -> float:
+        return self.lam + self.mu
+
+    @property
+    def diff(self) -> float:
+        return self.lam - self.mu
+
+    def swapped(self) -> "Rates":
+        return Rates(self.mu, self.lam)
+
+
 def _check_time(t: float) -> None:
     """Raise DomainError unless t is a finite time >= 0."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be finite and >= 0, got {t}")
+
+
+def _state(name: str, value) -> int:
+    """`value` as an int state; DomainError unless `operator.index` accepts it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _sum_series(terms, what: str, settled: float) -> float:
@@ -251,3 +300,14 @@ def hyp1f2(a: float, b1: float, b2: float, x: float) -> float:
     if not math.isfinite(v):
         raise SeriesOverflowError(f"{_hyp_name(a, b1, b2, x)} overflowed", v, 0)
     return v
+
+
+# Weideman & Trefethen's parabolic contour (Math. Comp. 76, 2007) as (z_j, w_j) pairs: the
+# N = 32 midpoints theta_j of (-pi, pi) on z = N (0.1309 - 0.1194 theta^2 + 0.25 i theta)
+# give f(t) = (1/t) Re sum_j w_j F(z_j/t), w_j = 2 e^(z_j) z'(theta_j)/(N i), summed
+# over theta_j > 0 only: F is real on the real axis, so the rest are conjugates.
+_CONTOUR = tuple(
+    (z, -2j * cmath.exp(z) * complex(-0.2388 * th, 0.25))
+    for th in (math.pi * (2 * j + 1) / 32 for j in range(16))
+    for z in [32 * complex(0.1309 - 0.1194 * th * th, 0.25 * th)]
+)

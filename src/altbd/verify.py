@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 
-from . import bilateral, oracle, reflecting
-from .bilateral import Rates, TransitionQuery
-from .specfun import bessel_i
+from . import bilateral, oracle, reflecting, specfun
+from .bilateral import TransitionQuery
+from .specfun import Rates, bessel_i
 
 __all__ = ["DEFAULT_VERIFY_PAIRS", "PAIR_CHECKS", "run_verification"]
 
@@ -172,7 +172,7 @@ def psi_product_vieta(rates):
 def laplace_system_residual(rates):
     # on the real axis, and at the complex nodes s = z/t where the moments' contour sums evaluate the transform
     lam, mu = rates.lam, rates.mu
-    for s in (0.1, 1.0, 10.0, *(z / t for t in (1e-3, 1.0, 1e3) for z, _ in reflecting._CONTOUR)):
+    for s in (0.1, 1.0, 10.0, *(z / t for t in (1e-3, 1.0, 1e3) for z, _ in specfun._CONTOUR)):
         pi = [reflecting._pi1n(s, n, rates) for n in range(5)]
         yield abs((lam + s) * pi[0] - mu * pi[1])
         yield abs((2 * mu + s) * pi[1] - 1.0 - lam * pi[2] - lam * pi[0])

@@ -318,6 +318,17 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "jumps" in result.output
 
+    @pytest.mark.parametrize("process", ["bilateral", "reflected"])
+    @pytest.mark.parametrize("start", [str(2**63 - 1), str(2**63)])
+    def test_start_past_int64_is_refused(self, runner, process, start):
+        # int64 path states would wrap silently; refused before any draw (exit 3)
+        result = runner.invoke(
+            cli.main, ["simulate", "--process", process, "--lambda", "1", "--mu", "2", "--from", start,
+                       "--t", "0:1:2", "--paths", "100"]
+        )
+        assert result.exit_code == 3
+        assert "int64 state array" in result.output
+
     def test_reflected_nonnegative_states(self, runner):
         result = runner.invoke(
             cli.main,

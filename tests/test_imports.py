@@ -22,6 +22,26 @@ def imported_modules(path):
             yield node.module
 
 
+def sibling_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("name", ["bilateral", "reflecting", "oracle"])
+def test_routes_import_only_the_base_module(name):
+    # the closed forms and the oracles share only specfun, so no route checks itself
+    assert set(sibling_modules(PACKAGE / f"{name}.py")) == {"specfun"}
+
+
+def test_moved_names_keep_their_old_paths():
+    assert bilateral.Rates is specfun.Rates
+    assert oracle.WindowTooSmallError is specfun.WindowTooSmallError
+
+
 def test_package_imports_no_scipy():
     sources = sorted(PACKAGE.glob("*.py"))
     assert "reflecting.py" in {p.name for p in sources}

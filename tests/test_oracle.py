@@ -394,6 +394,18 @@ class TestSimulate:
         with pytest.raises(DomainError, match=re.escape("past its cap of 1e+10")):
             simulate(kind, rates_12, 0, SimConfig(paths=1, horizon=1e300), [0.0, 1e300])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_start_past_int64_refused_before_any_draw(self, kind, rates_12, monkeypatch):
+        # int64 states wrap silently; a path from 2**62 needs over 4e18 jumps to wrap
+        res = simulate(kind, rates_12, 2**62, SimConfig(paths=10, horizon=1.0), [0.0, 1.0])
+        assert np.all(np.abs(res.states - 2**62) <= 100)
+        monkeypatch.setattr(oracle.np.random, "default_rng", lambda seed: pytest.fail("drew past int64"))
+        for k in (2**63 - 1, 2**63, 2**62 + 1):
+            with pytest.raises(DomainError, match=re.escape(f"int64 state array of simulate, got {k}")):
+                simulate(kind, rates_12, k, SimConfig(paths=100, horizon=1.0), [0.0, 1.0])
+        with pytest.raises(DomainError, match="int64 state array"):
+            simulate("bilateral", rates_12, -(2**62) - 1, SimConfig(paths=100, horizon=1.0), [0.0, 1.0])
+
     def test_paths_past_int64_are_a_domain_error(self):
         assert SimConfig(paths=2**63 - 1, horizon=1.0).paths == 2**63 - 1
         for paths in (2**63, 10**400):

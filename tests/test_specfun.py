@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import re
@@ -333,6 +334,23 @@ class TestSumSeries:
         monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-3)
         terms = (0.5**m for m in itertools.count())
         assert _sum_series(terms, "geometric", 18.0) == 2.0 - 0.5**19
+
+
+class TestContour:
+    # (1/t) Re sum w F(z/t) over the table inverts F at t; each pair is (F, f)
+    PAIRS = {
+        "1/(s+1)": (lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t)),
+        "1/s": (lambda s: 1.0 / s, lambda t: 1.0),
+        "1/s^2": (lambda s: 1.0 / (s * s), lambda t: t),
+        "1/sqrt(s)": (lambda s: 1.0 / cmath.sqrt(s), lambda t: 1.0 / math.sqrt(math.pi * t)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0, 100.0, 1e4])
+    def test_inverts_known_transforms(self, name, t):
+        F, f = self.PAIRS[name]
+        got = sum(w * F(z / t) for z, w in specfun._CONTOUR).real / t
+        assert abs(got - f(t)) <= 1e-12 * max(1.0, abs(f(t)))
 
 
 _RATES = bilateral.Rates(1.0, 2.0)
