@@ -20,9 +20,8 @@ import sys
 
 import click
 
-from . import bilateral, oracle, reflecting
+from . import bilateral, reflecting
 from .bilateral import TransitionQuery
-from .oracle import SimConfig
 from .specfun import ConvergenceError, DomainError, Rates, WindowTooSmallError
 from .verify import DEFAULT_VERIFY_PAIRS, run_verification
 
@@ -196,12 +195,18 @@ def reflect(lam, mu, from_state, grid, method, out):
         raise click.UsageError("--method integral needs --from 1; the start at 0 has only q00, "
                                "a contour sum of its transform")
     rates = Rates(lam, mu)
-    if from_state == 0:
-        route, method = reflecting.q00, "contour"
+    params = f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} method={method if from_state else 'contour'}"
+    steps = len(grid) - 1
+    if method == "integral" and grid[0] == 0.0 and 1 <= steps <= reflecting._QUAD_MAX_PANELS:
+        # one composite rule for the whole grid; its totals cost O(steps^2) products, hence the cap
+        qs = [0.0, *reflecting._q10_grid(grid[-1], steps, rates)]
     else:
-        route = reflecting.q10_series if method == "series" else reflecting.q10_integral
-    _table(out, "reflect", f"lambda={_fmt(lam)} mu={_fmt(mu)} from={from_state} method={method}", ["q"],
-           grid, lambda t: (route(t, rates),))
+        if from_state == 0:
+            route = reflecting.q00
+        else:
+            route = reflecting.q10_series if method == "series" else reflecting.q10_integral
+        qs = [route(float(t), rates) for t in grid]
+    _emit(out, ["altbd reflect", params], ["t", "q"], zip(grid, qs))
 
 
 @main.command()
@@ -215,6 +220,9 @@ def reflect(lam, mu, from_state, grid, method, out):
 @_out_option
 def simulate(lam, mu, process, from_state, grid, paths, seed, out):
     """Empirical distribution from stochastic simulation (fixed-seed reproducible)."""
+    from . import oracle  # numpy loads with the oracles, so only this command pays its import
+    from .oracle import SimConfig
+
     rates = Rates(lam, mu)
     cfg = SimConfig(paths=paths, horizon=float(grid[-1]) if grid[-1] > 0 else 1.0, seed=seed)
     res = oracle.simulate(process, rates, from_state, cfg, grid)

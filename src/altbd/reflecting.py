@@ -19,7 +19,10 @@ Clenshaw-Curtis rules whose weights are computed here, so only the standard
 library is needed.  Their node set is symmetric, so both factors of the
 integrand come from one evaluation per node, and each such evaluation is
 one fused loop over the Bessel terms at x (`specfun._bessel_sums`), which
-also gives those at |r| x.  The paper's 1F2 series for
+also gives those at |r| x.  `_q10_grid` takes a whole time grid i h from 0
+from one composite rule of panels [p h, (p + 1) h], where every grid time
+mirrors a node onto a node, so the grid evaluates each node once; the CLI
+uses it for grids of up to _QUAD_MAX_PANELS steps.  The paper's 1F2 series for
 q00 is no production route; it lives in the tests (`tests/reference.py`) as
 the independent reference `q00` is checked against.
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .specfun import (
@@ -71,9 +75,21 @@ _Q10_REACH = 713.98
 # absolute and relative tolerance of the quadrature: the returned rule's observed or
 # predicted error is within it
 _QUAD_TOL = 1e-10
-# first and last order n of the nested Clenshaw-Curtis rules, each doubling the last
-_QUAD_MIN_ORDER = 8
+# lowest and highest order n of the nested Clenshaw-Curtis rules, each doubling the last;
+# `_quad` starts higher on panels too wide for the lowest orders to resolve
+_QUAD_MIN_ORDER = 4
 _QUAD_MAX_ORDER = 512
+# no total stops before its rule resolves the integrand's unit scale at the panel ends, where
+# the q10 factors e^(-x) I(x) vary by O(1) within x < 1: the first node off an end,
+# h sin^2(pi/(2n)), must lie within this of it.  Coarser, the differences are not yet
+# geometric, and two rules may agree by chance: at (lam, mu) = (1.356, 0.231), tau = 326.8,
+# d_16 = 7.6e-3 and d_32 = 2.4e-7 predicted 6e-13, yet the rule of order 32 was 2.7e-5 off;
+# at (626, 3.6e-3) the rules of orders 4 and 8 on panels of width 19 agreed within 2.6e-11
+# on a total they both missed by 2.2e-9
+_QUAD_END_SPACING = 0.15
+# most panels of one `_quad` rule that `cli reflect --method integral` takes for a grid from 0:
+# the totals cost O(panels^2 n) products, which past it outweigh the nodes the grid shares
+_QUAD_MAX_PANELS = 100
 
 
 @functools.cache
@@ -93,40 +109,90 @@ def _clenshaw_curtis_weights(n: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def _quad(f, t: float, what: str) -> float:
-    """Convolution int_0^t k(t - s) c(s) ds by nested Clenshaw-Curtis rules; f(x) -> (k(x), c(x)).
+def _quad(f, h: float, panels: int, what: str) -> list[float]:
+    """Convolutions int_0^(i h) k(i h - s) c(s) ds, i = 1..panels, by one composite rule of
+    nested Clenshaw-Curtis panels [p h, (p + 1) h]; f(x) -> (k(x), c(x)).
 
-    The rule of order n takes f at the images x_j = t sin^2(j pi/(2n)) of the
-    nodes cos(j pi/n), j = 0..n, and sums w_j k(x_{n-j}) c(x_j), since t - x_j
-    is x_{n-j}; doubling n keeps every node, so each order evaluates f only at
-    its n/2 new ones.  Starts at _QUAD_MIN_ORDER; with d_n = |I_n - I_(n/2)|
-    and tol = _QUAD_TOL absolute or relative to I_n, it returns I_n once
-    d_n <= tol, or once d_n <= sqrt(tol) and d_n^2 <= tol d_(n/2): d_n^2/d_(n/2)
-    is the next difference under geometric decay, and every integrand here is
-    entire, where Clenshaw-Curtis converges faster than geometrically, as fast
-    as Gauss (Clenshaw & Curtis, Numer. Math. 2, 1960; Trefethen, SIAM Review
-    50, 2008), so the prediction errs high.  Raises SeriesOverflowError at the
-    first non-finite rule, and ConvergenceError, with terms the number of
-    nodes, when the rule of order _QUAD_MAX_ORDER meets neither test.
+    At order n, panel p takes f at x = p h + h sin^2(j pi/(2n)), the images of the
+    nodes cos(j pi/n), j = 0..n; the values lie in flat lists, panel after panel,
+    index l = p n + j, each shared panel end once.  Then i h - x_l is x_(i n - l), so
+    total i sums W_l c(x_l) k(x_(i n - l)) over l = 0..i n, with weights (h/2) w_j
+    (w_0 + w_n at an interior panel end), and every total reads the same values.
+    Doubling n keeps every node, so each order evaluates f only at its new ones.
+    All panels share the order; each total keeps its own stop test and stays at the
+    first order that passes it: on a rule that resolves unit scale at the panel ends
+    (_QUAD_END_SPACING), with d_n = |I_n - I_(n/2)| and
+    tol = _QUAD_TOL absolute or relative to I_n, once d_n <= tol, or once
+    d_n <= sqrt(tol) and d_n^2 <= tol d_(n/2): d_n^2/d_(n/2) is the next difference
+    under geometric decay, and every integrand here is entire, where Clenshaw-Curtis
+    converges faster than geometrically, as fast as Gauss (Clenshaw & Curtis, Numer.
+    Math. 2, 1960; Trefethen, SIAM Review 50, 2008), so the prediction errs high.
+    The totals cost O(panels^2 n) products.  Raises SeriesOverflowError at the first
+    non-finite total, and ConvergenceError, with terms the number of nodes, when the
+    rule of order _QUAD_MAX_ORDER leaves a total unresolved.
     """
-    n = _QUAD_MIN_ORDER
-    values = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
-    previous = step = None
+    # the first order that resolves the panel ends (past _QUAD_MAX_ORDER if none does); no stop
+    # test reads back further than the two rules below it, so the first rule is the coarser of
+    # those and _QUAD_MIN_ORDER, and coarser ones are skipped: their nodes come with it
+    resolving = _QUAD_MIN_ORDER
+    while resolving <= _QUAD_MAX_ORDER and h * math.sin(0.5 * math.pi / resolving) ** 2 > _QUAD_END_SPACING:
+        resolving *= 2
+    n = min(max(_QUAD_MIN_ORDER, resolving // 4), _QUAD_MAX_ORDER)
+    ks, cs = zip(*[f(x) for x in _panel_nodes(h, panels, _node_images(n))], f(panels * h))
+    totals = [0.0] * panels
+    previous, diffs = [None] * panels, [None] * panels
+    pending = range(panels)
     while True:
         weights = _clenshaw_curtis_weights(n)
-        total = 0.5 * t * sum(w * k * c for w, (_, c), (k, _) in zip(weights, values, reversed(values)))
-        if not math.isfinite(total):
-            raise SeriesOverflowError(f"{what} overflowed", total, len(values))
-        if previous is not None:
-            last, step = step, abs(total - previous)
-            tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
-            if step <= tol or (last is not None and step * step <= tol * last and step <= math.sqrt(tol)):
-                return total
+        end = weights[0]
+        composite = [2.0 * end, *weights[1:n]] * panels
+        composite[0] = end
+        weighted = list(map(operator.mul, composite, cs))
+        flat = panels * n  # the last flat index
+        kr = ks[::-1]  # kr[flat - m] is k(x_m)
+        left = []
+        for i in pending:
+            top = (i + 1) * n
+            # the term at l = top has the end weight of the panel it closes, not w_0 + w_n
+            total = 0.5 * h * (sum(map(operator.mul, weighted, kr[flat - top : flat])) + end * cs[top] * kr[flat])
+            if not math.isfinite(total):
+                raise SeriesOverflowError(f"{what} overflowed", total, flat + 1)
+            if previous[i] is not None:
+                last, diffs[i] = diffs[i], abs(total - previous[i])
+                step, tol = diffs[i], max(_QUAD_TOL, _QUAD_TOL * abs(total))
+                if n >= resolving and (step <= tol or (last is not None and step * step <= tol * last
+                                                 and step <= math.sqrt(tol))):
+                    totals[i] = total
+                    continue
+            previous[i] = total
+            left.append(i)
+        if not left:
+            return totals
         if n == _QUAD_MAX_ORDER:
-            raise ConvergenceError(f"{what} did not converge", total, len(values))
-        previous, n = total, 2 * n
-        new = [f(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(1, n, 2)]
-        values = [v for pair in zip(values, new) for v in pair] + values[-1:]
+            raise ConvergenceError(f"{what} did not converge", previous[left[0]], flat + 1)
+        pending, n = left, 2 * n
+        new_ks, new_cs = zip(*[f(x) for x in _panel_nodes(h, panels, _node_images(n)[1::2])])
+        ks, cs = _interleave(ks, new_ks), _interleave(cs, new_cs)
+
+
+def _interleave(old, new) -> list[float]:
+    """old[0], new[0], old[1], ..., new[-1], old[-1]: the values of a doubled rule, whose
+    new nodes lie between the old ones."""
+    merged = [0.0] * (len(old) + len(new))
+    merged[::2], merged[1::2] = old, new
+    return merged
+
+
+@functools.cache
+def _node_images(n: int) -> tuple[float, ...]:
+    """sin^2(j pi/(2n)), j = 0..n-1: the images on [0, 1] of the nodes cos(j pi/n) of the
+    rule of order n, less the last, which is the next panel's first."""
+    return tuple(math.sin(0.5 * math.pi * j / n) ** 2 for j in range(n))
+
+
+def _panel_nodes(h: float, panels: int, images) -> list[float]:
+    """p h + h s for each image s on each panel p in turn: nodes of `_quad`'s composite rule."""
+    return [p * h + h * s for p in range(panels) for s in images]
 
 
 @dataclass(frozen=True)
@@ -312,10 +378,20 @@ def q10_integral(t: float, rates: Rates) -> float:
     The integrand carries the factor e^(-tau)/(1 + r)^2, so the quadrature's
     tolerance applies to the probability itself; each factor takes its own
     share e^(-x)/(1 + r) on every sum, so none overflows below the reach.
+    One time is the one-panel grid of `_q10_grid`.
     """
-    tau, r, rp = _q10_units(t, rates, "q10 quadrature")
+    return _q10_grid(t, 1, rates)[0]
+
+
+def _q10_grid(stop: float, steps: int, rates: Rates) -> list[float]:
+    """`q10_integral` at the times stop i/steps, i = 1..steps, from one `_quad` rule
+    of `steps` panels, so every time reads the same node values; `_q10_units`
+    checks stop alone, since neither its reach nor its ratio bound tightens at
+    earlier times.  Each value is within the quadrature tolerance of the one-time
+    call, not bit-equal to it."""
+    tau, r, rp = _q10_units(stop, rates, "q10 quadrature")
     if tau == 0.0:
-        return 0.0
+        return [0.0] * steps
     rsq, rsq_gap = r * r, rp * (2.0 - rp)  # 1 - r^2 = (1 + r)(1 - r)
 
     def node(x: float) -> tuple[float, float]:
@@ -325,8 +401,7 @@ def q10_integral(t: float, rates: Rates) -> float:
         # (1 + r) S0 times the scale is S0 e^(-x)
         return 0.5 * (k * scale), s0 * share + x * (0.5 * (c1 * scale) + r * (s2 * scale) + 0.5 * (c3 * scale))
 
-    v = _quad(node, tau, "q10 quadrature")
-    return min(max(v, 0.0), 1.0)
+    return [min(max(v, 0.0), 1.0) for v in _quad(node, tau / steps, steps, "q10 quadrature")]
 
 
 def _contour(k: int, t: float, rates: Rates) -> tuple[float, float, float]:

@@ -12,8 +12,9 @@ Three loops sum everything: `_sum_series`, the accumulator of `bessel_i`
 and of the outer series of the closed forms (the bilateral series, q00 and
 q10); the fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series`
 reads whole sequences of them, stepped by a contiguous relation from a few
-kernel values); and `_bessel_sums`, which gives a `q10_integral` node every sum
-it reads, at x and at |r| x, from one pass over the terms at x: the terms at
+kernel values); and `_bessel_sums`, which gives a quadrature node of
+`q10_integral` (or of a whole grid of its times) every sum it reads, at x
+and at |r| x, from one pass over the terms at x: the terms at
 |r| x are those times r^(2m), and past the peak r^(2m) e^x <= e^(|r| x), so
 the stop at x bounds both tails.  All functions are pure and reentrant.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from . import bilateral, oracle, reflecting, specfun
+from . import bilateral, reflecting, specfun
 from .bilateral import TransitionQuery
 from .specfun import Rates, bessel_i
 
@@ -57,6 +57,8 @@ def _row_moments(states, probs):
 
 def _reach(rates, t):
     """The reach r of the bilateral window (k - r, k + r), the same from every start k."""
+    from . import oracle
+
     return oracle.default_window("bilateral", rates, 0, t)[1]
 
 
@@ -123,6 +125,8 @@ def chapman_kolmogorov(rates):
 
 
 def q10_triple_agreement(rates):
+    from . import oracle
+
     for t in (0.5, 1.0, 2.0):
         series = reflecting.q10_series(t, rates)
         inverted = oracle.invert_laplace(lambda s: reflecting.pi_1n(s, 0, rates), t)
@@ -131,6 +135,8 @@ def q10_triple_agreement(rates):
 
 
 def origin_vs_oracle(rates):
+    from . import oracle
+
     for t in (0.25, 1.0, 5.0):
         for k, closed in ((0, reflecting.q00), (1, reflecting.q10_series)):
             yield abs(closed(t, rates) - oracle.transient_distribution("reflected", rates, k, t)[1][0])
@@ -140,6 +146,8 @@ def bilateral_moments_vs_oracle(rates):
     # also covers transition_prob pointwise over the oracle's whole row: the
     # moments are closed forms of their own, and a slip that keeps the
     # symmetries leaves them untouched
+    from . import oracle
+
     for t in (0.5, 2.0):
         rows = [(k, *oracle.transient_distribution("bilateral", rates, k, t)) for k in (0, 1)]
         blocks = bilateral._blocks([((k,), states.tolist(), rates) for k, states, _ in rows], t)
@@ -152,6 +160,8 @@ def bilateral_moments_vs_oracle(rates):
 
 
 def reflected_moments_vs_oracle(rates):
+    from . import oracle
+
     for k in (0, 1):
         for t in (1.0, 2.0):
             m1, var = _row_moments(*oracle.transient_distribution("reflected", rates, k, t))

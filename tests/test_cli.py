@@ -276,6 +276,39 @@ class TestReflect:
         assert np.allclose(out["series"], out["integral"], atol=1e-7)
 
 
+    def test_integral_grid_from_zero_takes_one_rule(self, runner, monkeypatch):
+        calls = []
+        real = reflecting._q10_grid
+
+        def counted(stop, steps, rates):
+            calls.append((stop, steps))
+            return real(stop, steps, rates)
+
+        monkeypatch.setattr(reflecting, "_q10_grid", counted)
+        result = runner.invoke(cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "1",
+                                          "--t", "0:5:11", "--method", "integral"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert calls == [(5.0, 10)]
+        assert float(rows[0][1]) == 0.0
+        rates = Rates(1.0, 2.0)
+        for t, q in rows:
+            assert abs(float(q) - reflecting.q10_integral(float(t), rates)) <= 1e-10
+
+    @pytest.mark.parametrize("grid", [f"0:1:{reflecting._QUAD_MAX_PANELS + 2}", "5:20:4"],
+                             ids=["past-the-cap", "offset"])
+    def test_integral_grid_prints_one_time_values(self, runner, grid):
+        # a grid past the panel cap, or one that does not start at 0, takes each time alone
+        result = runner.invoke(cli.main, ["reflect", "--lambda", "1", "--mu", "2", "--from", "1",
+                                          "--t", grid, "--method", "integral"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        rates = Rates(1.0, 2.0)
+        assert len(rows) == int(grid.split(":")[-1])
+        for t, q in rows:
+            assert q == format(reflecting.q10_integral(float(t), rates), ".17g")
+
+
 class TestSimulate:
     ARGS = ["simulate", "--lambda", "1", "--mu", "2", "--from", "0",
             "--t", "0.5:1:2", "--paths", "400", "--seed", "33"]

@@ -49,12 +49,36 @@ def test_package_imports_no_scipy():
         assert not any(m.split(".")[0] == "scipy" for m in imported_modules(path)), path.name
 
 
+def _fresh(code):
+    """Standard output of `code` run in a new interpreter that imports altbd from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     # catches a transitive import too, which the source scan above cannot see
     code = "import sys, altbd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy serves only the oracles, which load on first use; the battery's entry point is
+    # bound on import all the same, so a wrapper set on `cli.run_verification` sees every run
+    code = ("import sys, altbd.cli, altbd.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'altbd.oracle'), "
+            "altbd.cli.run_verification is altbd.verify.run_verification)")
+    assert _fresh(code) == "[] True"
+
+
+def test_oracle_names_resolve_on_first_use():
+    # in a new interpreter, where nothing has imported `oracle` before the package hook does
+    code = ("import sys, altbd; before = 'numpy' in sys.modules; "
+            "from altbd import bilateral, oracle, reflecting, specfun; "
+            "modules = (specfun, bilateral, reflecting, oracle); "
+            "print(before, altbd.__all__ == [n for m in modules for n in m.__all__], "
+            "all(getattr(altbd, n) is getattr(m, n) for m in modules for n in m.__all__))")
+    assert _fresh(code) == "False True True"
 
 
 def test_third_party_imports_are_the_declared_dependencies():
@@ -78,7 +102,7 @@ def test_closed_forms_do_not_need_numpy():
 
 
 def test_cli_builds_its_grids_without_numpy():
-    # the CLI still loads numpy through `oracle`; this pins only its own source
+    # the CLI's own source; `simulate` imports `oracle`, and with it numpy, when it runs
     assert not any(m.split(".")[0] == "numpy" for m in imported_modules(PACKAGE / "cli.py"))
 
 

@@ -75,7 +75,7 @@ def _scipy_occupation(k, t, rates):
 
 
 def _rule_totals(f, t):
-    """The totals of `_quad`'s nested rules, orders 8 to 512, each sum formed as `_quad` forms it."""
+    """The totals of `_quad`'s nested one-panel rules, orders 4 to 512, each sum formed as `_quad` forms it."""
     values = {}
 
     def at(x):
@@ -87,15 +87,17 @@ def _rule_totals(f, t):
     while n <= reflecting._QUAD_MAX_ORDER:
         pairs = [at(t * math.sin(0.5 * math.pi * j / n) ** 2) for j in range(n + 1)]
         weights = reflecting._clenshaw_curtis_weights(n)
-        yield n, 0.5 * t * sum(w * k * c for w, (_, c), (k, _) in zip(weights, pairs, reversed(pairs)))
+        yield n, 0.5 * t * sum(w * c * k for w, (_, c), (k, _) in zip(weights, pairs, reversed(pairs)))
         n *= 2
 
 
 def _two_rule_order(f, t):
-    """The order at which two successive rules first agree within _QUAD_TOL, absolute or relative."""
+    """The order at which two successive rules first agree within _QUAD_TOL, absolute or relative,
+    from the first rule whose nodes resolve unit scale at the ends."""
     previous, tol = None, reflecting._QUAD_TOL
     for n, total in _rule_totals(f, t):
-        if previous is not None and abs(total - previous) <= max(tol, tol * abs(total)):
+        resolved = t * math.sin(0.5 * math.pi / n) ** 2 <= reflecting._QUAD_END_SPACING
+        if resolved and previous is not None and abs(total - previous) <= max(tol, tol * abs(total)):
             return n
         previous = total
     return None
@@ -124,21 +126,25 @@ class TestQuad:
             lambda t, r: p_even(0, t, r),
             lambda t, r: r_mean(1, t, r),
             lambda t, r: r_variance(1, t, r),
+            lambda t, r: reflecting._q10_grid(t, 10, r),
         ],
-        ids=["q10_integral", "p_even", "r_mean", "r_variance"],
+        ids=["q10_integral", "p_even", "r_mean", "r_variance", "q10_grid"],
     )
     def test_matches_scipy_quad(self, monkeypatch, route, rates, t):
         # every integral a route takes must agree with scipy's quad: each
-        # convolution k(t - s) c(s) of _quad, and both integrals of the contour sum in
-        # _contour with quad over the series
+        # convolution k(i h - s) c(s) of _quad, one per panel end i h, and both
+        # integrals of the contour sum in _contour with quad over the series
         real_quad, real_contour = reflecting._quad, reflecting._contour
         results = []
 
-        def both(f, upper, what):
+        def both(f, h, panels, what):
             tol = reflecting._QUAD_TOL
-            want, _ = quad(lambda s: f(upper - s)[0] * f(s)[1], 0.0, upper, epsabs=tol, epsrel=tol, limit=200)
-            got = real_quad(f, upper, what)
-            results.append((got, want, 1e-12))
+            got = real_quad(f, h, panels, what)
+            assert len(got) == panels
+            for i, total in enumerate(got, 1):
+                upper = i * h
+                want, _ = quad(lambda s: f(upper - s)[0] * f(s)[1], 0.0, upper, epsabs=tol, epsrel=tol, limit=200)
+                results.append((total, want, 1e-12))
             return got
 
         def contour(k, upper, r):
@@ -154,10 +160,11 @@ class TestQuad:
             assert abs(got - want) <= tol * max(1.0, abs(want))
 
     def test_cap_raises_convergence_error(self):
-        with pytest.raises(ConvergenceError) as exc:
-            reflecting._quad(lambda x: (1.0, _unresolvable(x)), 1.0, "square wave")
-        assert not isinstance(exc.value, SeriesOverflowError)
-        assert exc.value.terms == reflecting._QUAD_MAX_ORDER + 1
+        for panels in (1, 3):
+            with pytest.raises(ConvergenceError) as exc:
+                reflecting._quad(lambda x: (1.0, _unresolvable(x)), 1.0 / panels, panels, "square wave")
+            assert not isinstance(exc.value, SeriesOverflowError)
+            assert exc.value.terms == panels * reflecting._QUAD_MAX_ORDER + 1
 
     @pytest.mark.parametrize("rates", [Rates(1.0, 2.0), Rates(2.0, 1.0), Rates(1e-3, 1.0), Rates(1e3, 1e-3)],
                              ids=lambda r: f"{r.lam:g},{r.mu:g}")
@@ -166,15 +173,16 @@ class TestQuad:
         real_quad = reflecting._quad
         counts = []
 
-        def counted(f, upper, what):
+        def counted(f, h, panels, what):
             nodes = []
 
             def g(x):
                 nodes.append(x)
                 return f(x)
 
-            got = real_quad(g, upper, what)
-            counts.append((len(nodes), _two_rule_order(f, upper) + 1))
+            got = real_quad(g, h, panels, what)
+            assert panels == 1
+            counts.append((len(nodes), _two_rule_order(f, h) + 1))
             return got
 
         monkeypatch.setattr(reflecting, "_quad", counted)
@@ -194,7 +202,7 @@ class TestQuad:
             nodes.append(x)
             return 1.0, math.cos(20.0 * x)
 
-        got = reflecting._quad(f, 1.0, "cos(20 x)")
+        [got] = reflecting._quad(f, 1.0, 1, "cos(20 x)")
         assert len(nodes) == 33
         assert abs(got - math.sin(20.0) / 20.0) <= 1e-15
 
@@ -217,21 +225,24 @@ class TestQuad:
             nodes.append(x)
             return 1.0, c(x)
 
-        got = reflecting._quad(f, 1.0, "Chebyshev sum")
+        [got] = reflecting._quad(f, 1.0, 1, "Chebyshev sum")
         assert len(nodes) == 129
         assert abs(got - exact) <= tol
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_value_raises_at_once(self, bad):
+        # with two panels the first total is finite and the second is not
         calls = []
 
         def f(u):
             calls.append(u)
             return 1.0, (bad if u > 0.5 else 1.0)
 
-        with pytest.raises(SeriesOverflowError):
-            reflecting._quad(f, 1.0, "bad")
-        assert len(calls) == 9  # the nodes of the first rule
+        for panels in (1, 2):
+            calls.clear()
+            with pytest.raises(SeriesOverflowError):
+                reflecting._quad(f, 1.0 / panels, panels, "bad")
+            assert len(calls) == panels * reflecting._QUAD_MIN_ORDER + 1  # the nodes of the first rule
 
 
 class TestLaplaceRoots:
@@ -696,30 +707,75 @@ class TestQ10:
             return
         assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-7
 
+    @settings(max_examples=20)
+    @given(
+        lam=log_uniform(1e-3, 1e3),
+        mu=log_uniform(1e-3, 1e3),
+        tau=log_uniform(1e-3, 713.0),
+        steps=st.integers(min_value=1, max_value=256),
+    )
+    @example(lam=1.0, mu=2.0, tau=713.0, steps=80)
+    # panels of width 116 and 102, where a prediction from the rules of order 4, 8 and 16 was 1.9e-5
+    # and 3.8e-8 off, and of width 19, where the rules of order 4 and 8 agreed on a total 2.2e-9 off
+    @example(lam=21.61949429469387, mu=2.5714902721262893, tau=232.06056613798404, steps=2)
+    @example(lam=187.23177588733736, mu=0.016449782557903872, tau=204.09345162223673, steps=2)
+    @example(lam=626.1220848149931, mu=0.0036331264856115536, tau=38.3221676821885, steps=2)
+    def test_grid_matches_one_time_calls(self, lam, mu, tau, steps):
+        # one composite rule over the whole grid: each time within the quadrature's
+        # tolerance of its own rule, though not bit-equal to it, and of the series
+        rates = Rates(lam, mu)
+        assert lam >= reflecting._Q10_MIN_RATIO * mu
+        stop = tau / rates.total
+        got = reflecting._q10_grid(stop, steps, rates)
+        assert len(got) == steps
+        for i, q in enumerate(got, 1):
+            t = stop * i / steps
+            assert abs(q - q10_integral(t, rates)) <= 1e-10, t
+            assert abs(q - q10_series(t, rates)) <= 1e-9, t
+
+    @pytest.mark.parametrize(
+        "lam, mu, tau",
+        [
+            (1.3559809022253577, 0.2310311514285737, 326.75938428176335),
+            (2.6328681634951496, 0.002477726667260254, 97.04815388605840),
+            (923.9588217862487, 0.005838486870569817, 390.3386444413427),
+        ],
+    )
+    def test_integral_prediction_waits_for_a_resolved_rule(self, lam, mu, tau):
+        # on a wide panel two coarse rules may agree by chance before the differences decay
+        # geometrically: predicted stops were 2.7e-5 (order 32), 5.2e-7 (16) and 1.8e-9 (32) off
+        rates = Rates(lam, mu)
+        t = tau / rates.total
+        assert abs(q10_integral(t, rates) - q10_series(t, rates)) <= 1e-10
+
     def test_integral_sums_each_node_once(self, monkeypatch):
         # each node takes both of its factors, at x and |r| x, from one fused loop at x,
-        # since the mirrored node t - x is itself a node, and calls no other kernel
+        # since every mirrored node i h - x is itself a node, and calls no other kernel:
+        # a whole grid evaluates panels n + 1 distinct nodes, whatever its number of times
         rates = Rates(1.0, 2.0)
-        sums, nodes, others = [], [], []
+        sums, nodes, others, orders = [], [], [], []
         real_sums, real_quad = reflecting._bessel_sums, reflecting._quad
 
         def counted_sums(z, rsq, rsq_gap):
             sums.append(z)
             return real_sums(z, rsq, rsq_gap)
 
-        def quad(f, upper, what):
+        def quad(f, h, panels, what):
             def counted(x):
                 nodes.append(x)
                 return f(x)
 
-            return real_quad(counted, upper, what)
+            got = real_quad(counted, h, panels, what)
+            orders.append((len(nodes) - 1) / panels)
+            return got
 
         for module in (specfun, reflecting):
             for name in ("bessel_i", "_hyp_series", "hyp1f2"):
                 monkeypatch.setattr(module, name, lambda *args, name=name: others.append(name), raising=False)
         monkeypatch.setattr(reflecting, "_bessel_sums", counted_sums)
         monkeypatch.setattr(reflecting, "_quad", quad)
-        q10_integral(5.0, rates)
+        reflecting._q10_grid(5.0, 8, rates)
+        assert orders[0] in [reflecting._QUAD_MIN_ORDER * 2**e for e in range(8)]
         assert nodes and len(set(nodes)) == len(nodes)
         assert sums == nodes
         assert others == []
