@@ -2,9 +2,11 @@
 
 The chain jumps to either neighbour at rate `lam` from even states and at
 rate `mu` from odd states.  Closed forms implemented here: the even/odd
-probability generating functions, the transition-probability double series
-(two even-start parity cases; an odd start is an even one with the rates
-swapped), and the first two moments.
+probability generating functions (`pgf`), the transition-probability double
+series (two even-start parity cases) and the first two moments.  `pgf` and
+the series are written for an even start only: an odd start is an even one
+with the rates swapped, F and G exchanged in `pgf` and both states shifted
+by one in the series.
 
 `_blocks`, several blocks of the transition matrix at one time, is the one
 route of the double series; `transition_matrix` is its one-block case,
@@ -93,30 +95,38 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     """Evaluate the pair (F_k(z, t), G_k(z, t)) of generating functions.
 
     F_k carries the even states and G_k the odd states of the chain started
-    at k.  Requires z > 0: the closed forms divide by z and by the
-    square-root helper h(z).  z^k and cosh/sinh of t*h(z)/z are folded
-    together with the overall e^(-(lam+mu)t) factor in log space, so nothing
-    overflows unless F or G itself is out of the float range; there
-    SeriesOverflowError names the arguments.
+    at k.  From an even start, with a = lam + mu, s = z + 1/z and q the
+    generator's eigenvalue sqrt(lam mu s^2 + (lam - mu)^2),
+
+        F = z^k e^((q-a)t) [e^(-qt) cosh(qt) + (mu - lam)/q e^(-qt) sinh(qt)]
+        G = z^k e^((q-a)t) lam s/q e^(-qt) sinh(qt);
+
+    an odd start is an even one at the swapped rates with F and G exchanged,
+    as in `_blocks`.  The growth rate q - a is formed as
+    lam mu (z - 1/z)^2/(q + a), which cancels nothing, so F + G = 1 at z = 1
+    for every t.  Requires z > 0.  z^k and the growth are folded together in
+    log space, so nothing overflows unless F or G itself is out of the float
+    range; there, and wherever a NaN arises, SeriesOverflowError names the
+    arguments.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"z must be strictly positive and finite, got {z}")
     k = _state("k", k)
     _check_time(t)
-    lam, mu = rates.lam, rates.mu
-    # root by root: the product of the two factors leaves the float range near rates 1e200 and 1e-300
-    h = math.sqrt(mu * z * z + lam) * math.sqrt(lam * z * z + mu)
-    theta = t * h / z
-    # F and G are z^k e^(theta - at) times these brackets of e^(-theta) cosh and sinh
-    ch = 0.5 * (1.0 + math.exp(-2.0 * theta))
-    sh = -0.5 * math.expm1(-2.0 * theta)
-    if k % 2 == 0:
-        f, g = ch + (mu - lam) * z / h * sh, lam * (z * z + 1.0) / h * sh
-    else:
-        f, g = mu * (z * z + 1.0) / h * sh, ch + (lam - mu) * z / h * sh
-    log_scale = k * math.log(z) + theta - rates.total * t
-    logs = [log_scale + math.log(v) if v > 0.0 else -math.inf for v in (f, g)]
-    if not all(v <= _LOG_MAX for v in logs):  # also false for NaN
+    odd = k % 2
+    lam, mu = (rates.mu, rates.lam) if odd else (rates.lam, rates.mu)
+    rl, rm = math.sqrt(lam), math.sqrt(mu)  # root by root: lam mu leaves the float range
+    c, d = rl * rm * (z + 1.0 / z), rl * rm * (z - 1.0 / z)  # d^2 alone overflows at rates 1e200
+    q = math.hypot(c, lam - mu)
+    ch = 0.5 * (1.0 + math.exp(-2.0 * q * t))
+    sh = -0.5 * math.expm1(-2.0 * q * t)
+    # lam s/q as sqrt(lam/mu) c/q, with c/q <= 1: neither lam/q nor s/q may leave the range
+    pair = (ch + (mu - lam) / q * sh, rl / rm * (c / q) * sh)
+    # k past the float range weighs log z as the largest float: 0 at z = 1, z^k over- or underflows elsewhere
+    big = sys.float_info.max
+    log_scale = min(max(k, -big), big) * math.log(z) + d * (d / (q + lam + mu)) * t
+    logs = [log_scale + (math.log(v) if v else -math.inf) for v in (pair[::-1] if odd else pair)]
+    if not all(v <= _LOG_MAX for v in logs):  # also false for NaN, which a NaN weight keeps in its log
         raise SeriesOverflowError(f"pgf at k={k}, z={z!r}, t={t!r} is out of the float range", math.inf, 0)
     return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]))
 
@@ -314,10 +324,13 @@ def mean(k: int, t: float, rates: Rates) -> float:
     """Conditional mean of the chain started at k: identically k.
 
     The distribution of the displacement is symmetric about the start for
-    every t and every rate pair, so the mean never moves.
+    every t and every rate pair, so the mean never moves.  A start past the
+    float range raises SeriesOverflowError naming it.
     """
     k = _state("k", k)
     _check_time(t)
+    if abs(k) > sys.float_info.max:
+        raise SeriesOverflowError(f"mean at k={k} is out of the float range", math.inf, 0)
     return float(k)
 
 
@@ -334,7 +347,7 @@ def variance(k: int, t: float, rates: Rates) -> float:
     lam, mu = rates.lam, rates.mu
     a = rates.total
     c = lam / a * ((lam - mu) / a) if k % 2 == 0 else mu / a * ((mu - lam) / a)
-    v = 4.0 * lam * (mu / a) * t + c * (1.0 - math.exp(-2.0 * a * t))
+    v = 4.0 * lam * (mu / a) * t + c * -math.expm1(-2.0 * a * t)
     if not math.isfinite(v):
         raise SeriesOverflowError(f"variance at t={t!r} is out of the float range", v, 0)
     return v

@@ -190,6 +190,11 @@ def _check_eps(eps: float) -> None:
 _MAX_WEIGHT_REACH = 2**24
 
 
+def _poisson_reach(rate: float) -> float:
+    """How far either side of the mode `_poisson_weights` builds its range."""
+    return 12.0 * math.sqrt(rate) + 30.0
+
+
 def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     """Poisson(rate) pmf on [left, left + len(weights)), each omitted tail below eps/4.
 
@@ -204,7 +209,7 @@ def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     """
     if rate == 0.0:
         return 0, np.ones(1)
-    reach = 12.0 * math.sqrt(rate) + 30.0
+    reach = _poisson_reach(rate)
     if not reach <= _MAX_WEIGHT_REACH:  # also at rate = inf
         raise DomainError(f"Poisson weights at Lambda t = {rate!r} are too many to build")
     mode, reach = int(rate), math.ceil(reach)
@@ -219,6 +224,13 @@ def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
     return lo + left, kept / kept.sum()
 
 
+# uniformize's refusal thresholds.  A window of 2^22 states keeps each stepped vector
+# within 32 MiB.  A state-step costs 3.4-5 ns on one Xeon core (windows of 1,000 to
+# 3,000 states at t = 1000 and 10,000), so a refused run would take minutes at least
+_MAX_WINDOW_STATES = 2**22
+_MAX_STATE_STEPS = 3e10
+
+
 def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> np.ndarray:
     """Transient distribution of the truncated chain at time t, started at k.
 
@@ -229,7 +241,10 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     Poisson-weighted mass above eps raises WindowTooSmallError.  Rounding
     drift of the stencil, about Lambda t 1e-16 in all, is not counted as
     leaked.  Returns the probability vector aligned with `chain.states`,
-    the cells excluded.  Raises DomainError unless 0 < eps < 1.
+    the cells excluded.  Raises DomainError unless 0 < eps < 1, and, before
+    any array is built, where the window has more than _MAX_WINDOW_STATES
+    states or its states times the last step the Poisson weights can reach,
+    Lambda t + `_poisson_reach`, pass _MAX_STATE_STEPS.
     """
     k = _state("k", k)
     _check_eps(eps)
@@ -237,13 +252,24 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     if not (chain.lo <= k <= chain.hi):
         raise DomainError(f"initial state {k} outside window [{chain.lo}, {chain.hi}]")
     n = chain.hi - chain.lo + 1
+    if n > _MAX_WINDOW_STATES:
+        raise DomainError(
+            f"window [{chain.lo}, {chain.hi}] has {n} states, past uniformize's cap of {_MAX_WINDOW_STATES}"
+        )
+    rate = uniformization_rate(chain.rates) * t
+    steps = rate + _poisson_reach(rate)
+    if not steps * n <= _MAX_STATE_STEPS:  # also at rate = inf
+        raise DomainError(
+            f"uniformize at Lambda t = {rate!r} takes up to {steps:.3g} Poisson steps of a {n}-state window, "
+            f"{steps * n:.3g} state-steps, past its cap of {_MAX_STATE_STEPS:.0e}"
+        )
     first = 0 if chain.kind == "reflected" else 1  # index of chain.lo past the low cell
     v = np.zeros(first + n + 1)
     v[first + k - chain.lo] = 1.0
     if t == 0.0:
         return v[first : first + n]
     step = _uniformized_step(chain)
-    left, weights = _poisson_weights(uniformization_rate(chain.rates) * t, eps)
+    left, weights = _poisson_weights(rate, eps)
     for _ in range(left):
         v = step(v)
     acc = weights[0] * v
@@ -264,7 +290,8 @@ def transient_distribution(
     """(states, probabilities) at time t: one `uniformize` on `default_window`,
     so within eps/2 of the untruncated row entry by entry."""
     chain = TruncatedChain(kind, *default_window(kind, rates, k, t, eps), rates)
-    return chain.states, uniformize(chain, k, t, eps)
+    probs = uniformize(chain, k, t, eps)  # first: it refuses a window too wide for `chain.states`
+    return chain.states, probs
 
 
 def _exit_rates(kind: str, rates: Rates, states: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .specfun import (
@@ -238,11 +239,13 @@ def pi_1n(s, n: int, rates: Rates):
 
     Real s > 0 gives the transform proper, a finite float; complex s with
     positive real part is accepted so numerical inversion can walk the
-    Bromwich line.
+    Bromwich line.  A state n past the float range raises DomainError.
     """
     n = _state("n", n)
     if n < 0:
         raise DomainError(f"state must be >= 0, got {n}")
+    if n > sys.float_info.max:  # psi2 ** n takes n as a float
+        raise DomainError(f"state must lie in the float range, got {n}")
     if not (s.real > 0.0 and cmath.isfinite(s)):
         raise DomainError(f"s must be finite with a positive real part, got {s}")
     return _pi1n(s, n, rates)

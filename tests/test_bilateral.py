@@ -170,6 +170,48 @@ class TestPgf:
         pair = pgf(k, 1.0, t, Rates(lam, mu))
         assert pair.total == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200)
+    @given(
+        lam=log_uniform(1e-300, 1e300),
+        mu=log_uniform(1e-300, 1e300),
+        t=log_uniform(1e-300, 1e300),
+        k=st.integers(min_value=-3, max_value=3),
+    )
+    # (q - a) t formed as the difference q t - a t cancels: F + G read 1 - 3.7e-9 at
+    # t = 1e7 and 0.9995 at 1e12
+    @example(lam=1.0, mu=2.0, t=1e7, k=1)
+    @example(lam=1.0, mu=2.0, t=1e12, k=0)
+    @example(lam=1.0, mu=2.0, t=1e300, k=1)
+    # a state past the float range has log z = 0 at z = 1
+    @example(lam=1.0, mu=2.0, t=1.0, k=10**400)
+    def test_total_probability_at_extreme_rates_and_times(self, lam, mu, t, k):
+        pair = pgf(k, 1.0, t, Rates(lam, mu))
+        assert pair.total == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(
+        lam=log_uniform(1e-3, 1e3),
+        mu=log_uniform(1e-3, 1e3),
+        at=log_uniform(1e-3, 1e3),
+        z=log_uniform(0.5, 2.0),
+        k=st.integers(min_value=-3, max_value=3),
+    )
+    def test_matches_the_closed_forms_at_50_digits(self, lam, mu, at, z, k):
+        # the closed forms as written, h(z) = sqrt((mu z^2 + lam)(lam z^2 + mu)),
+        # F and G exchanged with the rates for an odd start
+        t = at / (lam + mu)
+        with mpmath.workdps(50):
+            a, b = (mu, lam) if k % 2 else (lam, mu)
+            a, b, z_, t_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z), mpmath.mpf(t)
+            h = mpmath.sqrt((b * z_**2 + a) * (a * z_**2 + b))
+            scale = z_**k * mpmath.exp(-(a + b) * t_)
+            even = scale * (mpmath.cosh(t_ * h / z_) + (b - a) * z_ / h * mpmath.sinh(t_ * h / z_))
+            odd = scale * a * (z_**2 + 1) / h * mpmath.sinh(t_ * h / z_)
+            f, g = (float(odd), float(even)) if k % 2 else (float(even), float(odd))
+        pair = pgf(k, z, t, Rates(lam, mu))
+        assert pair.f == pytest.approx(f, rel=1e-11)
+        assert pair.g == pytest.approx(g, rel=1e-11)
+
     def test_even_shift_factor(self, rates_22):
         z, t = 1.3, 0.9
         base = pgf(0, z, t, rates_22)
@@ -211,8 +253,8 @@ class TestPgf:
         assert pair.g == pytest.approx(float(g), rel=1e-11)
 
     def test_rates_whose_root_product_leaves_the_float_range(self):
-        # h = sqrt(mu z^2 + lam) sqrt(lam z^2 + mu): the product under one root
-        # overflows at 1e200 and underflows at 1e-300
+        # q = hypot(sqrt(lam) sqrt(mu) (z + 1/z), lam - mu): the product lam mu under
+        # one root overflows at 1e200 and underflows at 1e-300
         rates, t, z = Rates(1e200, 1e200), 1e-200, 0.99
         assert pgf(0, 1.0, t, rates).total == pytest.approx(1.0, abs=1e-14)
         states, probs = transient_distribution("bilateral", rates, 0, t)
@@ -224,6 +266,12 @@ class TestPgf:
         pair = pgf(0, 1.0, 1.0, Rates(1e-300, 1e-300))
         assert pair.f == 1.0
         assert pair.g == pytest.approx(2e-300, rel=1e-12)
+        # lam z^2 overflows at z = 1e10, where q = h(z)/z does not.  An odd start
+        # reads the swapped rates, lam = 1e-300: F = z lam s/q e^(-qt) sinh(qt) ~ 5e-581
+        # underflows, and G = z (1 + O(1e-290))
+        pair = pgf(1, 1e10, 1.0, Rates(1e300, 1e-300))
+        assert pair.f == 0.0
+        assert pair.g == pytest.approx(1e10, rel=1e-12)
 
     def test_coefficient_extraction_consistency(self, rates_12):
         # sum_n z^n p_{k,n}(t) over a tail-bounded window reproduces f + g
@@ -704,6 +752,17 @@ class TestMoments:
             m2 = float(probs @ ns.astype(float) ** 2)
             assert mean(k, t, rates_21) == pytest.approx(m1, abs=1e-8)
             assert variance(k, t, rates_21) == pytest.approx(m2 - m1 * m1, abs=1e-8)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("t", [1e-20, 1e-12, 1e-4])
+    def test_variance_at_short_times(self, k, t, rates_12):
+        # 1 - e^(-2at) rounds to 0 at t = 1e-20, and loses digits up to t ~ 1e-4
+        with mpmath.workdps(50):
+            lam, mu, t_ = mpmath.mpf(rates_12.lam), mpmath.mpf(rates_12.mu), mpmath.mpf(t)
+            a = lam + mu
+            c = lam * (lam - mu) / a**2 if k % 2 == 0 else mu * (mu - lam) / a**2
+            want = float(4 * lam * mu / a * t_ + c * -mpmath.expm1(-2 * a * t_))
+        assert variance(k, t, rates_12) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_variance_out_of_range_raises(self, rates_12):
         with pytest.raises(SeriesOverflowError, match=r"t=1e\+308"):

@@ -62,7 +62,7 @@ def calls(t, z, n, k, kind):
 @example(lam=1e-300, mu=1e300, t=1e-300, z=1.0, n=0, k=1, kind="bilateral")
 @example(lam=1e-300, mu=1e300, t=1e-250, z=1.0, n=1, k=1, kind="bilateral")
 @example(lam=1e-300, mu=1e300, t=1.0, z=1.0, n=0, k=0, kind="bilateral")
-# pgf's root product underflows, as would q10's divisor 2 lam (a + b) in absolute units
+# pgf's product lam mu underflows, as would q10's divisor 2 lam (a + b) in absolute units
 @example(lam=1e-300, mu=1e-300, t=1.0, z=1.0, n=0, k=1, kind="reflected")
 # the quadrature's Bessel arguments reach the least subnormal
 @example(lam=1e-3, mu=1e-300, t=1e-320, z=1.0, n=0, k=1, kind="reflected")
@@ -114,3 +114,9 @@ def test_non_integer_state_is_a_domain_error(name):
     if dataclasses.is_dataclass(want):
         got, want = dataclasses.astuple(got), dataclasses.astuple(want)
     np.testing.assert_equal(got, want)
+    # a state past the float range gives a value or a typed error, never a bare
+    # OverflowError from a conversion to float
+    try:
+        call(10**400)
+    except TYPED:
+        pass

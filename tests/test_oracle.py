@@ -225,6 +225,45 @@ class TestUniformize:
         with pytest.raises(Built):
             oracle._poisson_weights(1.954e12, 1e-12)
 
+    def test_work_past_the_caps_builds_no_array(self, rates_12, monkeypatch):
+        # Rates(1, 2) at t = 1e6 would step its 30,529-state window 4e6 times,
+        # minutes of work, and a reflected start of 2**70 asked numpy for 2**70
+        # cells; with every numpy name in the oracle refused, the refusals must
+        # come first, at t = 0 too
+        class NoNumpy:
+            def __getattr__(self, name):
+                pytest.fail(f"built an array with np.{name}")
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        with pytest.raises(DomainError, match=re.escape(
+                "Lambda t = 4000000.0 takes up to 4.02e+06 Poisson steps of a 30529-state window, "
+                "1.23e+11 state-steps, past its cap of 3e+10")):
+            uniformize(TruncatedChain("bilateral", -15264, 15264, rates_12), 0, 1e6)
+        for t in (0.0, 1.0):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"has {2**70 + 1} states, past uniformize's cap of 4194304")):
+                uniformize(TruncatedChain("reflected", 0, 2**70, rates_12), 2**70, t)
+        monkeypatch.undo()
+        # through the default window, after its few Poisson weights
+        with pytest.raises(DomainError, match="30529-state window"):
+            transient_distribution("bilateral", rates_12, 0, 1e6)
+        with pytest.raises(DomainError, match="states, past uniformize's cap of 4194304"):
+            transient_distribution("reflected", rates_12, 2**70, 1.0)
+
+    def test_runs_at_the_caps(self, rates_12, monkeypatch):
+        # a run exactly at each cap goes ahead and returns the row it returns below
+        # any cap; a wider window or a longer time is refused
+        chain, t = TruncatedChain("bilateral", -30, 30, rates_12), 1.0
+        kept = uniformize(chain, 0, t)
+        steps = 4.0 * t + oracle._poisson_reach(4.0 * t)
+        monkeypatch.setattr(oracle, "_MAX_WINDOW_STATES", 61)
+        monkeypatch.setattr(oracle, "_MAX_STATE_STEPS", steps * 61)
+        assert np.array_equal(uniformize(chain, 0, t), kept)
+        with pytest.raises(DomainError, match="has 62 states, past uniformize's cap of 61"):
+            uniformize(TruncatedChain("bilateral", -30, 31, rates_12), 0, t)
+        with pytest.raises(DomainError, match="61-state window"):
+            uniformize(chain, 0, 1.01)
+
     @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 5.0, math.nan, math.inf])
     def test_eps_outside_the_unit_interval(self, eps, rates_12):
         with pytest.raises(DomainError, match="eps"):
