@@ -56,6 +56,8 @@ class TruncatedChain:
     "reflected" lives on the non-negative integers with state 0 jumping only
     upward (at rate lam, half its interior even-state exit rate).  Rows of
     the implied generator sum to zero except where truncation leaks mass.
+    The states are an int64 array, so a window past [-2**62, 2**62] raises
+    DomainError, as a start there does in `simulate`.
     """
 
     kind: str
@@ -67,6 +69,10 @@ class TruncatedChain:
         _check_kind(self.kind)
         for name in ("lo", "hi"):
             object.__setattr__(self, name, _state(name, getattr(self, name)))
+            # past int64, numpy makes the states float64, whose neighbours collide, or objects; the
+            # ends are not printed, since Python refuses to format an int of over 4,300 digits
+            if abs(getattr(self, name)) > 2**62:
+                raise DomainError(f"window {name} must lie in [-2**62, 2**62] for the int64 state array of the chain")
         if self.lo > self.hi:
             raise DomainError(f"empty window [{self.lo}, {self.hi}]")
         if self.kind == "reflected" and self.lo != 0:
@@ -226,9 +232,12 @@ def _poisson_weights(rate: float, eps: float) -> tuple[int, np.ndarray]:
 
 # uniformize's refusal thresholds.  A window of 2^22 states keeps each stepped vector
 # within 32 MiB.  A state-step costs 3.4-5 ns on one Xeon core (windows of 1,000 to
-# 3,000 states at t = 1000 and 10,000), so a refused run would take minutes at least
+# 3,000 states at t = 1000 and 10,000), and every step about 3.7 us of numpy call
+# overhead besides, the cost of _STEP_OVERHEAD_STATES more states, so a refused run
+# would take minutes at least, however narrow its window
 _MAX_WINDOW_STATES = 2**22
 _MAX_STATE_STEPS = 3e10
+_STEP_OVERHEAD_STATES = 1000
 
 
 def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> np.ndarray:
@@ -243,8 +252,9 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     leaked.  Returns the probability vector aligned with `chain.states`,
     the cells excluded.  Raises DomainError unless 0 < eps < 1, and, before
     any array is built, where the window has more than _MAX_WINDOW_STATES
-    states or its states times the last step the Poisson weights can reach,
-    Lambda t + `_poisson_reach`, pass _MAX_STATE_STEPS.
+    states or its states plus _STEP_OVERHEAD_STATES, times the last step the
+    Poisson weights can reach, Lambda t + `_poisson_reach`, pass
+    _MAX_STATE_STEPS.
     """
     k = _state("k", k)
     _check_eps(eps)
@@ -258,10 +268,12 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
         )
     rate = uniformization_rate(chain.rates) * t
     steps = rate + _poisson_reach(rate)
-    if not steps * n <= _MAX_STATE_STEPS:  # also at rate = inf
+    work = steps * (n + _STEP_OVERHEAD_STATES)
+    if not work <= _MAX_STATE_STEPS:  # also at rate = inf
         raise DomainError(
             f"uniformize at Lambda t = {rate!r} takes up to {steps:.3g} Poisson steps of a {n}-state window, "
-            f"{steps * n:.3g} state-steps, past its cap of {_MAX_STATE_STEPS:.0e}"
+            f"{work:.3g} state-steps with the overhead of {_STEP_OVERHEAD_STATES} per step, "
+            f"past its cap of {_MAX_STATE_STEPS:.0e}"
         )
     first = 0 if chain.kind == "reflected" else 1  # index of chain.lo past the low cell
     v = np.zeros(first + n + 1)

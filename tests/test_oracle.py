@@ -52,6 +52,26 @@ class TestTruncatedChain:
         with pytest.raises(DomainError):
             TruncatedChain("reflected", 1, 10, rates_12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_window_past_int64_is_a_domain_error(self, kind, k):
+        # numpy would hold such states as float64, whose neighbours collide at 2**63,
+        # or as objects at 10**400; the window itself is refused
+        with pytest.raises(DomainError, match=re.escape("must lie in [-2**62, 2**62] for the int64 state array")):
+            transient_distribution(kind, Rates(1.0, 2.0), k, 1.0)
+        with pytest.raises(DomainError, match="window hi must lie"):
+            TruncatedChain(kind, 0, k, Rates(1.0, 2.0))
+        with pytest.raises(DomainError, match="window lo must lie"):
+            TruncatedChain("bilateral", -k, 0, Rates(1.0, 2.0))
+
+    def test_window_at_the_int64_edge_runs(self, rates_12):
+        # the row near 2**62 is the row near 0, shifted: its states are distinct int64s
+        states, probs = transient_distribution("bilateral", rates_12, 2**62 - 100, 1.0)
+        near, want = transient_distribution("bilateral", rates_12, 0, 1.0)
+        assert states.dtype == np.int64 and states[-1] <= 2**62
+        assert np.array_equal(states - (2**62 - 100), near)
+        assert np.array_equal(probs, want)
+
     def test_window_checks_the_kind(self, rates_12):
         # as TruncatedChain and simulate do, rather than sizing a bilateral window
         with pytest.raises(DomainError, match="kind"):
@@ -227,9 +247,11 @@ class TestUniformize:
 
     def test_work_past_the_caps_builds_no_array(self, rates_12, monkeypatch):
         # Rates(1, 2) at t = 1e6 would step its 30,529-state window 4e6 times,
-        # minutes of work, and a reflected start of 2**70 asked numpy for 2**70
-        # cells; with every numpy name in the oracle refused, the refusals must
-        # come first, at t = 0 too
+        # minutes of work; a 10-state window at Lambda t = 1e9 takes only 1e10
+        # state-steps, but 1e9 steps of about 3.7 us of numpy overhead each, an
+        # hour; and a reflected start of 2**40 asked numpy for 2**40 cells.  With
+        # every numpy name in the oracle refused, the refusals must come first,
+        # at t = 0 too
         class NoNumpy:
             def __getattr__(self, name):
                 pytest.fail(f"built an array with np.{name}")
@@ -237,18 +259,22 @@ class TestUniformize:
         monkeypatch.setattr(oracle, "np", NoNumpy())
         with pytest.raises(DomainError, match=re.escape(
                 "Lambda t = 4000000.0 takes up to 4.02e+06 Poisson steps of a 30529-state window, "
-                "1.23e+11 state-steps, past its cap of 3e+10")):
+                "1.27e+11 state-steps with the overhead of 1000 per step, past its cap of 3e+10")):
             uniformize(TruncatedChain("bilateral", -15264, 15264, rates_12), 0, 1e6)
+        with pytest.raises(DomainError, match=re.escape(
+                "Lambda t = 1000000000.0 takes up to 1e+09 Poisson steps of a 10-state window, "
+                "1.01e+12 state-steps with the overhead of 1000 per step, past its cap of 3e+10")):
+            uniformize(TruncatedChain("bilateral", -4, 5, rates_12), 0, 2.5e8)
         for t in (0.0, 1.0):
             with pytest.raises(DomainError, match=re.escape(
-                    f"has {2**70 + 1} states, past uniformize's cap of 4194304")):
-                uniformize(TruncatedChain("reflected", 0, 2**70, rates_12), 2**70, t)
+                    f"has {2**40 + 1} states, past uniformize's cap of 4194304")):
+                uniformize(TruncatedChain("reflected", 0, 2**40, rates_12), 2**40, t)
         monkeypatch.undo()
         # through the default window, after its few Poisson weights
         with pytest.raises(DomainError, match="30529-state window"):
             transient_distribution("bilateral", rates_12, 0, 1e6)
         with pytest.raises(DomainError, match="states, past uniformize's cap of 4194304"):
-            transient_distribution("reflected", rates_12, 2**70, 1.0)
+            transient_distribution("reflected", rates_12, 2**40, 1.0)
 
     def test_runs_at_the_caps(self, rates_12, monkeypatch):
         # a run exactly at each cap goes ahead and returns the row it returns below
@@ -257,12 +283,16 @@ class TestUniformize:
         kept = uniformize(chain, 0, t)
         steps = 4.0 * t + oracle._poisson_reach(4.0 * t)
         monkeypatch.setattr(oracle, "_MAX_WINDOW_STATES", 61)
-        monkeypatch.setattr(oracle, "_MAX_STATE_STEPS", steps * 61)
+        monkeypatch.setattr(oracle, "_MAX_STATE_STEPS", steps * (61 + oracle._STEP_OVERHEAD_STATES))
         assert np.array_equal(uniformize(chain, 0, t), kept)
         with pytest.raises(DomainError, match="has 62 states, past uniformize's cap of 61"):
             uniformize(TruncatedChain("bilateral", -30, 31, rates_12), 0, t)
         with pytest.raises(DomainError, match="61-state window"):
             uniformize(chain, 0, 1.01)
+        # the per-step overhead counts in full: a cap one state-step short per step refuses the run
+        monkeypatch.setattr(oracle, "_MAX_STATE_STEPS", steps * (60 + oracle._STEP_OVERHEAD_STATES))
+        with pytest.raises(DomainError, match="61-state window"):
+            uniformize(chain, 0, t)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 5.0, math.nan, math.inf])
     def test_eps_outside_the_unit_interval(self, eps, rates_12):

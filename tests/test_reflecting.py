@@ -193,7 +193,7 @@ class TestQuad:
 
     def test_prediction_returns_an_order_early(self):
         # cos(20 x) on [0, 1]: successive differences 9.4e-3, 4.4e-7, 8e-17, so the
-        # two-rule test returns at order 64, and the prediction (4.4e-7)^2/9.4e-3 = 2e-11
+        # two-rule test returns at order 64, and the prediction (4.4e-7)^3/(9.4e-3)^2 = 1e-15
         # at 32, with that rule within 1e-16 of sin(20)/20
         assert _two_rule_order(lambda x: (1.0, math.cos(20.0 * x)), 1.0) == 64
         nodes = []
@@ -208,7 +208,7 @@ class TestQuad:
 
     def test_large_difference_is_not_accepted_on_the_prediction(self):
         # 2000 T_12 + 7.08e-3 T_40 at 2x - 1: order 16 is exact for T_12, so d_32 = 1.0e-4 is
-        # T_40 alone and d_32^2/d_16 = 8.4e-11 lies within tol = 1.4e-9; but d_32 exceeds
+        # T_40 alone and d_32^3/d_16^2 = 7e-17 lies within tol = 1.4e-10; but d_32 exceeds
         # sqrt(tol), and the rule of order 32 is 7.9e-6 off.  Order 128 is exact
         def c(x):
             return 2000.0 * _chebyshev(12, x) + 7.08e-3 * _chebyshev(40, x)
@@ -217,7 +217,7 @@ class TestQuad:
         totals = dict(_rule_totals(lambda x: (1.0, c(x)), 1.0))
         tol = reflecting._QUAD_TOL * abs(totals[32])
         d16, d32 = abs(totals[16] - totals[8]), abs(totals[32] - totals[16])
-        assert d32 * d32 <= tol * d16 and d32 > math.sqrt(tol)
+        assert d32**3 <= tol * d16**2 and d32 > math.sqrt(tol)
         assert abs(totals[32] - exact) > 1e3 * tol
         nodes = []
 
@@ -747,6 +747,25 @@ class TestQ10:
         rates = Rates(lam, mu)
         t = tau / rates.total
         assert abs(q10_integral(t, rates) - q10_series(t, rates)) <= 1e-10
+
+    def test_grid_stops_where_geometric_convergence_predicts(self, monkeypatch):
+        # a benchmark grid: the differences of each total fall like rho^(-n), so the
+        # prediction d_n^3/d_(n/2)^2 stops every total at order 16, 161 nodes, where
+        # d_n^2/d_(n/2) overestimated the error enough to double to order 32, 321 nodes
+        nodes = []
+        real_sums = reflecting._bessel_sums
+
+        def counted(z, rsq, rsq_gap):
+            nodes.append(z)
+            return real_sums(z, rsq, rsq_gap)
+
+        monkeypatch.setattr(reflecting, "_bessel_sums", counted)
+        rates, stop = Rates(2.0, 2.0), 14.892
+        got = reflecting._q10_grid(stop, 10, rates)
+        assert len(nodes) == 161
+        monkeypatch.undo()
+        for i, q in enumerate(got, 1):
+            assert abs(q - q10_series(stop * i / 10, rates)) <= 1e-12
 
     def test_integral_sums_each_node_once(self, monkeypatch):
         # each node takes both of its factors, at x and |r| x, from one fused loop at x,
