@@ -48,7 +48,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .specfun import DomainError, Rates, SeriesOverflowError, _check_time, _state, _sum_series
+from .specfun import DomainError, Rates, SeriesOverflowError, _check_time, _state, _state_text, _sum_series
 
 __all__ = [
     "TransitionQuery", "PgfPair", "pgf", "transition_prob", "transition_probs", "transition_matrix", "mean",
@@ -57,6 +57,8 @@ __all__ = [
 
 # the largest x with e^x in the float range
 _LOG_MAX = math.log(sys.float_info.max)
+# log 745.2: a probability below e^(-745.2) < 2^-1075, half the least subnormal, rounds to 0.0
+_LOG_ZERO_EXPONENT = math.log(745.2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def pgf(k: int, z: float, t: float, rates: Rates) -> PgfPair:
     log_scale = min(max(k, -big), big) * math.log(z) + d * (d / (q + lam + mu)) * t
     logs = [log_scale + (math.log(v) if v else -math.inf) for v in (pair[::-1] if odd else pair)]
     if not all(v <= _LOG_MAX for v in logs):  # also false for NaN, which a NaN weight keeps in its log
-        raise SeriesOverflowError(f"pgf at k={k}, z={z!r}, t={t!r} is out of the float range", math.inf, 0)
+        raise SeriesOverflowError(f"pgf at k={_state_text(k)}, z={z!r}, t={t!r} is out of the float range", math.inf, 0)
     return PgfPair(f=math.exp(logs[0]), g=math.exp(logs[1]))
 
 
@@ -231,14 +233,19 @@ def _row_sums(keys, lam: float, mu: float, t: float) -> dict:
 
     A key's sum may stop only from term index max(5, at/2 - m) on (see
     `_sum_series`): from n = m + 5 and past the Poisson-weight peak at
-    2n ~ at, where terms decay faster than geometrically.
+    2n ~ at, where terms decay faster than geometrically.  A key whose
+    target lies too far for any jump count of fair probability
+    (`_unreachable`) is 0.0 and reads no sequence.
     """
     # log(lam t) and log(mu/lam) stay finite where lam t underflows or mu/lam leaves the float range
     log_lam = math.log(lam)
     lrt, lx, at, crt = log_lam + math.log(t), math.log(mu) - log_lam, (lam + mu) * t, (mu - lam) * t
-    sums = dict.fromkeys(keys)
+    log_jump_rate = math.log(2.0 * max(lam, mu)) + math.log(t)
+    sums = dict.fromkeys(keys, 0.0)
+    # a same-parity key (m, True) is 2m jumps from its start, a cross-parity one 2m + 1
+    pending = [(m, same) for m, same in sums if not _unreachable(2 * m + (not same), log_jump_rate)]
     readers = {}  # how many sums read S(j): (m, same) reads S(m), (m, cross) S(m) and S(m+1)
-    for m, same in sums:
+    for m, same in pending:
         readers[m] = readers.get(m, 0) + 1
         if not same:
             readers[m + 1] = readers.get(m + 1, 0) + 1
@@ -246,12 +253,27 @@ def _row_sums(keys, lam: float, mu: float, t: float) -> dict:
     for j, count in readers.items():
         logs = _inner_logs(j, lx)
         copies[j] = list(itertools.tee(logs, count)) if count > 1 else [logs]
-    for m, same in sums:
+    for m, same in pending:
         logs = copies[m].pop()
         terms = _same_terms(logs, m, lrt, at, crt) if same else _cross_terms(logs, copies[m + 1].pop(), m, lrt, at)
         v = _sum_series(terms, f"transition series ({'same' if same else 'cross'} parity)", max(5.0, 0.5 * at - m))
         sums[m, same] = min(max(v, 0.0), 1.0)  # guard against sub-eps excursions outside [0, 1]
     return sums
+
+
+def _unreachable(jumps: int, log_jump_rate: float) -> bool:
+    """Whether a target `jumps` steps from its start rounds to probability 0.0.
+
+    Reaching it takes at least that many jumps, of a Poisson count N whose
+    mean L = 2 max(lam, mu) t has log `log_jump_rate`, and for D > L Chernoff's
+    bound P(N >= D) <= e^(-L) (e L/D)^D is below e^(-745.2) once
+    D (log D - log L - 1) > 745.2, tested in logs, as D may lie past the float range.
+    """
+    if jumps == 0:
+        return False
+    log_jumps = math.log(jumps)
+    excess = log_jumps - log_jump_rate - 1.0
+    return excess > 0.0 and log_jumps + math.log(excess) > _LOG_ZERO_EXPONENT
 
 
 def transition_matrix(from_states, to_states, t: float, rates: Rates) -> list[list[float]]:
@@ -330,7 +352,7 @@ def mean(k: int, t: float, rates: Rates) -> float:
     k = _state("k", k)
     _check_time(t)
     if abs(k) > sys.float_info.max:
-        raise SeriesOverflowError(f"mean at k={k} is out of the float range", math.inf, 0)
+        raise SeriesOverflowError(f"mean at k={_state_text(k)} is out of the float range", math.inf, 0)
     return float(k)
 
 

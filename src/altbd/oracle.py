@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, Rates, SeriesOverflowError, WindowTooSmallError, _check_time, _state
+from .specfun import DomainError, Rates, SeriesOverflowError, WindowTooSmallError, _check_time, _state, _state_text
 
 __all__ = [
     "TruncatedChain",
@@ -69,10 +69,11 @@ class TruncatedChain:
         _check_kind(self.kind)
         for name in ("lo", "hi"):
             object.__setattr__(self, name, _state(name, getattr(self, name)))
-            # past int64, numpy makes the states float64, whose neighbours collide, or objects; the
-            # ends are not printed, since Python refuses to format an int of over 4,300 digits
-            if abs(getattr(self, name)) > 2**62:
-                raise DomainError(f"window {name} must lie in [-2**62, 2**62] for the int64 state array of the chain")
+            # past int64, numpy makes the states float64, whose neighbours collide, or objects
+            end = getattr(self, name)
+            if abs(end) > 2**62:
+                raise DomainError(f"window {name} must lie in [-2**62, 2**62] for the int64 state array of the chain, "
+                                  f"got {_state_text(end)}")
         if self.lo > self.hi:
             raise DomainError(f"empty window [{self.lo}, {self.hi}]")
         if self.kind == "reflected" and self.lo != 0:
@@ -95,11 +96,11 @@ class SimConfig:
         for name in ("paths", "seed"):
             object.__setattr__(self, name, _state(name, getattr(self, name)))
         if self.paths < 1:
-            raise DomainError(f"paths must be >= 1, got {self.paths}")
+            raise DomainError(f"paths must be >= 1, got {_state_text(self.paths)}")
         if self.paths > 2**63 - 1:
             raise DomainError("paths must be at most 2**63 - 1, the largest count an int64 array can index")
         if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            raise DomainError(f"seed must be >= 0, got {_state_text(self.seed)}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
 
@@ -260,7 +261,7 @@ def uniformize(chain: TruncatedChain, k: int, t: float, eps: float = 1e-12) -> n
     _check_eps(eps)
     _check_time(t)
     if not (chain.lo <= k <= chain.hi):
-        raise DomainError(f"initial state {k} outside window [{chain.lo}, {chain.hi}]")
+        raise DomainError(f"initial state {_state_text(k)} outside window [{chain.lo}, {chain.hi}]")
     n = chain.hi - chain.lo + 1
     if n > _MAX_WINDOW_STATES:
         raise DomainError(
@@ -361,7 +362,7 @@ def simulate(
         raise DomainError("reflected chain starts at a non-negative state")
     # states are int64; a path from 2**62 needs over 4e18 jumps, far past _MAX_JUMPS, to wrap
     if abs(k) > 2**62:
-        raise DomainError(f"k must lie in [-2**62, 2**62] for the int64 state array of simulate, got {k}")
+        raise DomainError(f"k must lie in [-2**62, 2**62] for the int64 state array of simulate, got {_state_text(k)}")
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise DomainError("sample_times must be non-empty")

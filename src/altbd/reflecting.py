@@ -18,9 +18,10 @@ Implemented routes:
 Clenshaw-Curtis rules whose weights are computed here, so only the standard
 library is needed.  Their node set is symmetric, so both factors of the
 integrand come from one evaluation per node, and each such evaluation is
-one fused loop over the Bessel terms at x (`specfun._bessel_sums`), which
-also gives those at |r| x.  `_q10_grid` takes a whole time grid i h from 0
-from one composite rule of panels [p h, (p + 1) h], where every grid time
+one loop of three sums over the Bessel terms at x (`specfun._bessel_sums`):
+I_0(x) and two sums weighted by tables that `_q10_weights` builds once per
+grid from r alone, which carry the terms at |r| x too.  `_q10_grid` takes a
+whole time grid i h from 0 from one composite rule of panels [p h, (p + 1) h], where every grid time
 mirrors a node onto a node, so the grid evaluates each node once; the CLI
 uses it for grids of up to _QUAD_MAX_PANELS steps.  The paper's 1F2 series for
 q00 is no production route; it lives in the tests (`tests/reference.py`) as
@@ -50,6 +51,7 @@ from .specfun import (
     _check_time,
     _hyp_series,
     _state,
+    _state_text,
     _sum_series,
 )
 
@@ -65,11 +67,12 @@ __all__ = [
     "r_variance",
 ]
 
-# below this lam/mu both q10 routes lose the 1e-7 reflected tolerance: their
-# brackets sum terms of order 1 to a value of order lam/(lam + mu), so their
-# errors grow like mu/lam.  Against uniformization (mu t up to 45) the worst
-# is about 5e-8 at 3e-8 and 1.3e-7 at 1e-8, both from q10_integral near
-# mu t = 19; q10_series stays below 1.5e-8 at 1e-8
+# below this lam/mu q10_series nears the 1e-7 reflected tolerance: its brackets sum
+# terms of order 1 to a value of order lam/(lam + mu), so its errors grow like mu/lam.
+# Against uniformization (mu t up to 45) its worst is 4.8e-9 at 3e-8, 1.3e-8 at 1e-8 and
+# 1.5e-4 at 1e-12.  The quadrature's node weights cancel nothing (`_q10_weights`), and it
+# stays within 6.4e-13 of uniformization at all three, but both routes refuse below
+# the bound, so that the two, which `verify` checks against each other, share one domain
 _Q10_MIN_RATIO = 3e-8
 # past this (lam + mu) t both q10 routes refuse: I_0 leaves the float range at 713.9869
 _Q10_REACH = 713.98
@@ -247,9 +250,9 @@ def pi_1n(s, n: int, rates: Rates):
     """
     n = _state("n", n)
     if n < 0:
-        raise DomainError(f"state must be >= 0, got {n}")
+        raise DomainError(f"state must be >= 0, got {_state_text(n)}")
     if n > sys.float_info.max:  # psi2 ** n takes n as a float
-        raise DomainError(f"state must lie in the float range, got {n}")
+        raise DomainError(f"state must lie in the float range, got {_state_text(n)}")
     if not (s.real > 0.0 and cmath.isfinite(s)):
         raise DomainError(f"s must be finite with a positive real part, got {s}")
     return _pi1n(s, n, rates)
@@ -399,16 +402,44 @@ def _q10_grid(stop: float, steps: int, rates: Rates) -> list[float]:
     tau, r, rp = _q10_units(stop, rates, "q10 quadrature")
     if tau == 0.0:
         return [0.0] * steps
-    rsq, rsq_gap = r * r, rp * (2.0 - rp)  # 1 - r^2 = (1 + r)(1 - r)
+    # the terms at the largest node, tau, peak near m = tau/2 with width about sqrt(tau)/2, and
+    # stop by m = tau/2 + 4 sqrt(tau) + 6 (measured over 0 <= tau <= 714)
+    beta, kappa = _q10_weights(r, rp, 2.0 * rates.mu / rates.total, int(0.5 * tau + 5.0 * math.sqrt(tau)) + 8)
 
     def node(x: float) -> tuple[float, float]:
-        s0, c1, s2, k, c3 = _bessel_sums(x, rsq, rsq_gap)
+        s0, e, k = _bessel_sums(x, beta, kappa)
         share = math.exp(-x)
         scale = share / rp
         # (1 + r) S0 times the scale is S0 e^(-x)
-        return 0.5 * (k * scale), s0 * share + x * (0.5 * (c1 * scale) + r * (s2 * scale) + 0.5 * (c3 * scale))
+        return 0.5 * (k * scale), s0 * share + x * (e * scale)
 
     return [min(max(v, 0.0), 1.0) for v in _quad(node, tau / steps, steps, "q10 quadrature")]
+
+
+def _q10_weights(r: float, rp: float, rm: float, size: int) -> tuple[list[float], list[float]]:
+    """The weights beta_m, kappa_m, m < size, under which the sums of T_m = (x^2/4)^m/(m!)^2
+    give the q10 node, from r, rp = 1 + r and rm = 1 - r, each formed directly from the rates:
+        beta_m = 1/(2(m+1)) + r/(2m+1) + rsq^(m+1)/(2(2m+1)(m+1)),
+        kappa_m = (1 - rsq^(m+1))/(m+1),  rsq = r^2,
+    so that sum T_m beta_m = E(x) = I_1(x)/x + r 1F2(1/2; 3/2, 1; x^2/4)
+    + rsq/2 1F2(1/2; 3/2, 2; rsq x^2/4), the companion's bracket, and sum T_m kappa_m = K(x)
+    = 2 I_1(x)/x - rsq 2 I_1(|r| x)/(|r| x), the kernel's; terms at |r| x are those at x
+    times rsq^m.  Neither weight is formed as written, since both cancel as r nears -1 or 1:
+    with P_m = sum_(i <= m) rsq^i, 1 - rsq^(m+1) = rp rm P_m, and the three terms of beta_m
+    add up to rp^2 (2 rm sum_(i < m) P_i + P_m)/(2(2m+1)(m+1)), so every weight is a
+    product and sum of positive numbers, and E and K cancel nothing at any r.
+    """
+    rsq, gap, square = r * r, rp * rm, rp * rp
+    beta, kappa = [0.0] * size, [0.0] * size
+    power = powers = 1.0  # rsq^m and P_m
+    partial = 0.0  # the sum of P_i over i < m
+    for m in range(size):
+        kappa[m] = gap * powers / (m + 1)
+        beta[m] = square * (2.0 * rm * partial + powers) / (2 * (2 * m + 1) * (m + 1))
+        partial += powers
+        power *= rsq
+        powers += power
+    return beta, kappa
 
 
 def _contour(k: int, t: float, rates: Rates) -> tuple[float, float, float]:
@@ -423,7 +454,8 @@ def _contour(k: int, t: float, rates: Rates) -> tuple[float, float, float]:
     k = _state("k", k)
     _check_time(t)
     if k not in (0, 1):
-        raise DomainError(f"no closed form for start {k}; the reflected chain's moments cover starts 0 and 1")
+        raise DomainError(f"no closed form for start {_state_text(k)}; "
+                          f"the reflected chain's moments cover starts 0 and 1")
     lam, a = rates.lam, rates.total
     if a * t < 1e-17:
         occ = t if k == 0 else 0.5 * rates.mu * t * t

@@ -13,10 +13,12 @@ and of the outer series of the closed forms (the bilateral series, q00 and
 q10); the fixed-shape `_hyp_series`, which gives every 1F2 (`q10_series`
 reads whole sequences of them, stepped by a contiguous relation from a few
 kernel values); and `_bessel_sums`, which gives a quadrature node of
-`q10_integral` (or of a whole grid of its times) every sum it reads, at x
-and at |r| x, from one pass over the terms at x: the terms at
-|r| x are those times r^(2m), and past the peak r^(2m) e^x <= e^(|r| x), so
-the stop at x bounds both tails.  All functions are pure and reentrant.
+`q10_integral` (or of a whole grid of its times) the three sums it reads,
+I_0(x) and two sums of the same terms under weights that its caller
+tabulates once per grid, from one pass over the terms at x: the weights
+depend on r alone and carry the sums at |r| x, whose terms are those at x
+times r^(2m), and past the peak r^(2m) e^x <= e^(|r| x), so the stop at x
+bounds every tail.  All functions are pure and reentrant.
 
 Production code calls `_hyp_series` directly: every x it passes is a square
 over 4 and every lower parameter positive, so no check could fire.
@@ -137,6 +139,14 @@ def _state(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _state_text(k: int) -> str:
+    """An int argument k (a state, a count or a seed) for an error message: its digits up
+    to 256 bits, past them its sign and bit length, since Python refuses to format an int
+    of over 4,300 digits."""
+    bits = k.bit_length()
+    return str(k) if bits <= 256 else f"{'-' if k < 0 else ''}<{bits}-bit integer>"
+
+
 def _sum_series(terms, what: str, settled: float) -> float:
     """Sum an iterable of terms in order, by the rule of every series.
 
@@ -203,33 +213,28 @@ def bessel_i(order: int, x: float) -> float:
     return _sum_series(terms(), f"bessel_i({order}, {x})", 0)
 
 
-def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, float, float, float]:
-    """(S0, C1, S2, K, C3) for finite z >= 0 and rsq = r^2 < 1, unchecked: with
-    T_m = (z^2/4)^m/(m!)^2, the sums of T_m = I_0(z), T_m/(m+1) = 2 I_1(z)/z,
-    T_m/(2m+1) = 1F2(1/2; 3/2, 1; z^2/4), T_m (1 - rsq^(m+1))/(m+1) = 2 I_1(z)/z -
-    rsq 2 I_1(|r| z)/(|r| z) and T_m rsq^(m+1)/((2m+1)(m+1)) = rsq 1F2(1/2; 3/2, 2; rsq z^2/4),
-    in one loop by the stopping rule and term cap of every series on T_m, past its peak.
-    1 - rsq^(m+1) is rsq_gap = 1 - rsq, formed by the caller, times a running sum of rsq^i,
-    so K cancels nothing.  Every term is positive and at most T_m, so the stop bounds every tail.
-    Raises SeriesOverflowError past I_0's float range.
+def _bessel_sums(z: float, beta, kappa) -> tuple[float, float, float]:
+    """(S0, E, K) for finite z >= 0, unchecked: with T_m = (z^2/4)^m/(m!)^2, the sums of
+    T_m = I_0(z), T_m beta[m] and T_m kappa[m], in one loop by the stopping rule and term
+    cap of every series on T_m, past its peak.  The weight sequences are indexed from
+    m = 0 and must outlast the stop: the caller sizes them, and a pair that runs out first
+    raises ConvergenceError, as the cap does.  Weights at most a few in size, as those of
+    `reflecting._q10_weights` (at most 2), leave every tail within a few times the stop's
+    bound on S0's.  Raises SeriesOverflowError past I_0's float range.
     """
     half = z / 2.0
-    term = s0 = c1 = s2 = k = c3 = power = powers = 1.0
+    term = s0 = 1.0
+    betas, kappas = iter(beta), iter(kappa)
+    e, k = next(betas), next(kappas)
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
-    small = 0
-    for m in range(1, max_terms + 1):
+    small = m = 0
+    for m, b, c in zip(range(1, max_terms + 1), betas, kappas):
         step = half / m  # not (z^2/4)/m^2, whose one rounding compounds to 3e-14 by z = 700
         ratio = step * step
         term *= ratio
-        power *= rsq
-        powers += power
         s0 += term
-        even = term / (m + 1)
-        c1 += even
-        k += even * powers
-        odd = term / (2 * m + 1)
-        s2 += odd
-        c3 += odd / (m + 1) * power
+        e += term * b
+        k += term * c
         if term <= rel_tol * s0 and ratio < 1.0:
             small += 1
             if small >= 2:
@@ -240,8 +245,8 @@ def _bessel_sums(z: float, rsq: float, rsq_gap: float) -> tuple[float, float, fl
     if not math.isfinite(s0):
         raise SeriesOverflowError(f"Bessel sums at z={z!r} overflowed", s0, m)
     if small < 2:
-        raise ConvergenceError(f"Bessel sums at z={z!r} did not converge", s0, max_terms)
-    return s0, c1, s2, rsq_gap * k, rsq * c3
+        raise ConvergenceError(f"Bessel sums at z={z!r} did not converge", s0, m)
+    return s0, e, k
 
 
 def _hyp_series(a: float, b1: float, b2: float, x: float) -> float:

@@ -10,17 +10,17 @@ closed form that returns NaN fails its row.
 The bilateral checks read whole blocks, and each reads all its values at
 one time through one `bilateral._blocks` call, which sums each distinct
 series of an effective rate pair once (`rates` from an even start, the
-swapped rates from an odd one): normalization one block over its seven
-starts per time, symmetry the `rates` block and the swapped-rates block per
-time for its five clauses, Chapman-Kolmogorov its row factors, column
-factors and direct values by time (0.3, 0.7, 0.6, 1.0 and 1.4), and the
-pointwise comparison with the oracle the rows from starts 0 and 1 per time.
-Only the Bessel reduction calls `transition_prob` entry by entry, so the
-one-entry path stays under test too.  The symmetry row tests the parity
-reduction of `bilateral._blocks` (an odd start without its rate swap reads
-0.27 at (1, 2)); a slip in the series itself, such as a mis-indexed offset,
-enters both sides of every clause alike, and `bilateral_moments_vs_oracle`
-catches it.
+swapped rates from an odd one): normalization each of its seven starts
+over its own window k - r .. k + r per time, symmetry the `rates` block and
+the swapped-rates block per time for its five clauses, Chapman-Kolmogorov
+its row factors, column factors and direct values by time (0.3, 0.7, 0.6,
+1.0 and 1.4), and the pointwise comparison with the oracle the rows from
+starts 0 and 1 per time.  Only the Bessel reduction calls `transition_prob`
+entry by entry, so the one-entry path stays under test too.  The symmetry
+row tests the parity reduction of `bilateral._blocks` (an odd start without
+its rate swap reads 0.27 at (1, 2)); a slip in the series itself, such as a
+mis-indexed offset, enters both sides of every clause alike, and
+`bilateral_moments_vs_oracle` catches it.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ def _values(requests, t):
 
 
 def normalization(rates):
-    starts = range(-3, 4)
     for t in (0.1, 0.5, 1.0, 2.0, 5.0):
         r = _reach(rates, t)
-        # row i holds start -3 + i over -3 - r .. 3 + r, so its window k - r .. k + r starts at column i
-        rows = bilateral.transition_matrix(starts, range(starts[0] - r, starts[-1] + r + 1), t, rates)
-        for i, row in enumerate(rows):
-            yield abs(sum(row[i : i + 2 * r + 1]) - 1.0)
+        # each start's row over its own window k - r .. k + r, whose offsets, and so series, all
+        # the starts of one parity share
+        for (row,) in bilateral._blocks([((k,), range(k - r, k + r + 1), rates) for k in range(-3, 4)], t):
+            yield abs(sum(row) - 1.0)
 
 
 def symmetry(rates):

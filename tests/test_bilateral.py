@@ -503,6 +503,34 @@ class TestTransitionProb:
         assert summed.value.terms == foreseen.value.terms == 20
 
 
+    @pytest.mark.parametrize("offset", [10**140, 10**155, 10**5000], ids=["10**140", "10**155", "10**5000"])
+    def test_offset_far_past_any_jump_count_is_zero(self, offset, rates_12):
+        # the series overflowed from 10**140 and raised a bare OverflowError from 10**155 on;
+        # the probability lies far below the least subnormal, so it rounds to 0.0
+        for k in (0, 1, -3):
+            for n in (k + offset, k - offset, k + offset + 1, k - offset - 1):
+                assert p(k, n, 1.0, rates_12) == 0.0
+        near = transition_probs(0, range(-3, 4), 1.0, rates_12)
+        assert transition_probs(0, [*range(-3, 4), offset], 1.0, rates_12) == [*near, 0.0]
+
+    @settings(max_examples=60)
+    @given(lam=log_uniform(1e-3, 1e3), mu=log_uniform(1e-3, 1e3), t=log_uniform(1e-300, 1e3))
+    @example(lam=1.0, mu=2.0, t=1.0)
+    def test_unreachable_bound_holds(self, lam, mu, t):
+        # the fewest jumps the guard refuses, against the Poisson tail P(N >= D) at 30 digits,
+        # N ~ Poisson(2 max(lam, mu) t): below 2^-1075, where a probability rounds to 0.0
+        log_rate = math.log(2.0 * max(lam, mu)) + math.log(t)
+        lo, hi = 0, 1
+        while not bilateral._unreachable(hi, log_rate):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if bilateral._unreachable(mid, log_rate) else (mid, hi)
+        with mpmath.workdps(30):
+            rate = 2 * max(mpmath.mpf(lam), mpmath.mpf(mu)) * mpmath.mpf(t)
+            assert mpmath.gammainc(hi, 0, rate, regularized=True) < mpmath.mpf(2) ** -1075
+
+
 class TestTransitionProbs:
     @settings(max_examples=25)
     @given(

@@ -449,7 +449,7 @@ class TestVerify:
 
     def test_series_sums_per_run(self, monkeypatch):
         # each bilateral check reads its values at one time through one bilateral._blocks
-        # call, which sums each distinct series of an effective rate pair once: 1,705 sums
+        # call, which sums each distinct series of an effective rate pair once: 1,565 sums
         # on the default grid, against 2,757 with one pass per block and start parity
         summed = []
         row_sums = bilateral._row_sums
@@ -457,7 +457,7 @@ class TestVerify:
             bilateral, "_row_sums", lambda keys, *scales: summed.append(len(set(keys))) or row_sums(keys, *scales)
         )
         cli.run_verification()
-        assert sum(summed) <= 1705
+        assert sum(summed) <= 1565
 
     def test_odd_start_without_rate_swap_fails_symmetry(self, monkeypatch):
         # the parity reduction without its rate swap: an odd start k reads the row of

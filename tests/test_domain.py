@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from altbd import (
-    ConvergenceError, DomainError, Rates, SimConfig, TransitionQuery, TruncatedChain, WindowTooSmallError,
-    default_window, invert_laplace, laplace_roots, mean, p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean,
+    ConvergenceError, DomainError, Rates, SeriesOverflowError, SimConfig, TransitionQuery, TruncatedChain,
+    WindowTooSmallError, default_window, invert_laplace, laplace_roots, mean, p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean,
     r_variance, simulate, transient_distribution, transition_prob, transition_probs, uniformize, variance,
 )
 
@@ -120,3 +120,40 @@ def test_non_integer_state_is_a_domain_error(name):
         call(10**400)
     except TYPED:
         pass
+
+
+# the outcome of each entry at the states +10**5000 and -10**5000: the exact error class, or
+# None for a value
+HUGE_STATE_OUTCOMES = {
+    "pi_1n": (DomainError, DomainError),
+    "mean": (SeriesOverflowError, SeriesOverflowError),
+    "variance": (None, None),
+    "pgf": (None, SeriesOverflowError),  # z^k at z = 0.5 underflows, or overflows
+    "p_even": (DomainError, DomainError),
+    "r_mean": (DomainError, DomainError),
+    "r_variance": (DomainError, DomainError),
+    "simulate": (DomainError, DomainError),
+    "default_window": (None, None),
+    "transient_distribution": (DomainError, DomainError),
+    "uniformize": (DomainError, DomainError),
+    "TruncatedChain.lo": (DomainError, DomainError),
+    "TruncatedChain.hi": (DomainError, DomainError),
+    "SimConfig.paths": (DomainError, DomainError),
+    "SimConfig.seed": (None, DomainError),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["10**5000", "-10**5000"])
+@pytest.mark.parametrize("name", STATE_ENTRIES)
+def test_state_past_the_digit_limit_keeps_its_typed_error(name, sign):
+    # Python refuses to format an int of over 4,300 digits, so a message that printed such a
+    # state would raise a bare ValueError in place of the typed error; DomainError subclasses
+    # ValueError, so the class is compared exactly
+    want = HUGE_STATE_OUTCOMES[name][sign < 0]
+    try:
+        STATE_ENTRIES[name](sign * 10**5000)
+    except Exception as exc:  # noqa: BLE001 - the class is the assertion
+        assert type(exc) is want, (name, exc)
+        assert "-bit integer>" in str(exc) or name == "SimConfig.paths" and sign > 0
+    else:
+        assert want is None, name

@@ -755,9 +755,9 @@ class TestQ10:
         nodes = []
         real_sums = reflecting._bessel_sums
 
-        def counted(z, rsq, rsq_gap):
+        def counted(z, beta, kappa):
             nodes.append(z)
-            return real_sums(z, rsq, rsq_gap)
+            return real_sums(z, beta, kappa)
 
         monkeypatch.setattr(reflecting, "_bessel_sums", counted)
         rates, stop = Rates(2.0, 2.0), 14.892
@@ -775,9 +775,9 @@ class TestQ10:
         sums, nodes, others, orders = [], [], [], []
         real_sums, real_quad = reflecting._bessel_sums, reflecting._quad
 
-        def counted_sums(z, rsq, rsq_gap):
+        def counted_sums(z, beta, kappa):
             sums.append(z)
-            return real_sums(z, rsq, rsq_gap)
+            return real_sums(z, beta, kappa)
 
         def quad(f, h, panels, what):
             def counted(x):
@@ -798,6 +798,34 @@ class TestQ10:
         assert nodes and len(set(nodes)) == len(nodes)
         assert sums == nodes
         assert others == []
+
+    def test_grid_builds_its_weights_once_and_outlasts_every_node(self, monkeypatch):
+        # one weight table per grid, sized from its stop: at tau = 713.7, just below the
+        # reach, the largest node is tau itself, and its terms stop two weights before the end
+        builds, nodes = [], []
+        real_weights, real_sums = reflecting._q10_weights, reflecting._bessel_sums
+
+        def counted_weights(r, rp, rm, size):
+            builds.append(size)
+            return real_weights(r, rp, rm, size)
+
+        def counted_sums(z, beta, kappa):
+            nodes.append(z)
+            return real_sums(z, beta, kappa)
+
+        monkeypatch.setattr(reflecting, "_q10_weights", counted_weights)
+        monkeypatch.setattr(reflecting, "_bessel_sums", counted_sums)
+        rates = Rates(1.0, 2.0)
+        stop = 713.7 / rates.total
+        got = reflecting._q10_grid(stop, 10, rates)
+        assert len(builds) == 1 and len(nodes) > 10
+        beta, kappa = real_weights(-1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, builds[0])
+        real_sums(max(nodes), beta[:-2], kappa[:-2])
+        q10_integral(1.0, rates)
+        assert len(builds) == 2
+        monkeypatch.undo()
+        for i, q in enumerate(got, 1):
+            assert abs(q - q10_series(stop * i / 10, rates)) <= 1e-10
 
     @pytest.mark.parametrize("route", [q10_series, q10_integral])
     def test_routes_take_the_kernel_directly(self, route, monkeypatch):

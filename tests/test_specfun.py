@@ -235,41 +235,54 @@ def _bessel_ratio(x):
     return 2 * mpmath.besseli(1, x) / x if x else mpmath.mpf(1)
 
 
+def _weights(r, size=500):
+    """The q10 node's weight tables at r, m < size (enough for every z below the reach)."""
+    return reflecting._q10_weights(r, 1.0 + r, 1.0 - r, size)
+
+
 class TestBesselSums:
     @pytest.mark.parametrize("z", [0.0, 5e-324, 1e-3, 0.5, 5.0, 50.0, 300.0, 713.9])
     def test_against_mpmath(self, z):
-        # S0 = I_0(z), C1 = 2 I_1(z)/z, S2 = 1F2(1/2; 3/2, 1; z^2/4), the kernel difference
-        # K = 2 I_1(z)/z - r^2 2 I_1(|r| z)/(|r| z) and C3 = r^2 1F2(1/2; 3/2, 2; r^2 z^2/4),
-        # each a positive sum, so one relative tolerance holds them all; K is formed from
-        # the two ratios at 40 digits, where a difference of two double sums loses about
-        # 6 digits at r = -(1 - 2e-6)
-        for r in (0.0, 1 / 3, -5 / 7, -(1 - 2e-6)):
-            got = specfun._bessel_sums(z, r * r, (1.0 + r) * (1.0 - r))
+        # S0 = I_0(z), the kernel difference K = 2 I_1(z)/z - r^2 2 I_1(|r| z)/(|r| z) and the
+        # companion's bracket E = I_1(z)/z + r 1F2(1/2; 3/2, 1; z^2/4) + r^2/2 1F2(1/2; 3/2, 2;
+        # r^2 z^2/4); K is formed from the two ratios at 40 digits, where a difference of two
+        # double sums loses about 6 digits at r = -(1 - 2e-6).  S0 and K are positive sums, and
+        # so is E for r >= 0; for r < 0 the bracket's three parts cancel, and E is held to the
+        # bracket at |r|, the scale the separate sums of the parts were each accurate to, and
+        # also, since its weights are formed with no cancellation, to 2e-14 of itself
+        for r in (0.0, 1 / 3, -5 / 7, -(1 - 2e-6), 1 - 2e-6):
+            got = specfun._bessel_sums(z, *_weights(r))
             with mpmath.workdps(40):
-                x, rsq = mpmath.mpf(z), mpmath.mpf(r) ** 2
-                gx = abs(mpmath.mpf(r)) * x
-                want = (
-                    mpmath.besseli(0, x),
-                    _bessel_ratio(x),
-                    mpmath.hyp1f2(0.5, 1.5, 1, x * x / 4),
-                    _bessel_ratio(x) - rsq * _bessel_ratio(gx),
-                    rsq * mpmath.hyp1f2(0.5, 1.5, 2, gx * gx / 4),
-                )
-                for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-14 * w, (r, got, want)
+                x, rm = mpmath.mpf(z), mpmath.mpf(r)
+                rsq, gx = rm**2, abs(rm) * x
+                half = _bessel_ratio(x) / 2
+                s2, c3 = mpmath.hyp1f2(0.5, 1.5, 1, x * x / 4), mpmath.hyp1f2(0.5, 1.5, 2, gx * gx / 4)
+                want = (mpmath.besseli(0, x), half + rm * s2 + rsq / 2 * c3, _bessel_ratio(x) - rsq * _bessel_ratio(gx))
+                scale = (want[0], half + abs(rm) * s2 + rsq / 2 * c3, want[2])
+                for g, w, size in zip(got, want, scale):
+                    assert abs(g - w) <= 1e-14 * size, (r, got, want)
+                assert abs(got[1] - want[1]) <= 2e-14 * want[1], (r, got, want)
 
     def test_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            specfun._bessel_sums(30.0, 0.25, 0.75)
+            specfun._bessel_sums(30.0, *_weights(0.5))
         assert not isinstance(exc.value, SeriesOverflowError)
         assert exc.value.partial > 0.0
         assert exc.value.terms == 3
 
+    def test_weights_that_run_out_raise_convergence_error(self):
+        # z = 30 stops near m = 42; five weights end the loop at m = 4, unsettled
+        with pytest.raises(ConvergenceError) as exc:
+            specfun._bessel_sums(30.0, *_weights(0.5, 5))
+        assert not isinstance(exc.value, SeriesOverflowError)
+        assert exc.value.partial > 0.0
+        assert exc.value.terms == 4
+
     @pytest.mark.parametrize("z", [714.0, 1e5])
     def test_non_finite_sum_raises_overflow(self, z):
         with pytest.raises(SeriesOverflowError, match="overflowed"):
-            specfun._bessel_sums(z, 0.25, 0.75)
+            specfun._bessel_sums(z, *_weights(0.5))
 
 
 class TestSumSeries:
