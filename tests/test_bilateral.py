@@ -502,7 +502,6 @@ class TestTransitionProb:
         assert foreseen.value.partial == 0.0
         assert summed.value.terms == foreseen.value.terms == 20
 
-
     @pytest.mark.parametrize("offset", [10**140, 10**155, 10**5000], ids=["10**140", "10**155", "10**5000"])
     def test_offset_far_past_any_jump_count_is_zero(self, offset, rates_12):
         # the series overflowed from 10**140 and raised a bare OverflowError from 10**155 on;

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from altbd import (
     ConvergenceError, DomainError, Rates, SeriesOverflowError, SimConfig, TransitionQuery, TruncatedChain,
-    WindowTooSmallError, default_window, invert_laplace, laplace_roots, mean, p_even, pgf, pi_1n, q00, q10_integral, q10_series, r_mean,
-    r_variance, simulate, transient_distribution, transition_prob, transition_probs, uniformize, variance,
+    WindowTooSmallError, default_window, invert_laplace, laplace_roots, mean, p_even, pgf, pi_1n, q00, q10_integral,
+    q10_series, r_mean, r_variance, simulate, transient_distribution, transition_prob, transition_probs, uniformize,
+    variance,
 )
 
 from conftest import log_uniform
@@ -152,7 +153,7 @@ def test_state_past_the_digit_limit_keeps_its_typed_error(name, sign):
     want = HUGE_STATE_OUTCOMES[name][sign < 0]
     try:
         STATE_ENTRIES[name](sign * 10**5000)
-    except Exception as exc:  # noqa: BLE001 - the class is the assertion
+    except Exception as exc:  # the exact class is the assertion
         assert type(exc) is want, (name, exc)
         assert "-bit integer>" in str(exc) or name == "SimConfig.paths" and sign > 0
     else:

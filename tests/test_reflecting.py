@@ -872,6 +872,15 @@ class TestQ10:
         assert abs(got - q10_integral(t, rates)) <= 1e-9
         assert abs(got - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-9
 
+    @pytest.mark.parametrize("lam", [3.1e-8, 1e-7, 1e-4])
+    def test_integral_cancels_nothing_near_the_ratio_bound(self, lam):
+        # the node's weights are sums and products of positive numbers, so its sums keep their
+        # relative accuracy as lam/mu nears the bound, where the companion's bracket as
+        # (1/2) C1 + r S2 + (1/2) C3 cancelled down to order lam and cost about 1e-9
+        rates = Rates(lam, 1.0)
+        for t in (0.5, 5.0, 19.0, 45.0):
+            assert abs(q10_integral(t, rates) - oracle_prob("reflected", rates, 1, 0, t)) <= 1e-11, t
+
     @settings(max_examples=25)
     @given(lam=log_uniform(1e-12, 1e3), mu=log_uniform(1e-12, 1e3), t=st.floats(min_value=0.01, max_value=20.0))
     # lam/mu below the bound, where the cancelling brackets cost about 1e-7 and 1e-4
